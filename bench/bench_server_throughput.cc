@@ -377,11 +377,10 @@ BENCHMARK(BM_ServerDmlMix)
 // connections stay open while a handful of active sessions run a
 // point-query mix. With the reactor an idle connection is an fd plus two
 // buffers, so qps/p50/p99 should hold roughly flat as the idle herd
-// grows; the thread-per-connection baseline (frontend=1) pays a parked
-// thread per connection. The herd lives in a forked child process
-// because this benchmark holds *both* ends of every socket and the
-// container caps RLIMIT_NOFILE at ~20K fds — one process per side keeps
-// 10K+ connections under the ceiling.
+// grows. The herd lives in a forked child process because this
+// benchmark holds *both* ends of every socket and the container caps
+// RLIMIT_NOFILE at ~20K fds — one process per side keeps 10K+
+// connections under the ceiling.
 
 std::string PointQuery(int i) {
   return "SELECT value FROM metrics WHERE id = " +
@@ -476,15 +475,11 @@ struct IdleHerd {
 
 void BM_ServerC10K(benchmark::State& state) {
   const int idle_requested = static_cast<int>(state.range(0));
-  const bool threads_frontend = state.range(1) != 0;
   const int idle = std::max(0, ClampIdleConns(idle_requested));
   constexpr int kActive = 8;
   constexpr int kQueriesPerClient = 16;
 
   server::ServerConfig config;
-  config.frontend = threads_frontend
-                        ? server::ServerConfig::Frontend::kThreads
-                        : server::ServerConfig::Frontend::kEpoll;
   config.max_sessions = idle + kActive + 8;
   config.admission.max_inflight = 8;
   config.admission.queue_timeout_ms = 60000;
@@ -505,7 +500,7 @@ void BM_ServerC10K(benchmark::State& state) {
       return;
     }
     // Let the front-end finish accepting/handshaking the whole herd
-    // (bounded: the thread front-end may take a while to spawn it).
+    // (bounded, in case the accept backlog overflowed).
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(60);
     while (server.stats().sessions_open < herd.opened &&
@@ -573,21 +568,14 @@ void BM_ServerC10K(benchmark::State& state) {
   state.counters["p50_ms"] = percentile(0.50);
   state.counters["p99_ms"] = percentile(0.99);
   state.counters["open_conns"] = herd.opened + kActive;
-  state.counters["threads_frontend"] = threads_frontend ? 1 : 0;
 }
 
-// The thread-per-connection baseline stops at 4000 idle connections:
-// past that, thread stacks and scheduler load swamp the box the reactor
-// sails through.
 BENCHMARK(BM_ServerC10K)
-    ->Args({0, 0})
-    ->Args({1000, 0})
-    ->Args({2000, 0})  // the CI smoke point
-    ->Args({4000, 0})
-    ->Args({10000, 0})
-    ->Args({0, 1})
-    ->Args({1000, 1})
-    ->Args({4000, 1})
+    ->Arg(0)
+    ->Arg(1000)
+    ->Arg(2000)  // the CI smoke point
+    ->Arg(4000)
+    ->Arg(10000)
     ->Iterations(3)
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond);

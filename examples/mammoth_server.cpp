@@ -1,5 +1,6 @@
 // The MammothDB network server: binds a TCP port, speaks the wire.h
-// protocol and runs every session against one shared sql::Engine.
+// protocol through its epoll front-end (one event loop, a bounded worker
+// pool) and runs every session against one shared sql::Engine.
 //
 //   ./build/examples/mammoth_server --port 50517 --init warmup.sql
 //
@@ -10,8 +11,6 @@
 //   --inflight <n>      max concurrently executing queries (default 4)
 //   --timeout-ms <n>    admission queue timeout        (default 5000)
 //   --threads <n>       kernel TaskPool workers, 0 = hardware (default 0)
-//   --frontend <name>   epoll (default) or threads: the C10K reactor vs
-//                       the legacy thread-per-connection front-end
 //   --workers <n>       reactor worker pool size, 0 = from --inflight
 //   --max-pipeline <n>  per-connection in-flight request bound (default 32)
 //   --init <file>       SQL script executed before accepting connections
@@ -81,16 +80,6 @@ int main(int argc, char** argv) {
       config.admission.queue_timeout_ms = std::atoi(need("--timeout-ms"));
     } else if (arg == "--threads") {
       config.threads = std::atoi(need("--threads"));
-    } else if (arg == "--frontend") {
-      const std::string name = need("--frontend");
-      if (name == "epoll") {
-        config.frontend = server::ServerConfig::Frontend::kEpoll;
-      } else if (name == "threads") {
-        config.frontend = server::ServerConfig::Frontend::kThreads;
-      } else {
-        std::fprintf(stderr, "--frontend must be epoll or threads\n");
-        return 2;
-      }
     } else if (arg == "--workers") {
       config.workers = std::atoi(need("--workers"));
     } else if (arg == "--max-pipeline") {

@@ -19,22 +19,8 @@ namespace fs = std::filesystem;
 
 namespace {
 
-Status SendAll(int fd, std::string_view bytes) {
-  size_t sent = 0;
-  while (sent < bytes.size()) {
-    const ssize_t n = ::send(fd, bytes.data() + sent, bytes.size() - sent,
-                             MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IOError(std::string("repl send: ") + strerror(errno));
-    }
-    sent += static_cast<size_t>(n);
-  }
-  return Status::OK();
-}
-
 Status SendFrame(int fd, server::FrameType type, std::string_view payload) {
-  return SendAll(fd, server::EncodeFrame(type, payload));
+  return server::SendAll(fd, server::EncodeFrame(type, payload));
 }
 
 /// One WAL segment file on disk, identified by the start LSN its

@@ -94,8 +94,8 @@ Result<Client> Client::Connect(const std::string& host, uint16_t port,
       client.hello_.caps & (kWireCapCompressedResults | kWireCapPipeline |
                             kWireCapPrepared | kWireCapParamTypes);
   if (client.caps_ != 0) {
-    MAMMOTH_RETURN_IF_ERROR(client.WriteAll(
-        EncodeFrame(FrameType::kCaps, EncodeCaps(client.caps_))));
+    MAMMOTH_RETURN_IF_ERROR(SendAll(
+        client.fd_, EncodeFrame(FrameType::kCaps, EncodeCaps(client.caps_))));
   }
   return client;
 }
@@ -124,7 +124,7 @@ Status Client::StashTagged(const Frame& frame) {
 
 Result<mal::QueryResult> Client::Query(const std::string& sql) {
   if (fd_ < 0) return Status::IOError("client not connected");
-  MAMMOTH_RETURN_IF_ERROR(WriteAll(EncodeFrame(FrameType::kQuery, sql)));
+  MAMMOTH_RETURN_IF_ERROR(SendAll(fd_, EncodeFrame(FrameType::kQuery, sql)));
   while (true) {
     MAMMOTH_ASSIGN_OR_RETURN(Frame frame, ReadFrame());
     switch (frame.type) {
@@ -158,8 +158,8 @@ Result<uint32_t> Client::QueryAsync(const std::string& sql) {
   }
   const uint32_t seq = NextSeq();
   pending_.insert(seq);
-  if (Status st = WriteAll(
-          EncodeFrame(FrameType::kQuerySeq, PrependSeq(seq, sql)));
+  if (Status st = SendAll(
+          fd_, EncodeFrame(FrameType::kQuerySeq, PrependSeq(seq, sql)));
       !st.ok()) {
     pending_.erase(seq);
     return st;
@@ -197,7 +197,7 @@ Result<PreparedHandle> Client::Prepare(const std::string& sql) {
   }
   const uint32_t seq = NextSeq();
   MAMMOTH_RETURN_IF_ERROR(
-      WriteAll(EncodeFrame(FrameType::kPrepare, PrependSeq(seq, sql))));
+      SendAll(fd_, EncodeFrame(FrameType::kPrepare, PrependSeq(seq, sql))));
   while (true) {
     MAMMOTH_ASSIGN_OR_RETURN(Frame frame, ReadFrame());
     if (frame.type == FrameType::kPrepared ||
@@ -243,9 +243,9 @@ Result<uint32_t> Client::ExecutePreparedAsync(
   }
   const uint32_t seq = NextSeq();
   pending_.insert(seq);
-  if (Status st = WriteAll(
-          EncodeFrame(FrameType::kExecute,
-                      EncodeExecute(seq, handle.stmt_id, params)));
+  if (Status st = SendAll(
+          fd_, EncodeFrame(FrameType::kExecute,
+                           EncodeExecute(seq, handle.stmt_id, params)));
       !st.ok()) {
     pending_.erase(seq);
     return st;
@@ -262,21 +262,9 @@ Result<mal::QueryResult> Client::ExecutePrepared(
 
 void Client::Close() {
   if (fd_ < 0) return;
-  WriteAll(EncodeFrame(FrameType::kClose, ""));
+  SendAll(fd_, EncodeFrame(FrameType::kClose, ""));
   ::close(fd_);
   fd_ = -1;
-}
-
-Status Client::WriteAll(std::string_view bytes) {
-  size_t sent = 0;
-  while (sent < bytes.size()) {
-    const ssize_t n = ::send(fd_, bytes.data() + sent, bytes.size() - sent,
-                             MSG_NOSIGNAL);
-    if (n < 0 && errno == EINTR) continue;  // retry the short write
-    if (n <= 0) return Status::IOError("send(): connection lost");
-    sent += static_cast<size_t>(n);
-  }
-  return Status::OK();
 }
 
 Result<Frame> Client::ReadFrame() {

@@ -108,8 +108,6 @@ class Client {
   uint32_t caps() const { return caps_; }
 
  private:
-  /// Short-write loop (EINTR-safe).
-  Status WriteAll(std::string_view bytes);
   /// Reads frames off the socket until one is complete (short reads are
   /// the normal case); kTimedOut when SO_RCVTIMEO expires mid-frame.
   Result<Frame> ReadFrame();

@@ -51,8 +51,7 @@ void RejectSync(int fd, const Status& error) {
 
 }  // namespace
 
-Reactor::Reactor(Server* server, const Config& config)
-    : server_(server), config_(config) {}
+Reactor::Reactor(Server* server) : server_(server) {}
 
 Reactor::~Reactor() { Stop(); }
 
@@ -80,7 +79,10 @@ Status Reactor::Start(int listen_fd) {
   ev.data.u64 = kWakeKey;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev);
 
-  const int nworkers = std::max(1, config_.workers);
+  const ServerConfig& config = server_->config_;
+  const int nworkers = config.workers > 0
+                           ? config.workers
+                           : std::max(2, config.admission.max_inflight);
   workers_.reserve(static_cast<size_t>(nworkers));
   for (int i = 0; i < nworkers; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
@@ -175,8 +177,8 @@ void Reactor::Loop() {
     if (stop_requested_.load()) {
       const auto now = std::chrono::steady_clock::now();
       if (force_at == std::chrono::steady_clock::time_point::max()) {
-        force_at =
-            now + std::chrono::milliseconds(config_.drain_force_millis);
+        force_at = now + std::chrono::milliseconds(
+                             server_->config_.drain_force_millis);
       }
       if (conns_.empty()) break;
       if (now >= force_at) {
@@ -203,11 +205,12 @@ void Reactor::Accept() {
       RejectSync(fd, Status::Unavailable("server draining"));
       continue;
     }
-    if (static_cast<int>(conns_.size()) >= config_.max_sessions) {
+    const int max_sessions = server_->config_.max_sessions;
+    if (static_cast<int>(conns_.size()) >= max_sessions) {
       ++server_->sessions_rejected_;
-      RejectSync(fd, Status::Unavailable(
-                         "session limit (" +
-                         std::to_string(config_.max_sessions) + ") reached"));
+      RejectSync(fd, Status::Unavailable("session limit (" +
+                                         std::to_string(max_sessions) +
+                                         ") reached"));
       continue;
     }
     int one = 1;
@@ -215,7 +218,6 @@ void Reactor::Accept() {
     const uint64_t id = server_->next_session_id_.fetch_add(1);
     ++server_->sessions_total_;
     ++server_->sessions_open_;
-    ++sessions_open_;
     auto owned = std::make_unique<Conn>();
     Conn* conn = owned.get();
     conn->fd = fd;
@@ -245,7 +247,7 @@ int Reactor::PipelineDepth(const Conn* conn) {
 void Reactor::HandleReadable(Conn* conn) {
   const uint64_t id = conn->id;
   while (!conn->want_close && !draining_.load() &&
-         PipelineDepth(conn) < config_.max_pipeline) {
+         PipelineDepth(conn) < server_->config_.max_pipeline) {
     char chunk[kRecvChunk];
     const ssize_t n = ::recv(conn->fd, chunk, sizeof(chunk), 0);
     if (n > 0) {
@@ -272,7 +274,7 @@ void Reactor::HandleReadable(Conn* conn) {
 
 bool Reactor::ProcessBuffer(Conn* conn) {
   while (!conn->want_close &&
-         PipelineDepth(conn) < config_.max_pipeline) {
+         PipelineDepth(conn) < server_->config_.max_pipeline) {
     Frame frame;
     auto consumed =
         DecodeFrame(conn->rbuf.data(), conn->rbuf.size(), &frame);
@@ -345,7 +347,6 @@ bool Reactor::ProcessBuffer(Conn* conn) {
         std::string leftover = std::move(conn->rbuf);
         ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
         conns_.erase(conn->id);
-        --sessions_open_;
         --server_->sessions_open_;
         if (Status adopted = server_->AdoptReplica(fd, sub->start_lsn,
                                                    std::move(leftover));
@@ -356,38 +357,26 @@ bool Reactor::ProcessBuffer(Conn* conn) {
         return false;
       }
       default: {
-        auto job = server_->DecodeJob(frame);
-        if (!job.ok()) {
-          FatalError(conn, job.status());
+        auto request = DecodeRequest(frame);
+        if (!request.ok()) {
+          FatalError(conn, request.status());
           return true;
         }
-        if (job->seq == 0) {
+        if (request->seq == 0 && conn->plain_inflight) {
           // Old-protocol ordering: plain queries run one at a time per
           // connection, responses in request order.
-          if (conn->plain_inflight) {
-            conn->plain_backlog.push_back(std::move(job->sql));
-          } else {
-            Task task;
-            task.sql = std::move(job->sql);
-            Submit(conn, std::move(task));
-          }
-        } else {
-          if (!conn->inflight.insert(job->seq).second) {
-            FatalError(conn,
-                       Status::InvalidArgument(
-                           "wire: duplicate in-flight sequence number " +
-                           std::to_string(job->seq)));
-            return true;
-          }
-          Task task;
-          task.tagged = true;
-          task.seq = job->seq;
-          task.is_execute = job->is_execute;
-          task.sql = std::move(job->sql);
-          task.stmt_id = job->stmt_id;
-          task.params = std::move(job->params);
-          Submit(conn, std::move(task));
+          conn->plain_backlog.push_back(std::move(request->sql));
+          break;
         }
+        if (request->seq != 0 && !conn->inflight.insert(request->seq).second) {
+          FatalError(conn, Status::InvalidArgument(
+                               "wire: duplicate in-flight sequence number " +
+                               std::to_string(request->seq)));
+          return true;
+        }
+        Task task;
+        task.request = std::move(*request);
+        Submit(conn, std::move(task));
         break;
       }
     }
@@ -399,7 +388,7 @@ void Reactor::Submit(Conn* conn, Task task) {
   task.conn_id = conn->id;
   task.caps = conn->caps;
   task.session = conn->session;
-  if (task.tagged) {
+  if (task.request.seq != 0) {
     ++pipelined_;
   } else {
     conn->plain_inflight = true;
@@ -426,18 +415,11 @@ void Reactor::WorkerLoop() {
       server_->engine_.AbortSession(task.session);
       continue;
     }
-    Server::WireJob job;
-    job.seq = task.seq;
-    job.is_execute = task.is_execute;
-    job.sql = std::move(task.sql);
-    job.stmt_id = task.stmt_id;
-    job.params = std::move(task.params);
     Completion done;
     done.conn_id = task.conn_id;
-    done.seq = task.seq;
-    done.tagged = task.tagged;
-    done.bytes = server_->RunJob(job, task.caps, task.session);
-    if (task.tagged) --pipelined_;
+    done.seq = task.request.seq;
+    done.bytes = server_->RunRequest(task.request, task.caps, task.session);
+    if (done.seq != 0) --pipelined_;
     {
       std::lock_guard<std::mutex> lock(done_mu_);
       done_.push_back(std::move(done));
@@ -456,13 +438,13 @@ void Reactor::ApplyCompletions() {
     auto it = conns_.find(c.conn_id);
     if (it == conns_.end()) continue;  // connection died mid-flight
     Conn* conn = it->second.get();
-    if (c.tagged) {
+    if (c.seq != 0) {
       conn->inflight.erase(c.seq);
     } else {
       conn->plain_inflight = false;
       if (!conn->plain_backlog.empty() && !conn->want_close) {
         Task task;
-        task.sql = std::move(conn->plain_backlog.front());
+        task.request.sql = std::move(conn->plain_backlog.front());
         conn->plain_backlog.pop_front();
         Submit(conn, std::move(task));
       }
@@ -479,7 +461,7 @@ void Reactor::ApplyCompletions() {
 
 bool Reactor::AppendOut(Conn* conn, std::string_view bytes) {
   conn->wbuf.append(bytes);
-  if (conn->wbuf.size() - conn->woff > config_.max_wbuf_bytes) {
+  if (conn->wbuf.size() - conn->woff > server_->config_.max_wbuf_bytes) {
     CloseConn(conn->id);  // slow consumer: unread backlog past the cap
     return false;
   }
@@ -519,7 +501,7 @@ void Reactor::FlushConn(Conn* conn) {
 void Reactor::UpdateEvents(Conn* conn) {
   uint32_t desired = 0;
   if (!conn->want_close && !draining_.load() &&
-      PipelineDepth(conn) < config_.max_pipeline) {
+      PipelineDepth(conn) < server_->config_.max_pipeline) {
     desired |= EPOLLIN;
   }
   if (conn->woff < conn->wbuf.size()) desired |= EPOLLOUT;
@@ -569,7 +551,6 @@ void Reactor::CloseConn(uint64_t id) {
     queue_cv_.notify_one();
   }
   conns_.erase(it);
-  --sessions_open_;
   --server_->sessions_open_;
 }
 

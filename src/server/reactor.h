@@ -21,8 +21,8 @@ namespace mammoth::server {
 
 class Server;
 
-/// The epoll front-end (the C10K half of this server): one event-loop
-/// thread owns every client socket via non-blocking I/O — per-connection
+/// The server's network front-end (C10K): one event-loop thread owns
+/// every client socket via non-blocking I/O — per-connection
 /// read/write buffers, incremental frame reassembly — and hands complete
 /// request frames to a bounded worker pool that executes them through
 /// the server's AdmissionController. Responses come back over an eventfd
@@ -48,18 +48,10 @@ class Server;
 /// stops being read until responses drain; a connection whose unread
 /// response backlog exceeds `max_wbuf_bytes` is dropped as a slow
 /// consumer. Both bounds keep a hostile pipeliner from ballooning
-/// server memory.
+/// server memory. Every bound is read from the server's ServerConfig.
 class Reactor {
  public:
-  struct Config {
-    int workers = 2;
-    int max_pipeline = 32;
-    size_t max_wbuf_bytes = 64u << 20;
-    int max_sessions = 32;
-    int drain_force_millis = 10000;
-  };
-
-  Reactor(Server* server, const Config& config);
+  explicit Reactor(Server* server);
   ~Reactor();
 
   /// Takes over accepting on `listen_fd` (borrowed; the server closes it
@@ -76,7 +68,6 @@ class Reactor {
   /// are closed with their buffers, then all threads join. Idempotent.
   void Stop();
 
-  int sessions_open() const { return sessions_open_.load(); }
   uint64_t pipelined_in_flight() const { return pipelined_.load(); }
 
  private:
@@ -109,20 +100,13 @@ class Reactor {
     /// thread) because the abort serializes behind any in-flight
     /// statement of the same session.
     bool abort_session = false;
-    bool tagged = false;  ///< counts toward pipelined_in_flight
-    // Decoded job fields mirror Server::WireJob (kept as a blob here to
-    // avoid a circular include; see reactor.cc).
-    uint32_t seq = 0;
-    bool is_execute = false;
-    std::string sql;
-    uint64_t stmt_id = 0;
-    std::vector<Value> params;
+    /// Tagged requests (seq != 0) count toward pipelined_in_flight.
+    WireRequest request;
   };
 
   struct Completion {
     uint64_t conn_id = 0;
-    uint32_t seq = 0;
-    bool tagged = false;
+    uint32_t seq = 0;  ///< 0: the connection's plain kQuery finished
     std::string bytes;  ///< one fully encoded response frame
   };
 
@@ -150,7 +134,6 @@ class Reactor {
   void Wake();
 
   Server* const server_;
-  const Config config_;
 
   int epoll_fd_ = -1;
   int wake_fd_ = -1;
@@ -172,7 +155,6 @@ class Reactor {
   std::atomic<bool> draining_{false};
   std::atomic<bool> stop_requested_{false};
   std::atomic<bool> stopped_{false};
-  std::atomic<int> sessions_open_{0};
   std::atomic<uint64_t> pipelined_{0};
 };
 

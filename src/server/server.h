@@ -6,9 +6,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
-#include <unordered_map>
-#include <vector>
 
 #include "common/result.h"
 #include "compress/compressed_kernels.h"
@@ -29,30 +26,21 @@ namespace mammoth::server {
 class Reactor;
 
 struct ServerConfig {
-  /// Front-end architecture. kEpoll (default) multiplexes every session
-  /// over one event-loop thread with non-blocking sockets and executes
-  /// requests on a bounded worker pool — connections are cheap (an fd
-  /// plus buffers), so tens of thousands can stay open. kThreads is the
-  /// legacy thread-per-connection front-end, kept as the benchmark
-  /// baseline and fallback.
-  enum class Frontend { kEpoll, kThreads };
-  Frontend frontend = Frontend::kEpoll;
   std::string host = "127.0.0.1";
   /// 0 binds an ephemeral port; read the actual one back via port().
   uint16_t port = 0;
-  /// Bound on concurrently connected sessions (a thread each in
-  /// kThreads mode, an fd + buffers in kEpoll mode); connections past
-  /// the bound are rejected with an Error frame.
+  /// Bound on concurrently connected sessions (an fd + buffers each);
+  /// connections past the bound are rejected with an Error frame.
   int max_sessions = 32;
-  /// Reactor worker threads executing requests (kEpoll only). 0 derives
+  /// Reactor worker threads executing requests. 0 derives
   /// max(2, admission.max_inflight) so admission, not the pool, is the
   /// concurrency bottleneck.
   int workers = 0;
   /// Per-connection cap on pipelined requests in flight; a connection at
-  /// the cap stops being read until responses drain (kEpoll only).
+  /// the cap stops being read until responses drain.
   int max_pipeline = 32;
   /// Per-connection cap on buffered unread response bytes; a slow
-  /// consumer past it is disconnected (kEpoll only).
+  /// consumer past it is disconnected.
   size_t max_wbuf_bytes = 64u << 20;
   /// Front-door query concurrency control (see admission.h).
   AdmissionConfig admission;
@@ -109,8 +97,8 @@ struct ServerStatsSnapshot {
   /// Result bytes saved by compressed wire shipping (sessions that
   /// negotiated kWireCapCompressedResults).
   uint64_t wire_result_bytes_saved = 0;
-  /// Gauge: connections currently owned by the epoll reactor (0 in
-  /// thread-per-connection mode).
+  /// Gauge: connections currently owned by the epoll reactor, the same
+  /// count as sessions_open. Both rows stay: STATUS row order is frozen.
   uint64_t epoll_sessions = 0;
   /// Gauge: seq-tagged requests currently in flight across all reactor
   /// connections.
@@ -139,14 +127,15 @@ struct ServerStatsSnapshot {
   txn::TxnStats txn;
 };
 
-/// The MammothDB network front-end: a TCP server speaking the wire.h
-/// protocol, thread-per-connection over a bounded session pool. Each
-/// session runs statements through the shared sql::Engine (which
+/// The MammothDB network server: a TCP server speaking the wire.h
+/// protocol through one epoll front-end (Reactor: an event loop owning
+/// every socket plus a bounded worker pool), up to `max_sessions`
+/// connections. Each request runs through the shared sql::Engine (which
 /// serializes DDL/DML against concurrent SELECTs; see engine.h) after
 /// passing the AdmissionController, which bounds in-flight queries and
 /// hands each one an ExecContext over the server's single TaskPool.
 ///
-/// Lifecycle: Start() binds and spawns the accept loop; BeginDrain()
+/// Lifecycle: Start() binds and starts the reactor; BeginDrain()
 /// flips the server into reject mode (new connections and new queries
 /// get a kUnavailable Error frame; in-flight queries finish and deliver
 /// their results); Stop() drains and joins everything. The destructor
@@ -209,40 +198,13 @@ class Server {
  private:
   friend class Reactor;
 
-  /// A live session: its thread plus the socket it owns. fd is reset to
-  /// -1 (under sessions_mu_) before the session closes it, so Stop()'s
-  /// forced-drain shutdown() can never hit a recycled descriptor.
-  struct SessionHandle {
-    std::thread thread;
-    int fd = -1;
-  };
-
-  /// One executable request decoded from a client frame — produced by
-  /// both front-ends, run by RunJob() on a reactor worker or the session
-  /// thread. seq 0 means a plain (untagged) kQuery.
-  struct WireJob {
-    uint32_t seq = 0;
-    bool is_execute = false;  ///< kExecute (stmt_id+params) vs SQL text
-    std::string sql;
-    uint64_t stmt_id = 0;
-    std::vector<Value> params;
-  };
-
-  void AcceptLoop();
-  void SessionLoop(int fd, uint64_t session_id);
-  /// Joins session threads that have announced completion, so a
-  /// long-running server does not accumulate one zombie thread per
-  /// connection ever served. Called from the accept loop and Stop().
-  void ReapFinishedSessions();
-  /// Decodes a kQuery / kQuerySeq / kExecute frame into a job. Errors
-  /// are session-fatal protocol violations.
-  Result<WireJob> DecodeJob(const Frame& frame);
-  /// Executes one job — SERVER STATUS intercept, admission, engine —
-  /// and returns exactly one fully encoded response frame (kResult /
-  /// kError, or their seq-tagged twins when job.seq != 0). `session`
-  /// carries the connection's transaction state (BEGIN/COMMIT/ROLLBACK).
-  std::string RunJob(const WireJob& job, uint32_t caps,
-                     const sql::SessionPtr& session);
+  /// Executes one request on a reactor worker — SERVER STATUS / PROMOTE
+  /// intercepts, admission, engine — and returns exactly one fully
+  /// encoded response frame (kResult / kError, or their seq-tagged twins
+  /// when request.seq != 0). `session` carries the connection's
+  /// transaction state (BEGIN/COMMIT/ROLLBACK).
+  std::string RunRequest(const WireRequest& request, uint32_t caps,
+                         const sql::SessionPtr& session);
   /// Handles a kPrepare frame (no admission: preparing is one parse) and
   /// returns the encoded kPrepared or kErrorSeq response frame. `caps`
   /// gates the parameter-type metadata suffix (kWireCapParamTypes).
@@ -259,10 +221,6 @@ class Server {
   /// creates the source after startup, so bare member reads would race).
   repl::ReplicationSource* repl_source() const;
   repl::ReplicaApplier* repl_applier() const;
-  Status SendFrame(int fd, FrameType type, std::string_view payload);
-  /// Writes one pre-encoded frame with a short-write loop.
-  Status SendBytes(int fd, std::string_view bytes);
-  Status SendError(int fd, const Status& error);
 
   const ServerConfig config_;
   /// Declared before engine_ (which holds pointers to them) so they are
@@ -274,7 +232,7 @@ class Server {
   sql::Engine engine_;
   std::unique_ptr<parallel::TaskPool> pool_;
   AdmissionController admission_;
-  /// The epoll front-end (null in kThreads mode).
+  /// The network front-end (null until Start() succeeds).
   std::unique_ptr<Reactor> reactor_;
   /// Replication endpoints; repl_mu_ guards the *pointers* (Promote()
   /// swaps them while sessions run), the objects synchronize themselves.
@@ -288,13 +246,10 @@ class Server {
   uint16_t port_ = 0;
   std::atomic<bool> started_{false};
   std::atomic<bool> draining_{false};
-  std::atomic<bool> stopping_{false};  // accept loop exit (after drain)
-  std::atomic<bool> stopped_{false};   // Stop() idempotence
-  std::thread accept_thread_;
+  std::atomic<bool> stopped_{false};  // Stop() idempotence
 
-  std::mutex sessions_mu_;
-  std::unordered_map<uint64_t, SessionHandle> sessions_;
-  std::vector<uint64_t> finished_sessions_;  // ids awaiting join/reap
+  /// Connections the reactor currently owns (sessions_open and
+  /// epoll_sessions STATUS rows).
   std::atomic<int> sessions_open_{0};
   std::atomic<uint64_t> next_session_id_{1};
 

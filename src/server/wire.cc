@@ -1,5 +1,8 @@
 #include "server/wire.h"
 
+#include <sys/socket.h>
+
+#include <cerrno>
 #include <cstring>
 
 #include "compress/pdict.h"
@@ -319,6 +322,49 @@ Result<ExecuteRequest> DecodeExecute(std::string_view rest) {
     return Status::InvalidArgument("wire: trailing bytes after execute");
   }
   return req;
+}
+
+// --- Requests ----------------------------------------------------------------
+
+Result<WireRequest> DecodeRequest(const Frame& frame) {
+  WireRequest request;
+  switch (frame.type) {
+    case FrameType::kQuery:
+      request.sql = frame.payload;
+      return request;
+    case FrameType::kQuerySeq: {
+      MAMMOTH_ASSIGN_OR_RETURN(SeqPayload sp, SplitSeq(frame.payload));
+      request.seq = sp.seq;
+      request.sql = std::string(sp.rest);
+      return request;
+    }
+    case FrameType::kExecute: {
+      MAMMOTH_ASSIGN_OR_RETURN(SeqPayload sp, SplitSeq(frame.payload));
+      MAMMOTH_ASSIGN_OR_RETURN(ExecuteRequest req, DecodeExecute(sp.rest));
+      request.seq = sp.seq;
+      request.is_execute = true;
+      request.stmt_id = req.stmt_id;
+      request.params = std::move(req.params);
+      return request;
+    }
+    default:
+      return Status::InvalidArgument("unexpected frame type from client");
+  }
+}
+
+Status SendAll(int fd, std::string_view bytes) {
+  size_t sent = 0;
+  while (sent < bytes.size()) {
+    const ssize_t n = ::send(fd, bytes.data() + sent, bytes.size() - sent,
+                             MSG_NOSIGNAL);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) {
+      const char* why = n < 0 ? std::strerror(errno) : "connection lost";
+      return Status::IOError(std::string("send(): ") + why);
+    }
+    sent += static_cast<size_t>(n);
+  }
+  return Status::OK();
 }
 
 // --- Error -----------------------------------------------------------------

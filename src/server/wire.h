@@ -183,6 +183,26 @@ struct ExecuteRequest {
 };
 Result<ExecuteRequest> DecodeExecute(std::string_view rest);
 
+/// --- Requests --------------------------------------------------------------
+/// One executable client request: a kQuery, kQuerySeq or kExecute frame
+/// decoded. seq 0 means a plain (untagged) kQuery, answered untagged and
+/// in request order; any other seq tags the response.
+struct WireRequest {
+  uint32_t seq = 0;
+  bool is_execute = false;  ///< kExecute (stmt_id + params) vs SQL text
+  std::string sql;
+  uint64_t stmt_id = 0;
+  std::vector<Value> params;
+};
+/// Decodes a request frame. Errors (another frame type, a malformed
+/// payload) are session-fatal protocol violations.
+Result<WireRequest> DecodeRequest(const Frame& frame);
+
+/// Writes all of `bytes` to the blocking socket `fd` (MSG_NOSIGNAL, so a
+/// vanished peer is an error rather than SIGPIPE; EINTR retried).
+/// kIOError when the connection is lost.
+Status SendAll(int fd, std::string_view bytes);
+
 /// --- Result --------------------------------------------------------------
 /// Columnar result encoding:
 ///

@@ -108,9 +108,26 @@ struct CommitStmt {};
 /// ROLLBACK [TRANSACTION|WORK]: discards the open transaction's writes.
 struct RollbackStmt {};
 
-using Statement = std::variant<SelectStmt, CreateStmt, InsertStmt,
-                               DeleteStmt, UpdateStmt, AlterStmt,
-                               BeginStmt, CommitStmt, RollbackStmt>;
+/// CHECKPOINT: folds the WAL into a fresh snapshot of the catalog.
+struct CheckpointStmt {};
+
+/// PREPARE name AS <statement>: caches `body`, kept as the raw text after
+/// AS (it is parsed on its own, `?` placeholders allowed), under `name`.
+struct PrepareStmt {
+  std::string name;
+  std::string body;
+};
+
+/// EXECUTE name [(lit, ...)]: runs a named prepared statement.
+struct ExecuteStmt {
+  std::string name;
+  std::vector<Value> params;
+};
+
+using Statement =
+    std::variant<SelectStmt, CreateStmt, InsertStmt, DeleteStmt, UpdateStmt,
+                 AlterStmt, BeginStmt, CommitStmt, RollbackStmt,
+                 CheckpointStmt, PrepareStmt, ExecuteStmt>;
 
 }  // namespace mammoth::sql
 

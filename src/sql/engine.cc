@@ -1,13 +1,11 @@
 #include "sql/engine.h"
 
 #include <algorithm>
-#include <cctype>
 #include <map>
 
 #include "core/project.h"
 #include "core/select.h"
 #include "core/sort.h"
-#include "sql/lexer.h"
 #include "sql/parser.h"
 #include "wal/db.h"
 #include "wal/record.h"
@@ -16,38 +14,6 @@
 namespace mammoth::sql {
 
 namespace {
-
-/// Matches the CHECKPOINT admin command (case-insensitive, surrounding
-/// whitespace ignored) — intercepted before the SQL parser, like the
-/// server's SERVER STATUS.
-bool IsCheckpointCommand(const std::string& statement) {
-  std::string t;
-  for (char c : statement) {
-    if (!std::isspace(static_cast<unsigned char>(c))) {
-      t.push_back(static_cast<char>(std::toupper(c)));
-    }
-  }
-  return t == "CHECKPOINT";
-}
-
-/// Upper-cased first bare word of a statement, used to route the
-/// PREPARE / EXECUTE surface before the regular parser.
-std::string FirstWord(const std::string& statement) {
-  size_t i = 0;
-  while (i < statement.size() &&
-         std::isspace(static_cast<unsigned char>(statement[i]))) {
-    ++i;
-  }
-  std::string w;
-  while (i < statement.size() &&
-         (std::isalpha(static_cast<unsigned char>(statement[i])) ||
-          statement[i] == '_')) {
-    w.push_back(static_cast<char>(
-        std::toupper(static_cast<unsigned char>(statement[i]))));
-    ++i;
-  }
-  return w;
-}
 
 mal::OpCode AggOpCode(AggFn fn) {
   switch (fn) {
@@ -796,12 +762,6 @@ Result<mal::QueryResult> Engine::ExecuteSession(
   // connection may race here, and transaction state transitions must be
   // serial. Lock order: session mutex before the engine lock.
   std::lock_guard<std::mutex> session_lock(session->mu_);
-  if (IsCheckpointCommand(statement)) return RunCheckpoint();
-  // The prepared-statement surface is routed before the regular parser
-  // (like CHECKPOINT): its statement body must stay raw text.
-  const std::string head = FirstWord(statement);
-  if (head == "PREPARE") return RunPrepareSql(statement);
-  if (head == "EXECUTE") return RunExecuteSql(session.get(), statement, ctx);
   MAMMOTH_ASSIGN_OR_RETURN(Statement stmt, Parse(statement));
   return ExecuteParsed(session.get(), std::move(stmt), ctx);
 }
@@ -905,6 +865,16 @@ Result<mal::QueryResult> Engine::ExecuteParsed(
   if (std::get_if<CommitStmt>(&stmt) != nullptr) return RunCommit(session);
   if (std::get_if<RollbackStmt>(&stmt) != nullptr) {
     return RunRollback(session);
+  }
+  // Admin and prepared-statement commands skip the poisoned-transaction
+  // check and the read-only gate: Server::Promote() checkpoints while the
+  // engine is still read-only, and an EXECUTE'd statement meets both
+  // checks itself.
+  if (std::get_if<CheckpointStmt>(&stmt) != nullptr) return RunCheckpoint();
+  if (auto* prep = std::get_if<PrepareStmt>(&stmt)) return RunPrepare(*prep);
+  if (auto* exec = std::get_if<ExecuteStmt>(&stmt)) {
+    MAMMOTH_ASSIGN_OR_RETURN(uint64_t id, prepared_.ResolveName(exec->name));
+    return ExecutePreparedLocked(session, id, exec->params, ctx);
   }
   if (session->in_txn_ && session->poisoned_) {
     return Status::InvalidArgument(
@@ -1135,41 +1105,10 @@ Result<mal::QueryResult> Engine::ExecutePreparedLocked(
   return ExecuteParsed(session, std::move(bound), ctx);
 }
 
-Result<mal::QueryResult> Engine::RunPrepareSql(const std::string& statement) {
-  // Hand-scanned (not lexed) so the statement body keeps its raw text:
-  //   PREPARE <name> AS <statement>
-  size_t i = 0;
-  auto next_word = [&]() -> std::string {
-    while (i < statement.size() &&
-           std::isspace(static_cast<unsigned char>(statement[i]))) {
-      ++i;
-    }
-    std::string w;
-    while (i < statement.size() &&
-           (std::isalnum(static_cast<unsigned char>(statement[i])) ||
-            statement[i] == '_')) {
-      w.push_back(statement[i++]);
-    }
-    return w;
-  };
-  next_word();  // "PREPARE" (routing already matched it)
-  const std::string name = next_word();
-  if (name.empty()) {
-    return Status::InvalidArgument("PREPARE: expected a statement name");
-  }
-  std::string as = next_word();
-  for (char& c : as) c = static_cast<char>(std::toupper(c));
-  if (as != "AS") {
-    return Status::InvalidArgument("PREPARE: expected AS after the name");
-  }
-  while (i < statement.size() &&
-         std::isspace(static_cast<unsigned char>(statement[i]))) {
-    ++i;
-  }
-  const std::string body = statement.substr(i);
+Result<mal::QueryResult> Engine::RunPrepare(const PrepareStmt& stmt) {
   MAMMOTH_ASSIGN_OR_RETURN(std::shared_ptr<PreparedStatement> entry,
-                           Prepare(body));
-  prepared_.BindName(name, entry->id);
+                           Prepare(stmt.body));
+  prepared_.BindName(stmt.name, entry->id);
   mal::QueryResult r;
   BatPtr id_col = Bat::New(PhysType::kInt64);
   id_col->Append<int64_t>(static_cast<int64_t>(entry->id));
@@ -1178,50 +1117,6 @@ Result<mal::QueryResult> Engine::RunPrepareSql(const std::string& statement) {
   r.names = {"stmt_id", "nparams"};
   r.columns = {std::move(id_col), std::move(np_col)};
   return r;
-}
-
-Result<mal::QueryResult> Engine::RunExecuteSql(
-    Session* session, const std::string& statement,
-    const parallel::ExecContext& ctx) {
-  // EXECUTE <name> [( lit [, lit]* )] [;]
-  MAMMOTH_ASSIGN_OR_RETURN(std::vector<Token> toks, Lex(statement));
-  if (toks.size() < 2 || toks[1].kind != TokKind::kIdent) {
-    return Status::InvalidArgument("EXECUTE: expected a statement name");
-  }
-  const std::string name = toks[1].text;
-  std::vector<Value> params;
-  size_t i = 2;  // toks ends with kEnd, so toks[i] below stays in range
-  if (toks[i].IsSymbol("(")) {
-    ++i;
-    if (!toks[i].IsSymbol(")")) {
-      while (true) {
-        const Token& t = toks[i];
-        if (t.kind == TokKind::kInt) {
-          params.push_back(Value::Int(t.int_val));
-        } else if (t.kind == TokKind::kReal) {
-          params.push_back(Value::Real(t.real_val));
-        } else if (t.kind == TokKind::kString) {
-          params.push_back(Value::Str(t.text));
-        } else {
-          return Status::InvalidArgument(
-              "EXECUTE: parameters must be literals");
-        }
-        ++i;
-        if (!toks[i].IsSymbol(",")) break;
-        ++i;
-      }
-    }
-    if (!toks[i].IsSymbol(")")) {
-      return Status::InvalidArgument("EXECUTE: expected ')'");
-    }
-    ++i;
-  }
-  if (toks[i].IsSymbol(";")) ++i;
-  if (toks[i].kind != TokKind::kEnd) {
-    return Status::InvalidArgument("EXECUTE: trailing input after ')'");
-  }
-  MAMMOTH_ASSIGN_OR_RETURN(uint64_t id, prepared_.ResolveName(name));
-  return ExecutePreparedLocked(session, id, params, ctx);
 }
 
 Engine::CompressionStats Engine::compression_stats() const {

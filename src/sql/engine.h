@@ -153,7 +153,8 @@ class Engine {
   /// placeholders, ordinals left to right) and caches it keyed on the
   /// normalized text — two sessions preparing the same text share one
   /// entry. The wire-level kPrepare frame and the `PREPARE name AS ...`
-  /// SQL surface both land here. Safe under concurrent sessions.
+  /// SQL surface both land here. PREPARE, EXECUTE and CHECKPOINT texts
+  /// are refused with kInvalidArgument. Safe under concurrent sessions.
   Result<std::shared_ptr<PreparedStatement>> Prepare(
       const std::string& statement);
 
@@ -204,7 +205,7 @@ class Engine {
 
   /// Read-only mode (replica role): every mutating statement — plain or
   /// prepared, DDL or DML — is refused with StatusCode::kReadOnly before
-  /// it touches the catalog. SELECT, CHECKPOINT interception and the
+  /// it touches the catalog. SELECT, CHECKPOINT and the
   /// PREPARE surface stay available. Flipped off by promotion.
   void set_read_only(bool on) {
     read_only_.store(on, std::memory_order_release);
@@ -279,13 +280,14 @@ class Engine {
   /// first contact.
   Status ClaimTable(WriteCtx* w, const TablePtr& t);
 
-  /// Tail of Execute() after parsing: routes `stmt` under the proper lock
-  /// class (SELECT shared, mutations exclusive). Also the entry point of
+  /// Tail of Execute() after parsing, the one statement dispatcher:
+  /// routes `stmt` under the proper lock class (SELECT shared, mutations
+  /// exclusive). Also the entry point of
   /// prepared DML after parameter binding. `session` is never null.
   Result<mal::QueryResult> ExecuteParsed(Session* session, Statement stmt,
                                          const parallel::ExecContext& ctx);
   /// ExecutePreparedSession body; caller holds the session mutex (also
-  /// the re-entry point of the EXECUTE SQL surface, which already does).
+  /// the target of the EXECUTE statement, whose caller already does).
   Result<mal::QueryResult> ExecutePreparedLocked(
       Session* session, uint64_t stmt_id, const std::vector<Value>& params,
       const parallel::ExecContext& ctx);
@@ -305,13 +307,9 @@ class Engine {
                                              const SelectStmt& stmt,
                                              const parallel::ExecContext& ctx,
                                              const txn::Snapshot& snap);
-  /// The PREPARE / EXECUTE SQL surface (intercepted before the parser):
-  ///   PREPARE <name> AS <statement>   -- body kept as raw text
-  ///   EXECUTE <name> [(lit, ...)]
-  Result<mal::QueryResult> RunPrepareSql(const std::string& statement);
-  Result<mal::QueryResult> RunExecuteSql(Session* session,
-                                         const std::string& statement,
-                                         const parallel::ExecContext& ctx);
+  /// The `PREPARE name AS <statement>` SQL surface: Prepare() of the
+  /// body, bound to `name` for EXECUTE.
+  Result<mal::QueryResult> RunPrepare(const PrepareStmt& stmt);
   /// The mutating statements. Each applies its full effect or none of it
   /// (statement atomicity via Table::Mark/Rollback) and, on success,
   /// appends its logical ops to `txn` for the WAL.
@@ -328,7 +326,7 @@ class Engine {
                                          std::unique_lock<std::shared_mutex>*
                                              lock);
 
-  /// The CHECKPOINT admin command (intercepted before the SQL parser).
+  /// The CHECKPOINT admin statement.
   Result<mal::QueryResult> RunCheckpoint();
 
   std::shared_ptr<Catalog> catalog_;

@@ -19,6 +19,7 @@ Result<std::vector<Token>> Lex(const std::string& input) {
       continue;
     }
     Token t;
+    t.pos = i;
     if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
       size_t j = i;
       while (j < n && (std::isalnum(static_cast<unsigned char>(input[j])) ||
@@ -88,7 +89,9 @@ Result<std::vector<Token>> Lex(const std::string& input) {
     }
     out.push_back(std::move(t));
   }
-  out.push_back(Token{});  // kEnd
+  Token end;  // kEnd
+  end.pos = n;
+  out.push_back(std::move(end));
   return out;
 }
 

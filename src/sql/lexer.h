@@ -23,6 +23,7 @@ struct Token {
   std::string text;   // raw text; idents upper-cased separately by parser
   int64_t int_val = 0;
   double real_val = 0;
+  size_t pos = 0;     // byte offset in the input (kEnd: the input size)
 
   bool IsSymbol(const char* s) const {
     return kind == TokKind::kSymbol && text == s;

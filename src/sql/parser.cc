@@ -24,7 +24,8 @@ std::string Lower(std::string s) {
 /// Recursive-descent parser over the token stream.
 class Parser {
  public:
-  explicit Parser(std::vector<Token> tokens) : toks_(std::move(tokens)) {}
+  Parser(std::vector<Token> tokens, const std::string& sql)
+      : toks_(std::move(tokens)), sql_(sql) {}
 
   Result<Statement> ParseStatement() {
     if (IsKeyword("SELECT")) return ParseSelect();
@@ -53,9 +54,15 @@ class Parser {
       MAMMOTH_RETURN_IF_ERROR(ExpectEndOfStatement());
       return Statement{RollbackStmt{}};
     }
+    if (AcceptKeyword("CHECKPOINT")) {
+      MAMMOTH_RETURN_IF_ERROR(ExpectEndOfStatement());
+      return Statement{CheckpointStmt{}};
+    }
+    if (AcceptKeyword("PREPARE")) return ParsePrepare();
+    if (AcceptKeyword("EXECUTE")) return ParseExecute();
     return Status::InvalidArgument(
         "expected SELECT/CREATE/INSERT/DELETE/UPDATE/ALTER/"
-        "BEGIN/COMMIT/ROLLBACK");
+        "BEGIN/COMMIT/ROLLBACK/CHECKPOINT/PREPARE/EXECUTE");
   }
 
  private:
@@ -412,6 +419,28 @@ class Parser {
     return Statement{std::move(stmt)};
   }
 
+  Result<Statement> ParsePrepare() {
+    PrepareStmt stmt;
+    MAMMOTH_ASSIGN_OR_RETURN(stmt.name, ExpectIdent());
+    MAMMOTH_RETURN_IF_ERROR(ExpectKeyword("AS"));
+    stmt.body = sql_.substr(Cur().pos);
+    return Statement{std::move(stmt)};
+  }
+
+  Result<Statement> ParseExecute() {
+    ExecuteStmt stmt;
+    MAMMOTH_ASSIGN_OR_RETURN(stmt.name, ExpectIdent());
+    if (AcceptSymbol("(") && !AcceptSymbol(")")) {
+      do {
+        MAMMOTH_ASSIGN_OR_RETURN(Value v, ExpectLiteral());
+        stmt.params.push_back(std::move(v));
+      } while (AcceptSymbol(","));
+      MAMMOTH_RETURN_IF_ERROR(ExpectSymbol(")"));
+    }
+    MAMMOTH_RETURN_IF_ERROR(ExpectEndOfStatement());
+    return Statement{std::move(stmt)};
+  }
+
   Status ExpectEndOfStatement() {
     AcceptSymbol(";");
     if (Cur().kind != TokKind::kEnd) {
@@ -422,6 +451,7 @@ class Parser {
   }
 
   std::vector<Token> toks_;
+  const std::string& sql_;  ///< the lexed input (PREPARE bodies stay raw)
   size_t pos_ = 0;
   uint32_t nparams_ = 0;
 };
@@ -430,7 +460,7 @@ class Parser {
 
 Result<Statement> Parse(const std::string& sql, uint32_t* nparams) {
   MAMMOTH_ASSIGN_OR_RETURN(std::vector<Token> toks, Lex(sql));
-  Parser parser(std::move(toks));
+  Parser parser(std::move(toks), sql);
   MAMMOTH_ASSIGN_OR_RETURN(Statement stmt, parser.ParseStatement());
   if (nparams != nullptr) {
     *nparams = parser.nparams();

@@ -17,6 +17,9 @@ namespace mammoth::sql {
 ///   SELECT item [, item]* FROM t [, t2] [WHERE conj]
 ///     [GROUP BY col [, col]*] [HAVING label op lit [AND ...]]
 ///     [ORDER BY label [ASC|DESC] [, ...]] [LIMIT n]
+///   CHECKPOINT
+///   PREPARE name AS statement    (the statement is kept as raw text)
+///   EXECUTE name [(lit [, lit]*)]
 ///
 ///   item := * | [t.]col | SUM|MIN|MAX|AVG ([t.]col) | COUNT (* | [t.]col)
 ///   conj := [t.]col (= | != | < | <= | > | >=) (literal | [t.]col) [AND ...]

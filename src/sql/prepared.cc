@@ -89,6 +89,14 @@ Result<std::shared_ptr<PreparedStatement>> PreparedCache::GetOrPrepare(
   // the parser exactly once.
   uint32_t nparams = 0;
   MAMMOTH_ASSIGN_OR_RETURN(Statement stmt, Parse(text, &nparams));
+  // Rejected before caching, so the refusal takes no cache slot: an
+  // EXECUTE body could name its own statement and recurse forever.
+  if (std::holds_alternative<PrepareStmt>(stmt) ||
+      std::holds_alternative<ExecuteStmt>(stmt) ||
+      std::holds_alternative<CheckpointStmt>(stmt)) {
+    return Status::InvalidArgument(
+        "prepared: PREPARE, EXECUTE and CHECKPOINT cannot be prepared");
+  }
 
   std::lock_guard<std::mutex> lock(mu_);
   auto it = by_key_.find(key);

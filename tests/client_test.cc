@@ -54,21 +54,11 @@ class FakeServer {
 
   uint16_t port() const { return port_; }
 
-  static void WriteAll(int fd, std::string_view bytes) {
-    size_t sent = 0;
-    while (sent < bytes.size()) {
-      const ssize_t n = ::send(fd, bytes.data() + sent, bytes.size() - sent,
-                               MSG_NOSIGNAL);
-      if (n <= 0) return;
-      sent += static_cast<size_t>(n);
-    }
-  }
-
   /// Drip-feeds `bytes` one at a time — the worst-case segmentation a
   /// client's reassembly loop must survive.
   static void WriteByteByByte(int fd, std::string_view bytes) {
     for (const char c : bytes) {
-      WriteAll(fd, std::string_view(&c, 1));
+      SendAll(fd, std::string_view(&c, 1));
       std::this_thread::sleep_for(std::chrono::microseconds(200));
     }
   }
@@ -100,11 +90,11 @@ class FakeServer {
 
 TEST(ClientTimeoutTest, HalfWrittenFrameTimesOutInsteadOfHanging) {
   FakeServer fake([](int fd) {
-    FakeServer::WriteAll(fd, FakeServer::HelloBytes());
+    SendAll(fd, FakeServer::HelloBytes());
     FakeServer::AwaitRequest(fd);
     // Half a response: a valid header promising bytes that never come.
     const std::string result = FakeServer::EmptyResultBytes();
-    FakeServer::WriteAll(fd, result.substr(0, kHeaderBytes + 2));
+    SendAll(fd, result.substr(0, kHeaderBytes + 2));
     // Stall past the client's timeout, then hang up.
     std::this_thread::sleep_for(std::chrono::milliseconds(600));
   });
@@ -127,7 +117,7 @@ TEST(ClientTimeoutTest, SlowButSteadyServerDoesNotTimeOut) {
   // SO_RCVTIMEO is per-recv: a server that trickles bytes slower than a
   // frame but faster than the timeout must still complete the query.
   FakeServer fake([](int fd) {
-    FakeServer::WriteAll(fd, FakeServer::HelloBytes());
+    SendAll(fd, FakeServer::HelloBytes());
     FakeServer::AwaitRequest(fd);
     FakeServer::WriteByteByByte(fd, FakeServer::EmptyResultBytes());
   });
@@ -157,10 +147,10 @@ TEST(ClientShortReadTest, ByteAtATimeHelloAndResultReassemble) {
 
 TEST(ClientShortReadTest, HangupMidFrameIsIOErrorNotTimeout) {
   FakeServer fake([](int fd) {
-    FakeServer::WriteAll(fd, FakeServer::HelloBytes());
+    SendAll(fd, FakeServer::HelloBytes());
     FakeServer::AwaitRequest(fd);
     const std::string result = FakeServer::EmptyResultBytes();
-    FakeServer::WriteAll(fd, result.substr(0, result.size() - 1));
+    SendAll(fd, result.substr(0, result.size() - 1));
     // close() from the destructor cuts the frame short.
   });
   auto client = Client::Connect("127.0.0.1", fake.port());
@@ -177,7 +167,7 @@ TEST(ClientShortWriteTest, QueryLargerThanSocketBuffersIsSentWhole) {
   // verify nothing was truncated.
   static constexpr size_t kQueryBytes = 8u << 20;
   FakeServer fake([](int fd) {
-    FakeServer::WriteAll(fd, FakeServer::HelloBytes());
+    SendAll(fd, FakeServer::HelloBytes());
     std::string got;
     char chunk[64 * 1024];
     Frame frame;
@@ -192,7 +182,7 @@ TEST(ClientShortWriteTest, QueryLargerThanSocketBuffersIsSentWhole) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
     ASSERT_EQ(frame.payload.size(), kQueryBytes);
-    FakeServer::WriteAll(
+    SendAll(
         fd, EncodeFrame(FrameType::kError,
                         EncodeError(Status::InvalidArgument(
                             std::to_string(frame.payload.size())))));

@@ -263,6 +263,15 @@ TEST_F(PreparedTest, SqlSurfaceErrorsAreTyped) {
                   .ok());
   EXPECT_FALSE(engine_.Execute("EXECUTE one (1, 2)").ok());   // arity
   EXPECT_FALSE(engine_.Execute("EXECUTE one (1) junk").ok()); // trailing
+  // Only SELECT and DML bodies can be prepared: nesting PREPARE, EXECUTE
+  // or CHECKPOINT stays a typed error.
+  for (const char* nested : {"PREPARE p AS PREPARE q AS SELECT 1",
+                             "PREPARE p AS EXECUTE one (1)",
+                             "PREPARE p AS CHECKPOINT"}) {
+    auto r = engine_.Execute(nested);
+    ASSERT_FALSE(r.ok()) << nested;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << nested;
+  }
 }
 
 }  // namespace

@@ -399,7 +399,7 @@ TEST_F(ReplTest, SnapshotBootstrapsAReplicaPastCheckpointGc) {
   // The checkpoint GCs the pre-checkpoint segments: a fresh subscriber's
   // LSN 0 now predates the oldest retained log byte, forcing a snapshot
   // bootstrap instead of log shipping from the beginning.
-  ASSERT_TRUE(pc.Query("CHECKPOINT").ok());
+  ASSERT_TRUE(pc.Query("CHECKPOINT;").ok());
   ASSERT_TRUE(pc.Query("INSERT INTO t VALUES (1000, 1)").ok());
 
   Server* replica = StartReplica(primary->port());

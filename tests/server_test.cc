@@ -1015,35 +1015,6 @@ TEST_F(ServerTest, NonReadingPipelinedClientDoesNotBlockStop) {
   EXPECT_EQ(server_->stats().epoll_sessions, 0u);
 }
 
-/// The legacy thread-per-connection front-end stays available (it is the
-/// benchmark baseline) and speaks the full protocol, pipelining and
-/// prepared statements included — just without overlap.
-TEST_F(ServerTest, ThreadsFrontendStillServes) {
-  ServerConfig config;
-  config.frontend = ServerConfig::Frontend::kThreads;
-  StartServer(config);
-  const std::vector<std::string> expected = InProcessEncodings();
-  Client client = Connect();
-  auto remote = client.Query(Queries()[0]);
-  ASSERT_TRUE(remote.ok()) << remote.status().ToString();
-  auto encoded = EncodeResult(*remote);
-  ASSERT_TRUE(encoded.ok());
-  EXPECT_EQ(*encoded, expected[0]);
-
-  auto seq = client.QueryAsync(Queries()[1]);
-  ASSERT_TRUE(seq.ok());
-  auto async = client.Await(*seq);
-  ASSERT_TRUE(async.ok()) << async.status().ToString();
-  auto handle = client.Prepare("SELECT COUNT(*) FROM sensors");
-  ASSERT_TRUE(handle.ok()) << handle.status().ToString();
-  auto prepared = client.ExecutePrepared(*handle, {});
-  ASSERT_TRUE(prepared.ok());
-  EXPECT_EQ(prepared->columns[0]->ValueAt<int64_t>(0), kRows);
-
-  auto counters = ServerStatus(&client);
-  EXPECT_EQ(counters["epoll_sessions"], 0);
-}
-
 // ------------------------------------------- transactions over the wire --
 
 /// Each connection carries its own engine session: a transaction opened
@@ -1168,26 +1139,6 @@ TEST_F(ServerTest, OldClientRunsTransactionsWithPlainFrames) {
   }
   conn.Send(server::EncodeFrame(server::FrameType::kClose, ""));
   EXPECT_TRUE(conn.ReadUntilEof());
-}
-
-/// The thread-per-connection front-end carries per-connection transaction
-/// state too (same engine-session plumbing as the reactor).
-TEST_F(ServerTest, ThreadsFrontendCarriesTransactions) {
-  ServerConfig config;
-  config.frontend = ServerConfig::Frontend::kThreads;
-  StartServer(config);
-  Client writer = Connect();
-  Client reader = Connect();
-  ASSERT_TRUE(writer.Begin().ok());
-  ASSERT_TRUE(
-      writer.Query("INSERT INTO sensors VALUES (9500, 8, 'lab')").ok());
-  auto hidden = reader.Query("SELECT COUNT(*) FROM sensors WHERE id = 9500");
-  ASSERT_TRUE(hidden.ok());
-  EXPECT_EQ(hidden->columns[0]->ValueAt<int64_t>(0), 0);
-  ASSERT_TRUE(writer.Rollback().ok());
-  auto still = reader.Query("SELECT COUNT(*) FROM sensors WHERE id = 9500");
-  ASSERT_TRUE(still.ok());
-  EXPECT_EQ(still->columns[0]->ValueAt<int64_t>(0), 0);
 }
 
 }  // namespace

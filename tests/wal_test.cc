@@ -735,12 +735,16 @@ TEST_F(WalTest, CheckpointTruncatesLogAndSurvivesRestart) {
   }
   ASSERT_TRUE(engine.Execute("DELETE FROM t WHERE id = 3").ok());
 
-  auto cp = engine.Execute("  checkpoint  ");  // case/space-insensitive
+  // A parsed statement: case-insensitive, ';' optional, but one word.
+  EXPECT_FALSE(engine.Execute("CHECK POINT").ok());
+  auto cp = engine.Execute("  checkpoint  ");
   ASSERT_TRUE(cp.ok()) << cp.status().ToString();
   ASSERT_EQ(cp->names.size(), 1u);
   EXPECT_EQ(cp->names[0], "checkpoint_lsn");
+  auto again = engine.Execute("CHECKPOINT;");
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
   const WalStats stats = db->wal->stats();
-  EXPECT_EQ(stats.checkpoints, 1u);
+  EXPECT_EQ(stats.checkpoints, 2u);
   EXPECT_GT(stats.checkpoint_lsn, 0u);
   // The log was rotated and pre-checkpoint segments deleted.
   EXPECT_EQ(OnlySegment(),
