@@ -370,7 +370,7 @@ BENCHMARK(BM_StrSelectLikePrefixPlainKernel)->Unit(benchmark::kMillisecond);
 // codec bytes when compressed) and loads_per_query (driven chunk loads
 // plus direct passes), so the compressed variant's byte reduction is the
 // end-to-end I/O win. MAMMOTH_BENCH_ROWS overrides the table size
-// (default 32 chunks of 64Ki rows).
+// (default 32 morsels of 64Ki rows).
 
 constexpr size_t kMixChunkRows = size_t{1} << 16;
 
@@ -452,7 +452,6 @@ void EndToEndScanMix(benchmark::State& state, bool compressed) {
     return;
   }
   scan::SharedScanConfig cfg;
-  cfg.chunk_rows = kMixChunkRows;
   cfg.min_share_rows = kMixChunkRows;
   scan::SharedScanScheduler sched(cfg);
   engine.AttachSharedScans(&sched);

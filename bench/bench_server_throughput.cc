@@ -198,7 +198,6 @@ void BM_ServerScanHeavy(benchmark::State& state) {
   config.max_sessions = clients + 4;
   config.admission.max_inflight = 8;
   config.admission.queue_timeout_ms = 60000;
-  config.shared_scan.chunk_rows = kChunkRows;
   config.shared_scan.min_share_rows = kChunkRows;
   server::Server server(config);
   if (!server.engine()

@@ -11,7 +11,7 @@
 // divided by queries), shared_fraction (scans that attached to another
 // query's pass), qps, p50/p99 per-query latency.
 //
-// MAMMOTH_BENCH_ROWS overrides the table size (default 32 chunks of
+// MAMMOTH_BENCH_ROWS overrides the table size (default 32 morsels of
 // 64Ki rows, ~2.1M rows).
 
 #include <benchmark/benchmark.h>
@@ -88,7 +88,6 @@ void BM_SharedScanConcurrency(benchmark::State& state) {
     return;
   }
   scan::SharedScanConfig cfg;
-  cfg.chunk_rows = kChunkRows;
   cfg.min_share_rows = kChunkRows;
   scan::SharedScanScheduler sched(cfg);
   engine.AttachSharedScans(&sched);

@@ -227,8 +227,9 @@ bool AggregatableOnCompressed(const CompressedBat& comp) {
 }
 
 bool StrSelectableOnDict(const Value& v, CmpOp op) {
-  (void)op;  // the sorted dictionary answers every string-shaped op
-  return v.is_str();
+  // `=` stays on the plain kernel: heap interning makes it one offset
+  // compare per row, which beats unpacking a code per row.
+  return v.is_str() && op != CmpOp::kEq;
 }
 
 Result<BatPtr> CompressedThetaSelectRange(const CompressedBat& comp,

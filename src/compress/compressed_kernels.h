@@ -35,8 +35,9 @@ bool RangeSelectableOnCompressed(const CompressedBat& comp, const Value& lo,
                                  const Value& hi);
 /// Global SUM/MIN/MAX folds: RLE (both widths) and PDICT.
 bool AggregatableOnCompressed(const CompressedBat& comp);
-/// String predicate shapes a sorted dictionary answers in code space
-/// (everything ThetaSelect accepts on strings, including LIKE).
+/// String predicate shapes a sorted dictionary answers in code space:
+/// everything ThetaSelect accepts on strings (LIKE included) except `=`,
+/// which the plain kernel answers faster (DESIGN.md §13).
 bool StrSelectableOnDict(const Value& v, CmpOp op);
 
 /// --- Selects -----------------------------------------------------------

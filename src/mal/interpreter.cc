@@ -11,7 +11,6 @@
 #include "core/group.h"
 #include "core/join.h"
 #include "core/project.h"
-#include "core/select.h"
 #include "core/sort.h"
 #include "scan/shared_scan.h"
 
@@ -82,6 +81,21 @@ bool Recyclable(OpCode op) {
   }
 }
 
+/// Whether a select takes part in recycler range subsumption: a plain
+/// (non-anti) range with numeric bounds.
+bool Subsumable(const Instr& ins) {
+  return ins.op == OpCode::kRangeSelect && !ins.flag &&
+         ins.consts[0].is_numeric() && ins.consts[1].is_numeric();
+}
+
+/// The key range subsumption matches under: the select's (column,
+/// candidates) pair.
+uint64_t RangeBase(const Instr& ins, const std::vector<Rt>& vars) {
+  return HashCombine(vars[ins.inputs[0]].sig, ins.inputs[1] < 0
+                                                  ? uint64_t{0xfeed}
+                                                  : vars[ins.inputs[1]].sig);
+}
+
 /// Validates (and, for compressed binds, materializes) the BAT operand:
 /// a slot holding only a compressed image decodes it here — through the
 /// shared cache, so repeated materializations pay once.
@@ -143,13 +157,40 @@ BatPtr TruncateSorted(const BatPtr& r, Oid limit) {
   return out;
 }
 
-/// The scan source of a bound slot: the compressed image when the bind
-/// left one, the dictionary-backed string image when one exists, the
-/// plain BAT otherwise.
+/// The scan source of a slot: the compressed image when the bind left
+/// one, the dictionary-backed string image when one exists, the plain BAT
+/// otherwise.
 scan::ColumnSource SourceOf(const Rt& in) {
   if (in.cbat != nullptr) return scan::ColumnSource::Compressed(in.cbat);
   if (in.sdict != nullptr) return scan::ColumnSource::Dict(in.bat, in.sdict);
   return scan::ColumnSource::Plain(in.bat);
+}
+
+/// The route of a select that reads every row of slot `in`: the
+/// scheduler's pass when one is attached and the slot is a base-table
+/// bind (a dense-prefix candidate list rides the full pass, then cuts the
+/// result), the scan layer's direct entry point otherwise. Either one
+/// picks code space or decode-then-kernel for the slot's image. Returns
+/// null when `cands` filters rows (or the slot is empty), leaving the
+/// select to the kernel over the candidates.
+Result<BatPtr> SelectWholeColumn(const Rt& in, const BatPtr& cands,
+                                 const scan::ScanPredicate& pred,
+                                 const parallel::ExecContext& ctx) {
+  if (in.bat == nullptr && in.cbat == nullptr) return BatPtr{};
+  const scan::ColumnSource src = SourceOf(in);
+  const bool whole = CoversWholeColumn(cands, src.Count(), src.hseqbase);
+  size_t prefix = 0;
+  if (ctx.shared_scans() != nullptr && in.bind != nullptr &&
+      (whole ||
+       CoversDensePrefix(cands, src.Count(), src.hseqbase, &prefix))) {
+    MAMMOTH_ASSIGN_OR_RETURN(
+        BatPtr r, ctx.shared_scans()->Select(src, in.bind->table,
+                                             in.bind->column,
+                                             in.bind_version, pred, ctx));
+    return whole ? r : TruncateSorted(r, src.hseqbase + prefix);
+  }
+  if (!whole) return BatPtr{};
+  return scan::RunKernelSource(src, pred, ctx);
 }
 
 }  // namespace
@@ -242,7 +283,6 @@ Result<QueryResult> Interpreter::Run(const Program& program, RunStats* stats) {
     }
 
     WallTimer timer;
-    BatPtr subsume_cands;  // range-subsumption candidates, when found
 
     switch (ins.op) {
       case OpCode::kBind: {
@@ -288,137 +328,40 @@ Result<QueryResult> Interpreter::Run(const Program& program, RunStats* stats) {
                               t->VisibleStateKey(snap_));
         break;
       }
-      case OpCode::kThetaSelect: {
-        const BatPtr cands =
-            ins.inputs[1] < 0 ? nullptr : vars[ins.inputs[1]].bat;
-        // Full-column scans of a base table route through the shared-scan
-        // scheduler (bit-identical to the kernel; shares a physical pass
-        // with concurrent scans of the same table when one is in flight).
-        // A compressed bind routes its compressed image: the pass
-        // decompresses each chunk once for all attached consumers.
-        if (ctx_.shared_scans() != nullptr && ins.inputs[0] >= 0 &&
-            vars[ins.inputs[0]].bind != nullptr) {
-          const Rt& in = vars[ins.inputs[0]];
-          const scan::ColumnSource src = SourceOf(in);
-          size_t prefix = 0;
-          const bool whole = CoversWholeColumn(cands, src.Count(),
-                                               src.hseqbase);
-          if (whole || CoversDensePrefix(cands, src.Count(), src.hseqbase,
-                                         &prefix)) {
-            MAMMOTH_ASSIGN_OR_RETURN(
-                BatPtr r,
-                ctx_.shared_scans()->Select(
-                    src, in.bind->table, in.bind->column, in.bind_version,
-                    scan::ScanPredicate::Theta(ins.consts[0], ins.cmp),
-                    ctx_));
-            if (!whole) r = TruncateSorted(r, src.hseqbase + prefix);
-            vars[ins.outputs[0]].bat = r;
-            break;
-          }
-        }
-        // Direct code-space kernels (no routed pass): a rewritable
-        // predicate over a full compressed or dictionary-backed column
-        // never decodes. Candidate-filtered or non-rewritable selects
-        // fall through to decode-then-kernel.
-        if (ins.inputs[0] >= 0) {
-          const Rt& in = vars[ins.inputs[0]];
-          if (in.cbat != nullptr &&
-              CoversWholeColumn(cands, in.cbat->Count(), 0) &&
-              compress::ThetaSelectableOnCompressed(*in.cbat, ins.consts[0],
-                                                    ins.cmp)) {
-            MAMMOTH_ASSIGN_OR_RETURN(
-                BatPtr r, compress::CompressedThetaSelectRange(
-                              *in.cbat, ins.consts[0], ins.cmp, 0,
-                              in.cbat->Count(), 0));
-            compress::stats::SelectDirect();
-            vars[ins.outputs[0]].bat = r;
-            break;
-          }
-          if (in.sdict != nullptr && in.bat != nullptr &&
-              CoversWholeColumn(cands, in.bat->Count(), in.bat->hseqbase()) &&
-              compress::StrSelectableOnDict(ins.consts[0], ins.cmp)) {
-            MAMMOTH_ASSIGN_OR_RETURN(
-                BatPtr r, compress::DictStrSelectRange(
-                              *in.sdict, ins.consts[0], ins.cmp, 0,
-                              in.sdict->Count(), in.bat->hseqbase()));
-            compress::stats::SelectDirect();
-            vars[ins.outputs[0]].bat = r;
-            break;
-          }
-          if (in.cbat != nullptr && in.bat == nullptr) {
-            compress::stats::SelectFallback();
-          }
-        }
-        MAMMOTH_RETURN_IF_ERROR(NeedBat(vars, ins.inputs[0], "thetaselect"));
-        MAMMOTH_ASSIGN_OR_RETURN(
-            BatPtr r, algebra::ThetaSelect(vars[ins.inputs[0]].bat, cands,
-                                           ins.consts[0], ins.cmp, ctx_));
-        vars[ins.outputs[0]].bat = r;
-        break;
-      }
+      case OpCode::kThetaSelect:
       case OpCode::kRangeSelect: {
+        const bool range = ins.op == OpCode::kRangeSelect;
+        const scan::ScanPredicate pred =
+            range ? scan::ScanPredicate::Range(ins.consts[0], ins.consts[1],
+                                               ins.flag)
+                  : scan::ScanPredicate::Theta(ins.consts[0], ins.cmp);
         BatPtr cands = ins.inputs[1] < 0 ? nullptr : vars[ins.inputs[1]].bat;
         // --- Recycler: range subsumption ---------------------------------
         // A cached wider range over the same (column, candidates) pair can
         // serve as the candidate list: the cached output already reflects
         // the original candidate filtering, so refining within it is exact.
-        const uint64_t range_base = HashCombine(
-            vars[ins.inputs[0]].sig,
-            ins.inputs[1] < 0 ? uint64_t{0xfeed} : vars[ins.inputs[1]].sig);
-        if (recycler_ != nullptr && !ins.flag && ins.consts[0].is_numeric() &&
-            ins.consts[1].is_numeric()) {
-          if (recycler_->LookupRangeSuperset(range_base,
-                                             ins.consts[0].AsReal(),
-                                             ins.consts[1].AsReal(),
-                                             &subsume_cands)) {
-            cands = subsume_cands;
-          }
+        const bool subsumed =
+            recycler_ != nullptr && Subsumable(ins) &&
+            recycler_->LookupRangeSuperset(RangeBase(ins, vars),
+                                           ins.consts[0].AsReal(),
+                                           ins.consts[1].AsReal(), &cands);
+        const int col = ins.inputs[0];
+        BatPtr r;
+        if (!subsumed && col >= 0) {
+          MAMMOTH_ASSIGN_OR_RETURN(
+              r, SelectWholeColumn(vars[col], cands, pred, ctx_));
         }
-        if (ctx_.shared_scans() != nullptr && ins.inputs[0] >= 0 &&
-            vars[ins.inputs[0]].bind != nullptr && subsume_cands == nullptr) {
-          const Rt& in = vars[ins.inputs[0]];
-          const scan::ColumnSource src = SourceOf(in);
-          size_t prefix = 0;
-          const bool whole = CoversWholeColumn(cands, src.Count(),
-                                               src.hseqbase);
-          if (whole || CoversDensePrefix(cands, src.Count(), src.hseqbase,
-                                         &prefix)) {
-            MAMMOTH_ASSIGN_OR_RETURN(
-                BatPtr r,
-                ctx_.shared_scans()->Select(
-                    src, in.bind->table, in.bind->column, in.bind_version,
-                    scan::ScanPredicate::Range(ins.consts[0], ins.consts[1],
-                                               ins.flag),
-                    ctx_));
-            if (!whole) r = TruncateSorted(r, src.hseqbase + prefix);
-            vars[ins.outputs[0]].bat = r;
-            break;
-          }
-        }
-        if (ins.inputs[0] >= 0 && subsume_cands == nullptr) {
-          const Rt& in = vars[ins.inputs[0]];
-          if (in.cbat != nullptr &&
-              CoversWholeColumn(cands, in.cbat->Count(), 0) &&
-              compress::RangeSelectableOnCompressed(*in.cbat, ins.consts[0],
-                                                    ins.consts[1])) {
-            MAMMOTH_ASSIGN_OR_RETURN(
-                BatPtr r, compress::CompressedRangeSelectRange(
-                              *in.cbat, ins.consts[0], ins.consts[1], true,
-                              true, ins.flag, 0, in.cbat->Count(), 0));
-            compress::stats::SelectDirect();
-            vars[ins.outputs[0]].bat = r;
-            break;
-          }
-          if (in.cbat != nullptr && in.bat == nullptr) {
+        if (r == nullptr) {
+          // A candidate-filtered select runs the kernel over the plain
+          // image, decoding a compressed-only slot first.
+          if (col >= 0 && vars[col].cbat != nullptr &&
+              vars[col].bat == nullptr) {
             compress::stats::SelectFallback();
           }
+          MAMMOTH_RETURN_IF_ERROR(NeedBat(vars, col, "select"));
+          MAMMOTH_ASSIGN_OR_RETURN(
+              r, scan::RunKernel(vars[col].bat, cands, pred, ctx_));
         }
-        MAMMOTH_RETURN_IF_ERROR(NeedBat(vars, ins.inputs[0], "select"));
-        MAMMOTH_ASSIGN_OR_RETURN(
-            BatPtr r,
-            algebra::RangeSelect(vars[ins.inputs[0]].bat, cands,
-                                 ins.consts[0], ins.consts[1], true, true,
-                                 ins.flag, ctx_));
         vars[ins.outputs[0]].bat = r;
         break;
       }
@@ -619,13 +562,8 @@ Result<QueryResult> Interpreter::Run(const Program& program, RunStats* stats) {
           outs.push_back({vars[ov].bat, vars[ov].cbat, vars[ov].scalar});
         }
         recycler_->Insert(sig, std::move(outs), timer.ElapsedSeconds());
-        if (ins.op == OpCode::kRangeSelect && !ins.flag &&
-            ins.consts[0].is_numeric() && ins.consts[1].is_numeric()) {
-          const uint64_t range_base = HashCombine(
-              vars[ins.inputs[0]].sig, ins.inputs[1] < 0
-                                           ? uint64_t{0xfeed}
-                                           : vars[ins.inputs[1]].sig);
-          recycler_->RegisterRange(range_base, ins.consts[0].AsReal(),
+        if (Subsumable(ins)) {
+          recycler_->RegisterRange(RangeBase(ins, vars), ins.consts[0].AsReal(),
                                    ins.consts[1].AsReal(), sig);
         }
       }

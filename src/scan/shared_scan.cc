@@ -21,17 +21,6 @@ void StampSelectResult(const BatPtr& r) {
   r->mutable_props().revsorted = r->Count() <= 1;
 }
 
-/// Runs the predicate through the direct kernels over the whole column
-/// (the fallback path; exactly what the interpreter did before routing).
-Result<BatPtr> RunKernel(const BatPtr& column, const ScanPredicate& pred,
-                         const parallel::ExecContext& ctx) {
-  if (pred.kind == ScanPredicate::Kind::kTheta) {
-    return algebra::ThetaSelect(column, nullptr, pred.v, pred.op, ctx);
-  }
-  return algebra::RangeSelect(column, nullptr, pred.lo, pred.hi, true, true,
-                              pred.anti, ctx);
-}
-
 /// Whether the predicate can run over the source's compressed
 /// representation directly (code-space / run-space), bit-identical to
 /// decode-then-kernel.
@@ -68,60 +57,20 @@ Result<BatPtr> EvalCodeSpace(const ColumnSource& source,
                                               end, col_hseq);
 }
 
-/// Fallback for a source-aware scan outside the pass protocol: a
-/// code-space-rewritable predicate consumes the compressed image in
-/// place; anything else materializes the shared whole-column decode
-/// first (operator-at-a-time), then runs the plain kernels.
-Result<BatPtr> RunKernelSource(const ColumnSource& source,
-                               const ScanPredicate& pred,
-                               const parallel::ExecContext& ctx) {
-  if (CodeSpacePredicate(source, pred)) {
-    compress::stats::SelectDirect();
-    return EvalCodeSpace(source, pred, 0, source.Count(), source.hseqbase);
-  }
-  BatPtr column = source.bat;
-  if (source.compressed()) {
-    compress::stats::SelectFallback();
-    MAMMOTH_ASSIGN_OR_RETURN(column, source.comp->DecodedBat());
-  }
-  return RunKernel(column, pred, ctx);
-}
-
-/// Evaluates the predicate over rows [begin, end) only, via a dense
-/// candidate list. The kernels append qualifying OIDs in position order
-/// (parallel and serial contexts produce identical outputs), so
-/// concatenating chunk results by chunk index reproduces the full kernel
-/// output exactly.
-Result<BatPtr> EvalChunk(const BatPtr& column, const ScanPredicate& pred,
-                         size_t begin, size_t end,
-                         const parallel::ExecContext& ctx) {
-  const BatPtr cands =
-      Bat::NewDense(column->hseqbase() + begin, end - begin);
-  if (pred.kind == ScanPredicate::Kind::kTheta) {
-    return algebra::ThetaSelect(column, cands, pred.v, pred.op, ctx);
-  }
-  return algebra::RangeSelect(column, cands, pred.lo, pred.hi, true, true,
-                              pred.anti, ctx);
-}
-
-/// Evaluates the predicate over the chunk's materialized buffer: a
-/// zero-copy view BAT over the delivered bytes, head-rebased so the
-/// kernels emit the same OIDs (`col_hseq + position`) a full-column scan
-/// would. The view carries default properties, matching the merged-image
-/// columns the routed scans read (never sorted/dense), so kernel
-/// fast-path decisions agree with the plain path.
-Result<BatPtr> EvalChunkBuffer(const ChunkBuffer& buf, Oid col_hseq,
-                               const ScanPredicate& pred, size_t begin,
-                               size_t end,
-                               const parallel::ExecContext& ctx) {
+/// A zero-copy view BAT over a chunk's delivered bytes (rows [begin, end)
+/// of the column), head-rebased so the kernels emit the same OIDs
+/// (`col_hseq + position`) a full-column scan would. The kernels append
+/// qualifying OIDs in position order, so concatenating chunk results by
+/// chunk index reproduces the full kernel output exactly. The view
+/// carries default properties, matching the merged-image columns the
+/// routed scans read (never sorted/dense), so kernel fast-path decisions
+/// agree with the plain path.
+BatPtr ChunkView(const ChunkBuffer& buf, Oid col_hseq, size_t begin,
+                 size_t end) {
   BatPtr view = Bat::New(buf.type);
   view->tail().AdoptExternal(const_cast<void*>(buf.data), end - begin);
   view->set_hseqbase(col_hseq + begin);
-  if (pred.kind == ScanPredicate::Kind::kTheta) {
-    return algebra::ThetaSelect(view, nullptr, pred.v, pred.op, ctx);
-  }
-  return algebra::RangeSelect(view, nullptr, pred.lo, pred.hi, true, true,
-                              pred.anti, ctx);
+  return view;
 }
 
 /// Whether any value in [block_min, block_max] can satisfy the predicate,
@@ -171,6 +120,31 @@ bool BlockMaySatisfy(const ScanPredicate& pred, int64_t bmin, int64_t bmax,
 }
 
 }  // namespace
+
+Result<BatPtr> RunKernel(const BatPtr& column, const BatPtr& cands,
+                         const ScanPredicate& pred,
+                         const parallel::ExecContext& ctx) {
+  if (pred.kind == ScanPredicate::Kind::kTheta) {
+    return algebra::ThetaSelect(column, cands, pred.v, pred.op, ctx);
+  }
+  return algebra::RangeSelect(column, cands, pred.lo, pred.hi, true, true,
+                              pred.anti, ctx);
+}
+
+Result<BatPtr> RunKernelSource(const ColumnSource& source,
+                               const ScanPredicate& pred,
+                               const parallel::ExecContext& ctx) {
+  if (CodeSpacePredicate(source, pred)) {
+    compress::stats::SelectDirect();
+    return EvalCodeSpace(source, pred, 0, source.Count(), source.hseqbase);
+  }
+  BatPtr column = source.bat;
+  if (source.compressed()) {
+    compress::stats::SelectFallback();
+    MAMMOTH_ASSIGN_OR_RETURN(column, source.comp->DecodedBat());
+  }
+  return RunKernel(column, nullptr, pred, ctx);
+}
 
 /// One consumer of a shared pass. All fields except `fn`'s captured
 /// buffers are guarded by the owning group's mutex; the buffers are only
@@ -222,25 +196,14 @@ struct SharedScanScheduler::Group {
 };
 
 SharedScanScheduler::SharedScanScheduler(const SharedScanConfig& config)
-    : config_([&] {
-        SharedScanConfig c = config;
-        // Morsel-align the chunk grain so chunk boundaries coincide with
-        // TaskPool morsel boundaries.
-        constexpr size_t kGrain = parallel::TaskPool::kDefaultGrain;
-        if (c.chunk_rows == 0) c.chunk_rows = kGrain;
-        c.chunk_rows = (c.chunk_rows + kGrain - 1) / kGrain * kGrain;
-        return c;
-      }()) {}
+    : config_(config) {}
 
 SharedScanScheduler::~SharedScanScheduler() = default;
 
 size_t SharedScanScheduler::RowsPerChunk(size_t value_width) const {
-  if (config_.chunk_bytes == 0 || value_width == 0) {
-    return config_.chunk_rows;
-  }
   constexpr size_t kGrain = parallel::TaskPool::kDefaultGrain;
-  const size_t rows =
-      std::max(config_.chunk_bytes / value_width, kGrain);
+  const size_t rows = std::max(
+      config_.chunk_bytes / std::max<size_t>(value_width, 1), kGrain);
   return (rows + kGrain - 1) / kGrain * kGrain;
 }
 
@@ -304,9 +267,7 @@ std::vector<bool> SharedScanScheduler::PruneChunks(
 
 SharedScanScheduler::Consumer* SharedScanScheduler::Attach(
     const std::string& table, uint64_t version, size_t nrows,
-    std::vector<bool> needed, ChunkFn fn, size_t chunk_rows,
-    ColumnSource source) {
-  if (chunk_rows == 0) chunk_rows = config_.chunk_rows;
+    size_t chunk_rows, std::vector<bool> needed, ChunkFn fn) {
   auto group = GetGroup(table);
   std::lock_guard<std::mutex> lock(group->mu);
   const size_t nchunks = (nrows + chunk_rows - 1) / chunk_rows;
@@ -326,7 +287,6 @@ SharedScanScheduler::Consumer* SharedScanScheduler::Attach(
   }
   Consumer* c = new Consumer;
   c->group = group;
-  c->source = std::move(source);
   if (needed.empty()) needed.assign(nchunks, true);
   c->needed = std::move(needed);
   c->remaining = static_cast<size_t>(
@@ -564,16 +524,6 @@ std::vector<bool> SharedScanScheduler::PruneChunksCompressed(
   return needed;
 }
 
-Result<BatPtr> SharedScanScheduler::Select(const BatPtr& column,
-                                           const std::string& table,
-                                           const std::string& column_name,
-                                           uint64_t version,
-                                           const ScanPredicate& pred,
-                                           const parallel::ExecContext& ctx) {
-  return Select(ColumnSource::Plain(column), table, column_name, version,
-                pred, ctx);
-}
-
 Result<BatPtr> SharedScanScheduler::Select(const ColumnSource& source,
                                            const std::string& table,
                                            const std::string& column_name,
@@ -689,17 +639,14 @@ Result<BatPtr> SharedScanScheduler::Select(const ColumnSource& source,
       };
     } else {
       if (source.compressed()) compress::stats::SelectFallback();
-      fn = [&parts, col_hseq, source, pred](
+      // Every source that reaches here delivers a chunk image: plain
+      // BATs alias their tail, compressed ones decode into a buffer.
+      fn = [&parts, col_hseq, pred](
                size_t chunk, size_t begin, size_t end, const ChunkBuffer& buf,
                const parallel::ExecContext& eval_ctx) -> Status {
-        if (buf.data != nullptr) {
-          MAMMOTH_ASSIGN_OR_RETURN(
-              parts[chunk],
-              EvalChunkBuffer(buf, col_hseq, pred, begin, end, eval_ctx));
-        } else {
-          MAMMOTH_ASSIGN_OR_RETURN(
-              parts[chunk], EvalChunk(source.bat, pred, begin, end, eval_ctx));
-        }
+        MAMMOTH_ASSIGN_OR_RETURN(
+            parts[chunk], RunKernel(ChunkView(buf, col_hseq, begin, end),
+                                    nullptr, pred, eval_ctx));
         return Status::OK();
       };
     }

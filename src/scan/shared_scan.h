@@ -129,20 +129,31 @@ struct ScanPredicate {
   }
 };
 
+/// The one mapping of a ScanPredicate onto the select kernels in
+/// core/select.h: evaluates `pred` over the rows of `column` that `cands`
+/// lists (null = every row).
+Result<BatPtr> RunKernel(const BatPtr& column, const BatPtr& cands,
+                         const ScanPredicate& pred,
+                         const parallel::ExecContext& ctx);
+
+/// A whole-column select outside any shared pass. A predicate the source's
+/// compressed or dictionary image answers in code space reads that image
+/// in place (counted as a direct select); anything else runs RunKernel
+/// over the plain image, decoding a compressed source through its shared
+/// whole-column cache first (counted as a fallback). Bit-identical to
+/// decode-then-kernel.
+Result<BatPtr> RunKernelSource(const ColumnSource& source,
+                               const ScanPredicate& pred,
+                               const parallel::ExecContext& ctx);
+
 struct SharedScanConfig {
-  /// Default rows per chunk; rounded up to a multiple of the 64K morsel
-  /// grain so chunk boundaries coincide with TaskPool morsel boundaries.
-  /// Used by the low-level Attach protocol and whenever `chunk_bytes` is
-  /// disabled.
-  size_t chunk_rows = size_t{1} << 18;
-  /// Target *bytes* per chunk for routed scans: each pass derives its row
-  /// grain from the width of the column that starts it
-  /// (chunk_bytes / width, morsel-aligned), so an int64 pass uses half
-  /// the rows of an int32 pass and both sweep comparably sized chunks —
-  /// the unit the relevance policy reasons about is then cache footprint,
-  /// not row count. 0 disables the adaptation (every pass uses
-  /// `chunk_rows`). The default (1 MiB) makes an int32 pass match the
-  /// legacy 256Ki-row grain exactly.
+  /// Target bytes per chunk: each pass derives its row grain from the
+  /// width of the column that starts it (chunk_bytes / width, rounded up
+  /// to the 64Ki-row TaskPool morsel, never below one morsel), so an
+  /// int64 pass uses half the rows of an int32 pass and both sweep
+  /// comparably sized chunks — the unit the relevance policy reasons
+  /// about is cache footprint, not row count. The default (1 MiB) gives
+  /// an int32 pass 256Ki-row chunks.
   size_t chunk_bytes = size_t{1} << 20;
   /// Columns shorter than this always take the direct kernel path —
   /// coordinating a scan that fits in one cache-resident sweep costs more
@@ -200,46 +211,33 @@ class SharedScanScheduler {
   SharedScanScheduler(const SharedScanScheduler&) = delete;
   SharedScanScheduler& operator=(const SharedScanScheduler&) = delete;
 
-  /// The routed select: evaluates `pred` over the merged column image
-  /// `column` of `table`@`version`, returning the qualifying OID BAT —
-  /// bit-identical (values, hseqbase, properties) to the direct kernels in
-  /// core/select.h. When >= 1 other scan of the same table is active it
-  /// joins that pass; a lone scan starts a chunk-at-a-time pass of its own
-  /// (so later arrivals can join it mid-flight). The monolithic kernel
-  /// path remains for ineligible scans (sorted/dense/string columns, short
-  /// columns) and for arrivals whose (version, nrows) shape mismatches the
-  /// busy pass.
-  Result<BatPtr> Select(const BatPtr& column, const std::string& table,
-                        const std::string& column_name, uint64_t version,
-                        const ScanPredicate& pred,
-                        const parallel::ExecContext& ctx);
-
-  /// Source-aware routed select: like the BAT overload, but the column
-  /// may be a CompressedBat — the pass then decompresses each chunk once
-  /// into a pooled buffer shared by all attached consumers, and chunk
-  /// pruning runs off the compressed column's own block statistics
-  /// (no decompression for skipped chunks). Results are bit-identical to
-  /// decompress-then-kernel.
+  /// The routed select: evaluates `pred` over the column image `source`
+  /// of `table`@`version`, returning the qualifying OID BAT —
+  /// bit-identical (values, hseqbase, properties) to RunKernelSource.
+  /// When >= 1 other scan of the same table is active it joins that pass;
+  /// a lone scan starts a chunk-at-a-time pass of its own (so later
+  /// arrivals can join it mid-flight). A compressed source decompresses
+  /// each chunk once into a pooled buffer shared by all attached
+  /// consumers, and prunes chunks off its own block statistics (skipped
+  /// chunks are never decompressed). Ineligible scans (sorted/dense/string
+  /// columns, short columns) and arrivals whose (version, nrows) shape
+  /// mismatches the busy pass take RunKernelSource.
   Result<BatPtr> Select(const ColumnSource& source, const std::string& table,
                         const std::string& column_name, uint64_t version,
                         const ScanPredicate& pred,
                         const parallel::ExecContext& ctx);
 
-  /// --- Low-level pass protocol (used by Select, tests and benches) ------
+  /// --- Low-level pass protocol (Select attaches the same way) ---------
   /// Attaches a consumer to the pass over `nrows` rows of `table`@
-  /// `version`. `needed` marks the chunks the consumer wants (empty = all);
-  /// unneeded chunks count as skipped. Returns null when the group is
-  /// already busy with a different (version, nrows, chunk grain) shape —
-  /// the caller must then run its scan directly. May be called from
-  /// inside a ChunkFn (a late arrival attaching mid-pass).
-  /// `chunk_rows` sets the pass's chunk grain (0: the config default);
-  /// it only takes effect when this Attach starts the pass.
-  /// `source` is the column the consumer reads (materialized once per
-  /// chunk and passed to `fn`); default-constructed = no source (the fn
-  /// receives a null ChunkBuffer and reads whatever it captured).
+  /// `version`, cut into chunks of `chunk_rows` rows. `needed` marks the
+  /// chunks the consumer wants (empty = all); unneeded chunks count as
+  /// skipped. Returns null when the group is already busy with a
+  /// different (version, nrows, chunk grain) shape — the caller must then
+  /// run its scan directly. May be called from inside a ChunkFn (a late
+  /// arrival attaching mid-pass). The consumer reads no source: `fn`
+  /// receives a null ChunkBuffer and reads whatever it captured.
   Consumer* Attach(const std::string& table, uint64_t version, size_t nrows,
-                   std::vector<bool> needed, ChunkFn fn,
-                   size_t chunk_rows = 0, ColumnSource source = {});
+                   size_t chunk_rows, std::vector<bool> needed, ChunkFn fn);
 
   /// Drives and/or waits until every needed chunk of `consumer` has been
   /// delivered, then detaches and destroys it. Exactly one Drain per
@@ -254,12 +252,8 @@ class SharedScanScheduler {
 
   SharedScanStats stats() const;
 
-  /// The default (non-adaptive) chunk grain, morsel-aligned.
-  size_t chunk_rows() const { return config_.chunk_rows; }
-
   /// The chunk grain a routed pass uses for columns of the given value
-  /// width: chunk_bytes / width, morsel-aligned (or the fixed chunk_rows
-  /// when byte-adaptation is disabled).
+  /// width: chunk_bytes / width, morsel-aligned, at least one morsel.
   size_t RowsPerChunk(size_t value_width) const;
 
  private:

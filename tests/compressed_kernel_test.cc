@@ -25,6 +25,7 @@
 #include "core/project.h"
 #include "core/select.h"
 #include "core/table.h"
+#include "mal/interpreter.h"
 #include "parallel/task_pool.h"
 #include "recycle/recycler.h"
 #include "scan/shared_scan.h"
@@ -331,7 +332,9 @@ TEST(CompressedKernelTest, DictStrSelectBitIdenticalAcrossOpsAndProbes) {
   for (const CmpOp op : ops) {
     for (const std::string& s : probes) {
       const Value v = Value::Str(s);
-      ASSERT_TRUE(compress::StrSelectableOnDict(v, op));
+      // `=` is left to the plain kernel; the code-space kernel must still
+      // answer it bit-identically.
+      EXPECT_EQ(compress::StrSelectableOnDict(v, op), op != CmpOp::kEq);
       const std::string what =
           "op " + std::to_string(static_cast<int>(op)) + " '" + s + "'";
       auto want = algebra::ThetaSelect(plain, nullptr, v, op,
@@ -499,8 +502,7 @@ TEST(CompressedKernelTest, StringQueriesSharedScansBitIdenticalAcrossPools) {
     ASSERT_TRUE(engine.Execute("ALTER TABLE logs COMPRESS").ok());
 
     scan::SharedScanConfig config;
-    config.chunk_rows = kChunk;
-    config.chunk_bytes = 0;
+    config.chunk_bytes = kChunk;
     config.min_share_rows = kChunk;
     scan::SharedScanScheduler sched(config);
     engine.AttachSharedScans(&sched);
@@ -525,6 +527,303 @@ TEST(CompressedKernelTest, StringQueriesSharedScansBitIdenticalAcrossPools) {
     const auto stats = sched.stats();
     EXPECT_GT(stats.scans_attached + stats.scans_direct, 0u) << threads;
     EXPECT_GT(stats.bytes_loaded, 0u) << threads;
+  }
+}
+
+// ------------------------------------------- seeded route equivalence --
+
+/// Column shapes of the route-equivalence table. Under ALTER ... COMPRESS
+/// they reach every select route: RLE and PDICT (int32 only) code space,
+/// PFOR and PFOR-DELTA (the sorted shape) decode and, via `tag`, the
+/// string dictionary.
+enum class RouteShape { kRuns, kLowCard, kRandom, kSorted };
+
+struct RouteColumn {
+  std::string name;
+  PhysType type;
+  RouteShape shape;
+};
+
+std::vector<RouteColumn> RouteColumns() {
+  std::vector<RouteColumn> cols;
+  for (PhysType type : {PhysType::kInt32, PhysType::kInt64}) {
+    const std::string w = type == PhysType::kInt32 ? "32" : "64";
+    cols.push_back({"runs" + w, type, RouteShape::kRuns});
+    cols.push_back({"low" + w, type, RouteShape::kLowCard});
+    cols.push_back({"rand" + w, type, RouteShape::kRandom});
+    cols.push_back({"sorted" + w, type, RouteShape::kSorted});
+  }
+  return cols;
+}
+
+/// Inclusive value domain of a shape; predicate operands are drawn from
+/// it with a margin, so some probes miss every row.
+std::pair<int64_t, int64_t> RouteDomain(RouteShape shape) {
+  switch (shape) {
+    case RouteShape::kRuns:
+      return {0, 15};
+    case RouteShape::kLowCard:
+      return {0, 11};
+    case RouteShape::kRandom:
+      return {-500000, 500000};
+    case RouteShape::kSorted:
+      return {0, static_cast<int64_t>(kRows / 4)};
+  }
+  return {0, 0};
+}
+
+/// "t<i>", a word of the route table's TEXT column.
+std::string TagWord(uint64_t i) {
+  std::string w = "t";
+  w += std::to_string(i);
+  return w;
+}
+
+TablePtr RouteTable(uint64_t seed) {
+  std::vector<ColumnDef> schema;
+  std::vector<BatPtr> bats;
+  Rng rng(seed);
+  for (const RouteColumn& c : RouteColumns()) {
+    const auto [lo, hi] = RouteDomain(c.shape);
+    std::vector<int64_t> vals(kRows);
+    int64_t run_value = 0;
+    size_t run_left = 0;
+    for (size_t i = 0; i < kRows; ++i) {
+      switch (c.shape) {
+        case RouteShape::kRuns:
+          if (run_left == 0) {
+            run_value = rng.UniformRange(lo, hi);
+            run_left = 1 + rng.Uniform(400);
+          }
+          --run_left;
+          vals[i] = run_value;
+          break;
+        case RouteShape::kLowCard:
+        case RouteShape::kRandom:
+          vals[i] = rng.UniformRange(lo, hi);
+          break;
+        case RouteShape::kSorted:
+          vals[i] = static_cast<int64_t>(i / 4);
+          break;
+      }
+    }
+    BatPtr b = Bat::New(c.type);
+    b->Resize(kRows);
+    for (size_t i = 0; i < kRows; ++i) {
+      if (c.type == PhysType::kInt32) {
+        b->MutableTailData<int32_t>()[i] = static_cast<int32_t>(vals[i]);
+      } else {
+        b->MutableTailData<int64_t>()[i] = vals[i];
+      }
+    }
+    schema.push_back({c.name, c.type});
+    bats.push_back(b);
+  }
+  BatPtr tag = Bat::NewString(nullptr);
+  for (size_t i = 0; i < kRows; ++i) {
+    tag->AppendString(TagWord(rng.Uniform(25)));
+  }
+  schema.push_back({"tag", PhysType::kStr});
+  bats.push_back(tag);
+  auto t = Table::FromColumns("routes", schema, bats);
+  EXPECT_TRUE(t.ok()) << t.status().ToString();
+  return *t;
+}
+
+struct RouteQuery {
+  std::string column;
+  bool range = false;
+  Value v;
+  CmpOp op = CmpOp::kEq;
+  Value lo, hi;
+  bool anti = false;
+  std::string what;  ///< readable form for failure messages
+};
+
+/// Random theta, range, anti, open-ended and LIKE predicates over the
+/// route table's columns.
+std::vector<RouteQuery> RandomRouteQueries(uint64_t seed, size_t n) {
+  const std::vector<RouteColumn> cols = RouteColumns();
+  const CmpOp kOps[] = {CmpOp::kLt, CmpOp::kLe, CmpOp::kEq,
+                        CmpOp::kNe, CmpOp::kGe, CmpOp::kGt};
+  const char* kPatterns[] = {"t1%", "%3", "t_", "%", "x%", "t2_"};
+  Rng rng(seed * 7919);
+  std::vector<RouteQuery> queries;
+  for (size_t i = 0; i < n; ++i) {
+    RouteQuery q;
+    const size_t c = rng.Uniform(cols.size() + 1);
+    if (c == cols.size()) {
+      q.column = "tag";
+      if (rng.Uniform(7) == 0) {
+        q.op = CmpOp::kLike;
+        q.v = Value::Str(kPatterns[rng.Uniform(6)]);
+      } else {
+        q.op = kOps[rng.Uniform(6)];
+        q.v = Value::Str(TagWord(rng.Uniform(27)));
+      }
+      q.what = "tag op" + std::to_string(static_cast<int>(q.op)) + " " +
+               q.v.AsStr();
+      queries.push_back(std::move(q));
+      continue;
+    }
+    q.column = cols[c].name;
+    const auto [lo, hi] = RouteDomain(cols[c].shape);
+    auto draw = [&, lo = lo, hi = hi] {
+      return rng.UniformRange(lo - 2, hi + 2);
+    };
+    const uint64_t kind = rng.Uniform(4);
+    if (kind == 0) {
+      q.op = kOps[rng.Uniform(6)];
+      q.v = Value::Int(draw());
+      q.what = q.column + " op" + std::to_string(static_cast<int>(q.op)) +
+               " " + std::to_string(q.v.AsInt());
+    } else {
+      q.range = true;
+      int64_t a = draw(), b = draw();
+      if (a > b) std::swap(a, b);
+      q.lo = Value::Int(a);
+      q.hi = Value::Int(b);
+      q.anti = kind == 2;
+      if (kind == 3) (rng.Uniform(2) == 0 ? q.lo : q.hi) = Value::Nil();
+      q.what = q.column + (q.anti ? " not in [" : " in [") +
+               (q.lo.is_nil() ? "-inf" : std::to_string(a)) + ", " +
+               (q.hi.is_nil() ? "+inf" : std::to_string(b)) + "]";
+    }
+    queries.push_back(std::move(q));
+  }
+  return queries;
+}
+
+/// bind → select over the live candidates → project a PFOR payload
+/// column and, with `project_selected`, the selected column itself.
+std::string RunRoute(Catalog* catalog, const RouteQuery& q,
+                     const parallel::ExecContext& ctx,
+                     bool project_selected = false) {
+  mal::Program p;
+  const int col = p.Bind("routes", q.column);
+  const int cands = p.BindCandidates("routes");
+  const int sel = q.range ? p.RangeSelect(col, cands, q.lo, q.hi, q.anti)
+                          : p.ThetaSelect(col, cands, q.v, q.op);
+  p.Result(p.Project(sel, p.Bind("routes", "rand64")), "rand64");
+  if (project_selected) p.Result(p.Project(sel, col), q.column);
+  mal::Interpreter interp(catalog, nullptr, ctx);
+  auto r = interp.Run(p);
+  EXPECT_TRUE(r.ok()) << q.what << ": " << r.status().ToString();
+  if (!r.ok()) return "";
+  auto payload = EncodeResult(*r);
+  EXPECT_TRUE(payload.ok()) << q.what;
+  return payload.ok() ? *payload : "";
+}
+
+std::vector<uint64_t> KernelStatsSince(const compress::KernelStats& before) {
+  const compress::KernelStats now = compress::GetKernelStats();
+  return {now.selects_direct - before.selects_direct,
+          now.selects_fallback - before.selects_fallback,
+          now.aggrs_direct - before.aggrs_direct,
+          now.aggrs_fallback - before.aggrs_fallback,
+          now.project_bounded - before.project_bounded,
+          now.project_bounded_bytes - before.project_bounded_bytes,
+          now.project_full - before.project_full};
+}
+
+/// Every select route agrees: an uncompressed oracle, the compressed
+/// table with no scheduler, the compressed table through a scheduler at
+/// pools 1 and 4, and the compressed table with a pending INSERT (which
+/// the oracle receives too). Results must be byte-identical on the wire,
+/// and a query's KernelStats delta must not depend on the scheduler. The
+/// stats are process-wide, so every query runs serially.
+TEST(CompressedKernelTest, SeededSelectRoutesAgreeAcrossEngines) {
+  scan::SharedScanConfig config;
+  config.chunk_bytes = kChunk;  // floors every width to one-morsel chunks
+  config.min_share_rows = kChunk;
+  parallel::TaskPool pool1(1), pool4(4);
+  const compress::KernelStats start = compress::GetKernelStats();
+
+  for (uint64_t seed : {1, 2, 3}) {
+    sql::Engine oracle, comp;
+    ASSERT_TRUE(oracle.catalog()->Register(RouteTable(seed)).ok());
+    ASSERT_TRUE(comp.catalog()->Register(RouteTable(seed)).ok());
+    ASSERT_TRUE(comp.Execute("ALTER TABLE routes COMPRESS").ok());
+    const std::vector<RouteQuery> queries = RandomRouteQueries(seed, 40);
+
+    for (const RouteQuery& q : queries) {
+      const std::string want =
+          RunRoute(oracle.catalog(), q, parallel::ExecContext::Serial());
+      compress::KernelStats before = compress::GetKernelStats();
+      EXPECT_EQ(RunRoute(comp.catalog(), q, parallel::ExecContext::Serial()),
+                want)
+          << q.what;
+      const std::vector<uint64_t> unrouted = KernelStatsSince(before);
+      for (parallel::TaskPool* pool : {&pool1, &pool4}) {
+        scan::SharedScanScheduler sched(config);
+        const parallel::ExecContext ctx =
+            parallel::ExecContext(pool).WithSharedScans(&sched);
+        before = compress::GetKernelStats();
+        EXPECT_EQ(RunRoute(comp.catalog(), q, ctx), want)
+            << q.what << " pool " << pool->threads();
+        EXPECT_EQ(KernelStatsSince(before), unrouted)
+            << q.what << " pool " << pool->threads();
+      }
+    }
+
+    const std::string insert =
+        "INSERT INTO routes VALUES (3, 5, 77, 49300, 3, 5, 77, 49300, 't4')";
+    ASSERT_TRUE(oracle.Execute(insert).ok());
+    ASSERT_TRUE(comp.Execute(insert).ok());
+    auto table = comp.catalog()->Get("routes");
+    ASSERT_TRUE(table.ok());
+    ASSERT_EQ((*table)->PendingInsertCount(), 1u);
+    scan::SharedScanScheduler sched(config);
+    const parallel::ExecContext ctx =
+        parallel::ExecContext(&pool4).WithSharedScans(&sched);
+    for (const RouteQuery& q : queries) {
+      const std::string want =
+          RunRoute(oracle.catalog(), q, parallel::ExecContext::Serial());
+      EXPECT_EQ(RunRoute(comp.catalog(), q, parallel::ExecContext::Serial()),
+                want)
+          << q.what << " (pending insert)";
+      EXPECT_EQ(RunRoute(comp.catalog(), q, ctx), want)
+          << q.what << " (pending insert, scheduler)";
+    }
+  }
+  // The mix reached both sides of the route.
+  const std::vector<uint64_t> total = KernelStatsSince(start);
+  EXPECT_GT(total[0], 0u) << "no select ran in code space";
+  EXPECT_GT(total[1], 0u) << "no select decoded";
+}
+
+/// A select that decodes leaves its slot compressed on every route, so a
+/// later projection of the same slot counts the same project stats with
+/// and without a scheduler.
+TEST(CompressedKernelTest, ProjectAfterDecodingSelectCountsAlikeOnEveryRoute) {
+  scan::SharedScanConfig config;
+  config.chunk_bytes = kChunk;
+  config.min_share_rows = kChunk;
+  sql::Engine comp;
+  ASSERT_TRUE(comp.catalog()->Register(RouteTable(1)).ok());
+  ASSERT_TRUE(comp.Execute("ALTER TABLE routes COMPRESS").ok());
+  RouteQuery sorted_range;
+  sorted_range.column = "sorted32";
+  sorted_range.range = true;
+  sorted_range.lo = Value::Int(4000);
+  sorted_range.hi = Value::Int(11000);
+  RouteQuery random_ne;
+  random_ne.column = "rand32";
+  random_ne.v = Value::Int(17);
+  random_ne.op = CmpOp::kNe;
+  for (const RouteQuery& q : {sorted_range, random_ne}) {
+    compress::KernelStats before = compress::GetKernelStats();
+    const std::string want = RunRoute(
+        comp.catalog(), q, parallel::ExecContext::Serial(), true);
+    const std::vector<uint64_t> unrouted = KernelStatsSince(before);
+    EXPECT_EQ(unrouted[1], 1u) << q.column << ": the select decoded";
+    scan::SharedScanScheduler sched(config);
+    before = compress::GetKernelStats();
+    EXPECT_EQ(RunRoute(comp.catalog(), q,
+                       parallel::ExecContext::Serial().WithSharedScans(&sched),
+                       true),
+              want);
+    EXPECT_EQ(KernelStatsSince(before), unrouted) << q.column;
   }
 }
 

@@ -172,8 +172,7 @@ TEST(CompressedQueryTest, SharedScansOverCompressedBitIdenticalAcrossPools) {
     ASSERT_TRUE(engine.Execute("ALTER TABLE events COMPRESS").ok());
 
     scan::SharedScanConfig config;
-    config.chunk_rows = kChunk;
-    config.chunk_bytes = 0;
+    config.chunk_bytes = kChunk;
     config.min_share_rows = kChunk;
     scan::SharedScanScheduler sched(config);
     engine.AttachSharedScans(&sched);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "compress/compressed_kernels.h"
 #include "mal/interpreter.h"
 #include "sql/engine.h"
 
@@ -169,6 +170,33 @@ TEST(RecyclerIntegrationTest, SubsumptionAnswersNarrowerRange) {
   EXPECT_GT(rec.stats().subsumption_hits, subs_before);
 
   // And the subsumed answer matches a recycler-free run.
+  Interpreter plain(catalog.get());
+  auto want = plain.Run(SumWhereK(300, 310));
+  ASSERT_TRUE(want.ok());
+  EXPECT_DOUBLE_EQ(narrow->columns[0]->ValueAt<double>(0),
+                   want->columns[0]->ValueAt<double>(0));
+}
+
+/// A narrower range answered by refining a cached wider one still decodes
+/// a compressed column, and counts that decode as a select fallback like
+/// every other select that decodes.
+TEST(RecyclerIntegrationTest, SubsumedRangeOverCompressedCountsFallback) {
+  auto catalog = BigCatalog();
+  auto t = catalog->Get("facts");
+  ASSERT_TRUE(t.ok());
+  ASSERT_TRUE((*t)->SetCompression(true).ok());
+  ASSERT_NE((*t)->CompressedColumn(0), nullptr);
+  Recycler rec(64 << 20);
+  Interpreter interp(catalog.get(), &rec);
+
+  ASSERT_TRUE(interp.Run(SumWhereK(0, 999)).ok());
+  const uint64_t subs_before = rec.stats().subsumption_hits;
+  const uint64_t fallback_before = compress::GetKernelStats().selects_fallback;
+  auto narrow = interp.Run(SumWhereK(300, 310));
+  ASSERT_TRUE(narrow.ok());
+  ASSERT_GT(rec.stats().subsumption_hits, subs_before);
+  EXPECT_GT(compress::GetKernelStats().selects_fallback, fallback_before);
+
   Interpreter plain(catalog.get());
   auto want = plain.Run(SumWhereK(300, 310));
   ASSERT_TRUE(want.ok());

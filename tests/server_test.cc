@@ -609,7 +609,6 @@ TEST_F(ServerTest, SharedScanSessionsBitIdenticalAcrossPools) {
     ServerConfig config;
     config.threads = threads;
     config.max_sessions = 16;
-    config.shared_scan.chunk_rows = size_t{1} << 16;
     config.shared_scan.min_share_rows = size_t{1} << 16;
     config.port = 0;
     server_ = std::make_unique<Server>(config);

@@ -23,10 +23,10 @@ constexpr size_t kChunk = size_t{1} << 16;  // minimum (one morsel) grain
 
 SharedScanConfig SmallConfig() {
   SharedScanConfig config;
-  config.chunk_rows = kChunk;
-  // These tests assert exact chunk counts at a fixed grain; the
+  // These tests assert exact chunk counts at a fixed grain: one morsel of
+  // bytes floors every column width to one-morsel chunks. The
   // byte-adaptive grain has its own tests below.
-  config.chunk_bytes = 0;
+  config.chunk_bytes = kChunk;
   config.min_share_rows = kChunk;
   return config;
 }
@@ -108,7 +108,7 @@ TEST(SharedScanPolicyTest, LoadsMatchSimulationForSimultaneousMixes) {
         needed[c] = true;
       }
       consumers.push_back(sched.Attach(
-          "t", /*version=*/1, nchunks * kChunk, needed,
+          "t", /*version=*/1, nchunks * kChunk, kChunk, needed,
           [&got, q](size_t chunk, size_t, size_t, const ChunkBuffer&,
                     const parallel::ExecContext&) {
             got[q].insert(chunk);
@@ -146,13 +146,13 @@ TEST(SharedScanPolicyTest, LateAttachCirclesBackLikeSimulation) {
   SharedScanScheduler::Consumer* second = nullptr;
   size_t deliveries = 0;
   auto* first = sched.Attach(
-      "t", 1, nchunks * kChunk, {},
+      "t", 1, nchunks * kChunk, kChunk, {},
       [&](size_t chunk, size_t, size_t, const ChunkBuffer&,
           const parallel::ExecContext&) {
         first_got.insert(chunk);
         if (++deliveries == kMissed) {
           // Mid-pass arrival: joins for the remaining chunks.
-          second = sched.Attach("t", 1, nchunks * kChunk, {},
+          second = sched.Attach("t", 1, nchunks * kChunk, kChunk, {},
                                 [&](size_t c, size_t, size_t,
                                     const ChunkBuffer&,
                                     const parallel::ExecContext&) {
@@ -184,26 +184,28 @@ TEST(SharedScanPolicyTest, LateAttachCirclesBackLikeSimulation) {
   EXPECT_EQ(sim.chunk_loads, sched.stats().chunks_loaded);
 }
 
-/// A mismatched pass shape (different table version) refuses the attach
-/// instead of mixing rows from different snapshots.
+/// A mismatched pass shape (table version, row count or chunk grain)
+/// refuses the attach instead of mixing rows from different snapshots.
 TEST(SharedScanPolicyTest, AttachRejectsMismatchedShape) {
   SharedScanScheduler sched(SmallConfig());
   auto ok = [](size_t, size_t, size_t, const ChunkBuffer&,
                const parallel::ExecContext&) {
     return Status::OK();
   };
-  auto* a = sched.Attach("t", 1, 4 * kChunk, {}, ok);
+  auto* a = sched.Attach("t", 1, 4 * kChunk, kChunk, {}, ok);
   ASSERT_NE(a, nullptr);
-  EXPECT_EQ(sched.Attach("t", 2, 4 * kChunk, {}, ok), nullptr);
-  EXPECT_EQ(sched.Attach("t", 1, 5 * kChunk, {}, ok), nullptr);
-  auto* b = sched.Attach("t", 1, 4 * kChunk, {}, ok);  // same shape: fine
+  EXPECT_EQ(sched.Attach("t", 2, 4 * kChunk, kChunk, {}, ok), nullptr);
+  EXPECT_EQ(sched.Attach("t", 1, 5 * kChunk, kChunk, {}, ok), nullptr);
+  EXPECT_EQ(sched.Attach("t", 1, 4 * kChunk, 2 * kChunk, {}, ok), nullptr);
+  // Same shape: fine.
+  auto* b = sched.Attach("t", 1, 4 * kChunk, kChunk, {}, ok);
   ASSERT_NE(b, nullptr);
   EXPECT_EQ(sched.ActiveScans("t"), 2u);
   EXPECT_TRUE(sched.Drain(a, parallel::ExecContext::Serial()).ok());
   EXPECT_TRUE(sched.Drain(b, parallel::ExecContext::Serial()).ok());
   EXPECT_EQ(sched.ActiveScans("t"), 0u);
   // Idle group: a new shape may start a fresh pass.
-  auto* c = sched.Attach("t", 2, 6 * kChunk, {}, ok);
+  auto* c = sched.Attach("t", 2, 6 * kChunk, kChunk, {}, ok);
   ASSERT_NE(c, nullptr);
   EXPECT_TRUE(sched.Drain(c, parallel::ExecContext::Serial()).ok());
 }
@@ -217,9 +219,8 @@ class BusyGroup {
   BusyGroup(SharedScanScheduler* sched, const std::string& table,
             uint64_t version, size_t nrows)
       : sched_(sched) {
-    const size_t nchunks =
-        (nrows + sched->chunk_rows() - 1) / sched->chunk_rows();
-    holder_ = sched->Attach(table, version, nrows,
+    const size_t nchunks = (nrows + kChunk - 1) / kChunk;
+    holder_ = sched->Attach(table, version, nrows, kChunk,
                             std::vector<bool>(nchunks, false),
                             [](size_t, size_t, size_t, const ChunkBuffer&,
                                const parallel::ExecContext&) {
@@ -269,15 +270,16 @@ TEST(SharedScanSelectTest, SharedSelectBitIdenticalToKernel) {
     ASSERT_TRUE(want.ok()) << c.what;
 
     // Direct route (group idle).
-    auto direct = sched.Select(col, "t", "v", version, c.pred,
-                               parallel::ExecContext::Serial());
+    auto direct = sched.Select(ColumnSource::Plain(col), "t", "v", version,
+                               c.pred, parallel::ExecContext::Serial());
     ASSERT_TRUE(direct.ok()) << c.what;
     ExpectBitIdentical(*direct, *want);
 
     // Shared route (group held busy).
     {
       BusyGroup busy(&sched, "t", version, n);
-      auto shared = sched.Select(col, "t", "v", version, c.pred,
+      auto shared = sched.Select(ColumnSource::Plain(col), "t", "v",
+                                 version, c.pred,
                                  parallel::ExecContext::Serial());
       ASSERT_TRUE(shared.ok()) << c.what;
       ExpectBitIdentical(*shared, *want);
@@ -303,7 +305,8 @@ TEST(SharedScanSelectTest, ZoneMapSkipsProvablyEmptyChunks) {
 
   BusyGroup busy(&sched, "t", 1, n);
   auto shared =
-      sched.Select(col, "t", "v", 1, pred, parallel::ExecContext::Serial());
+      sched.Select(ColumnSource::Plain(col), "t", "v", 1, pred,
+                   parallel::ExecContext::Serial());
   ASSERT_TRUE(shared.ok());
   ExpectBitIdentical(*shared, *want);
   EXPECT_EQ((*shared)->Count(), 11u);  // values 10..20 live in chunk 0
@@ -316,7 +319,7 @@ TEST(SharedScanSelectTest, IneligibleColumnsTakeKernelPath) {
   SharedScanScheduler sched(SmallConfig());
   // Short column: correct result, no registration at all.
   const BatPtr tiny = RandomColumn(1000, 7, 100);
-  auto r = sched.Select(tiny, "t", "v", 1,
+  auto r = sched.Select(ColumnSource::Plain(tiny), "t", "v", 1,
                         ScanPredicate::Theta(Value::Int(50), CmpOp::kLt),
                         parallel::ExecContext::Serial());
   ASSERT_TRUE(r.ok());
@@ -362,7 +365,7 @@ TEST(SharedScanSelectTest, ConcurrentSelectsBitIdenticalAcrossPools) {
         for (int round = 0; round < 3; ++round) {
           const size_t q = (t + round) % queries.size();
           auto r = sched.Select(
-              col, "t", "v", 1,
+              ColumnSource::Plain(col), "t", "v", 1,
               ScanPredicate::Range(Value::Int(queries[q].lo),
                                    Value::Int(queries[q].hi), false),
               ctx);
@@ -620,7 +623,7 @@ TEST(SharedScanEngineTest, RecyclerApiThreadSafe) {
 // --------------------------------------------- byte-adaptive chunking --
 
 /// The pass grain derives from chunk_bytes / width, morsel-aligned with a
-/// one-morsel floor; chunk_bytes = 0 falls back to the fixed row grain.
+/// one-morsel floor.
 TEST(SharedScanAdaptiveTest, RowsPerChunkScalesWithValueWidth) {
   SharedScanConfig config;  // default: chunk_bytes = 1 MiB
   SharedScanScheduler sched(config);
@@ -631,13 +634,6 @@ TEST(SharedScanAdaptiveTest, RowsPerChunkScalesWithValueWidth) {
   EXPECT_EQ(sched.RowsPerChunk(size_t{1} << 10), size_t{1} << 16);
   // Non-power-of-two widths still come out morsel-aligned.
   EXPECT_EQ(sched.RowsPerChunk(3) % (size_t{1} << 16), 0u);
-
-  SharedScanConfig fixed;
-  fixed.chunk_bytes = 0;
-  fixed.chunk_rows = 3 * kChunk;
-  SharedScanScheduler fsched(fixed);
-  EXPECT_EQ(fsched.RowsPerChunk(8), 3 * kChunk);
-  EXPECT_EQ(fsched.RowsPerChunk(4), 3 * kChunk);
 }
 
 /// An int64 pass sweeps half the rows per chunk of an int32 pass (equal
@@ -651,7 +647,8 @@ TEST(SharedScanAdaptiveTest, PassGrainFollowsColumnWidth) {
   const auto pred = ScanPredicate::Theta(Value::Int(500), CmpOp::kLt);
 
   auto got =
-      sched.Select(col64, "t", "v", 1, pred, parallel::ExecContext::Serial());
+      sched.Select(ColumnSource::Plain(col64), "t", "v", 1, pred,
+                   parallel::ExecContext::Serial());
   ASSERT_TRUE(got.ok());
   const auto want = algebra::ThetaSelect(col64, nullptr, pred.v, pred.op,
                                          parallel::ExecContext::Serial());
@@ -673,17 +670,17 @@ TEST(SharedScanAdaptiveTest, JoinerAdoptsPassGrain) {
   // Pin a pass at the one-morsel grain via the low-level protocol...
   const size_t pinned = kChunk;
   auto* holder = sched.Attach(
-      "t", 1, n, std::vector<bool>(n / pinned, false),
+      "t", 1, n, pinned, std::vector<bool>(n / pinned, false),
       [](size_t, size_t, size_t, const ChunkBuffer&,
          const parallel::ExecContext&) {
         return Status::OK();
-      },
-      pinned);
+      });
   ASSERT_NE(holder, nullptr);
 
   // ...then a routed Select must join it at that grain, not its own.
   auto got =
-      sched.Select(col, "t", "v", 1, pred, parallel::ExecContext::Serial());
+      sched.Select(ColumnSource::Plain(col), "t", "v", 1, pred,
+                   parallel::ExecContext::Serial());
   ASSERT_TRUE(got.ok());
   EXPECT_TRUE(sched.Drain(holder, parallel::ExecContext::Serial()).ok());
 
