@@ -57,9 +57,12 @@ std::vector<int32_t> LowCardinalityData() {
                               b->TailData<int32_t>() + kValues);
 }
 
-template <typename EncodeFn, typename DecodeFn>
+/// The codec entry points are templates over the value width; the
+/// function-pointer parameters pick their int32 instantiations.
 void RunCodec(benchmark::State& state, const std::vector<int32_t>& data,
-              EncodeFn encode, DecodeFn decode) {
+              Status (*encode)(const int32_t*, size_t, std::vector<uint8_t>*),
+              Status (*decode)(const std::vector<uint8_t>&,
+                               std::vector<int32_t>*)) {
   std::vector<uint8_t> buf;
   if (!encode(data.data(), data.size(), &buf).ok()) {
     state.SkipWithError("encode failed");

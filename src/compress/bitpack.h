@@ -3,41 +3,61 @@
 
 #include <cstdint>
 #include <cstring>
+#include <type_traits>
 #include <vector>
 
 namespace mammoth::compress {
 
+/// Bytes PackBits will produce for (n, bits).
+inline size_t PackedBytes(size_t n, int bits) {
+  return (n * static_cast<size_t>(bits) + 7) / 8;
+}
+
 /// Width-parameterized bit packing: the workhorse under PFOR and PDICT
 /// (§5, [44]). Packs `n` values of `bits` significant bits each into a
-/// little-endian bit stream. `bits` in [0, 32]; bits == 0 encodes a stream
-/// of zeros in zero bytes.
-inline void PackBits(const uint32_t* values, size_t n, int bits,
+/// little-endian bit stream; `U` is uint32_t (bits in [0, 32]) or uint64_t
+/// (bits in [0, 64]), and every value must fit in `bits`. bits == 0
+/// encodes a stream of zeros in zero bytes.
+///
+/// Each value is OR-ed in through one unaligned u64 window. A 64-bit value
+/// can straddle that window (`bitpos % 8 + bits > 64`), so for uint64_t
+/// the ninth byte is spilled explicitly; 32-bit values never straddle and
+/// compile without the spill.
+template <typename U>
+inline void PackBits(const U* values, size_t n, int bits,
                      std::vector<uint8_t>* out) {
+  static_assert(std::is_same_v<U, uint32_t> || std::is_same_v<U, uint64_t>);
   if (bits == 0) return;
   const size_t start = out->size();
-  out->resize(start + (n * bits + 7) / 8 + 8, 0);  // +8 slack for u64 writes
+  out->resize(start + PackedBytes(n, bits) + 16, 0);  // slack for u64 writes
   uint8_t* base = out->data() + start;
   for (size_t i = 0; i < n; ++i) {
     const size_t bitpos = i * bits;
+    const int shift = static_cast<int>(bitpos % 8);
     uint64_t word;
     std::memcpy(&word, base + bitpos / 8, sizeof(word));
-    word |= static_cast<uint64_t>(values[i]) << (bitpos % 8);
+    word |= static_cast<uint64_t>(values[i]) << shift;
     std::memcpy(base + bitpos / 8, &word, sizeof(word));
+    if constexpr (sizeof(U) == 8) {
+      if (shift + bits > 64) {
+        base[bitpos / 8 + 8] |= static_cast<uint8_t>(values[i] >> (64 - shift));
+      }
+    }
   }
-  out->resize(start + (n * bits + 7) / 8);
+  out->resize(start + PackedBytes(n, bits));
 }
 
 /// Unpacks `n` values of `bits` bits each. The source buffer must be
-/// readable up to 8 bytes past the last touched bit (callers append blocks
-/// into one buffer, so slack is naturally present; the final block's
-/// decoder copies into a padded scratch first).
+/// readable up to 8 bytes (uint64_t: 9 bytes) past the last touched bit;
+/// every encoder appends that much slack after its packed stream.
 ///
 /// This is the hot loop the "<5 cycles per value" claim is about: one
 /// unaligned load, one shift, one mask per value.
-inline void UnpackBits(const uint8_t* src, size_t n, int bits,
-                       uint32_t* out) {
+template <typename U>
+inline void UnpackBits(const uint8_t* src, size_t n, int bits, U* out) {
+  static_assert(std::is_same_v<U, uint32_t> || std::is_same_v<U, uint64_t>);
   if (bits == 0) {
-    std::memset(out, 0, n * sizeof(uint32_t));
+    std::memset(out, 0, n * sizeof(U));
     return;
   }
   const uint64_t mask =
@@ -46,64 +66,14 @@ inline void UnpackBits(const uint8_t* src, size_t n, int bits,
     const size_t bitpos = i * bits;
     uint64_t word;
     std::memcpy(&word, src + bitpos / 8, sizeof(word));
-    out[i] = static_cast<uint32_t>((word >> (bitpos % 8)) & mask);
-  }
-}
-
-/// Bytes PackBits will produce for (n, bits).
-inline size_t PackedBytes(size_t n, int bits) {
-  return (n * static_cast<size_t>(bits) + 7) / 8;
-}
-
-/// 64-bit variant: packs `n` values of `bits` significant bits each,
-/// `bits` in [0, 64]. A value can straddle the 8-byte window a single
-/// unaligned u64 access covers, so writes and reads spill the ninth byte
-/// explicitly when `bitpos % 8 + bits > 64`.
-inline void PackBits64(const uint64_t* values, size_t n, int bits,
-                       std::vector<uint8_t>* out) {
-  if (bits == 0) return;
-  const size_t start = out->size();
-  out->resize(start + (n * bits + 7) / 8 + 16, 0);  // +16 slack for u64 writes
-  uint8_t* base = out->data() + start;
-  for (size_t i = 0; i < n; ++i) {
-    const size_t bitpos = i * static_cast<size_t>(bits);
-    const size_t byte = bitpos / 8;
-    const int shift = static_cast<int>(bitpos % 8);
-    const uint64_t v =
-        bits == 64 ? values[i]
-                   : values[i] & ((uint64_t{1} << bits) - 1);
-    uint64_t word;
-    std::memcpy(&word, base + byte, sizeof(word));
-    word |= v << shift;
-    std::memcpy(base + byte, &word, sizeof(word));
-    if (shift + bits > 64) {
-      base[byte + 8] |= static_cast<uint8_t>(v >> (64 - shift));
+    uint64_t v = word >> (bitpos % 8);
+    if constexpr (sizeof(U) == 8) {
+      const int shift = static_cast<int>(bitpos % 8);
+      if (shift + bits > 64) {
+        v |= static_cast<uint64_t>(src[bitpos / 8 + 8]) << (64 - shift);
+      }
     }
-  }
-  out->resize(start + (n * bits + 7) / 8);
-}
-
-/// Unpacks `n` values of `bits` (in [0, 64]) bits each; the source must be
-/// readable 9 bytes past the last touched bit (encoders leave slack).
-inline void UnpackBits64(const uint8_t* src, size_t n, int bits,
-                         uint64_t* out) {
-  if (bits == 0) {
-    std::memset(out, 0, n * sizeof(uint64_t));
-    return;
-  }
-  const uint64_t mask =
-      bits == 64 ? ~uint64_t{0} : ((uint64_t{1} << bits) - 1);
-  for (size_t i = 0; i < n; ++i) {
-    const size_t bitpos = i * static_cast<size_t>(bits);
-    const size_t byte = bitpos / 8;
-    const int shift = static_cast<int>(bitpos % 8);
-    uint64_t word;
-    std::memcpy(&word, src + byte, sizeof(word));
-    uint64_t v = word >> shift;
-    if (shift + bits > 64) {
-      v |= static_cast<uint64_t>(src[byte + 8]) << (64 - shift);
-    }
-    out[i] = v & mask;
+    out[i] = static_cast<U>(v & mask);
   }
 }
 

@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <cstring>
+#include <type_traits>
 
+#include "compress/bitpack.h"
 #include "compress/pdict.h"
 #include "compress/pfor.h"
-#include "compress/pfor64.h"
 #include "compress/rle.h"
 
 namespace mammoth::compress {
@@ -55,6 +56,48 @@ struct ByteReader {
 
 constexpr uint32_t kCbatMagic = 0x31544243;  // "CBT1"
 
+/// Calls fn with a zero of the column's value type: the one place each
+/// CompressedBat body branches on the width.
+template <typename Fn>
+auto VisitWidth(PhysType t, Fn&& fn) {
+  return t == PhysType::kInt32 ? fn(int32_t{0}) : fn(int64_t{0});
+}
+
+/// Magic a `codec` stream over T opens with; 0 when there is no such codec.
+template <typename T>
+uint32_t StreamMagic(Codec codec) {
+  switch (codec) {
+    case Codec::kPfor:
+      return PforTraits<T>::kMagic;
+    case Codec::kPforDelta:
+      return PforTraits<T>::kDeltaMagic;
+    case Codec::kPdict:
+      return std::is_same_v<T, int32_t> ? kPdictMagic : 0;
+    case Codec::kRle:
+      return kRleMagic<T>;
+  }
+  return 0;
+}
+
+/// The compressed kernels index per-code tables with raw codes, so every
+/// code of an `n`-row column must name a dictionary entry.
+Status CheckCodes(const CompressedBat::DictView& view, size_t n) {
+  if (view.bits < 32 && (uint64_t{1} << view.bits) <= view.dsize) {
+    return Status::OK();  // every representable code is in range
+  }
+  constexpr size_t kBatch = 4096;  // a multiple of 8: byte-aligned batches
+  uint32_t codes[kBatch];
+  for (size_t base = 0; base < n; base += kBatch) {
+    const size_t m = std::min(kBatch, n - base);
+    UnpackBits(view.codes + base * view.bits / 8, m,
+               static_cast<int>(view.bits), codes);
+    if (*std::max_element(codes, codes + m) >= view.dsize) {
+      return Status::IOError("pdict: code beyond dictionary");
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 const char* CodecName(Codec c) {
@@ -88,46 +131,32 @@ Result<CompressedBat> CompressedBat::Compress(const BatPtr& b, Codec codec) {
   out.type_ = b->type();
   out.count_ = b->Count();
   out.props_ = b->props();
-  if (out.type_ == PhysType::kInt32) {
-    const int32_t* v = b->TailData<int32_t>();
+  MAMMOTH_RETURN_IF_ERROR(VisitWidth(out.type_, [&](auto zero) -> Status {
+    using T = decltype(zero);
+    const T* v = b->TailData<T>();
     switch (codec) {
       case Codec::kPfor: {
         MAMMOTH_RETURN_IF_ERROR(PforEncode(v, out.count_, &out.bytes_));
         MAMMOTH_ASSIGN_OR_RETURN(out.block_index_,
-                                 PforBuildBlockIndex(out.bytes_));
+                                 PforBuildBlockIndex<T>(out.bytes_));
         break;
       }
       case Codec::kPforDelta:
         MAMMOTH_RETURN_IF_ERROR(PforDeltaEncode(v, out.count_, &out.bytes_));
         break;
       case Codec::kPdict:
-        MAMMOTH_RETURN_IF_ERROR(PdictEncode(v, out.count_, &out.bytes_));
-        break;
+        if constexpr (std::is_same_v<T, int32_t>) {
+          MAMMOTH_RETURN_IF_ERROR(PdictEncode(v, out.count_, &out.bytes_));
+          break;
+        }
+        return Status::Unsupported("compress: pdict has no int64 variant");
       case Codec::kRle:
         MAMMOTH_RETURN_IF_ERROR(RleEncode(v, out.count_, &out.bytes_));
         break;
     }
     BlockStats(v, out.count_, &out.stat_min_, &out.stat_max_);
-  } else {
-    const int64_t* v = b->TailData<int64_t>();
-    switch (codec) {
-      case Codec::kPfor: {
-        MAMMOTH_RETURN_IF_ERROR(Pfor64Encode(v, out.count_, &out.bytes_));
-        MAMMOTH_ASSIGN_OR_RETURN(out.block_index_,
-                                 Pfor64BuildBlockIndex(out.bytes_));
-        break;
-      }
-      case Codec::kPforDelta:
-        MAMMOTH_RETURN_IF_ERROR(Pfor64DeltaEncode(v, out.count_, &out.bytes_));
-        break;
-      case Codec::kPdict:
-        return Status::Unsupported("compress: pdict has no int64 variant");
-      case Codec::kRle:
-        MAMMOTH_RETURN_IF_ERROR(Rle64Encode(v, out.count_, &out.bytes_));
-        break;
-    }
-    BlockStats(v, out.count_, &out.stat_min_, &out.stat_max_);
-  }
+    return Status::OK();
+  }));
   return out;
 }
 
@@ -155,8 +184,9 @@ Result<CompressedBat> CompressedBat::CompressBest(const BatPtr& b) {
 
 Result<BatPtr> CompressedBat::Decode() const {
   BatPtr b = Bat::New(type_);
-  if (type_ == PhysType::kInt32) {
-    std::vector<int32_t> values;
+  MAMMOTH_RETURN_IF_ERROR(VisitWidth(type_, [&](auto zero) -> Status {
+    using T = decltype(zero);
+    std::vector<T> values;
     switch (codec_) {
       case Codec::kPfor:
         MAMMOTH_RETURN_IF_ERROR(PforDecode(bytes_, &values));
@@ -165,8 +195,11 @@ Result<BatPtr> CompressedBat::Decode() const {
         MAMMOTH_RETURN_IF_ERROR(PforDeltaDecode(bytes_, &values));
         break;
       case Codec::kPdict:
-        MAMMOTH_RETURN_IF_ERROR(PdictDecode(bytes_, &values));
-        break;
+        if constexpr (std::is_same_v<T, int32_t>) {
+          MAMMOTH_RETURN_IF_ERROR(PdictDecode(bytes_, &values));
+          break;
+        }
+        return Status::Unsupported("compress: pdict has no int64 variant");
       case Codec::kRle:
         MAMMOTH_RETURN_IF_ERROR(RleDecode(bytes_, &values));
         break;
@@ -175,26 +208,8 @@ Result<BatPtr> CompressedBat::Decode() const {
       return Status::Corruption("compressed bat: count drifted on decode");
     }
     b->AppendRaw(values.data(), values.size());
-  } else {
-    std::vector<int64_t> values;
-    switch (codec_) {
-      case Codec::kPfor:
-        MAMMOTH_RETURN_IF_ERROR(Pfor64Decode(bytes_, &values));
-        break;
-      case Codec::kPforDelta:
-        MAMMOTH_RETURN_IF_ERROR(Pfor64DeltaDecode(bytes_, &values));
-        break;
-      case Codec::kPdict:
-        return Status::Unsupported("compress: pdict has no int64 variant");
-      case Codec::kRle:
-        MAMMOTH_RETURN_IF_ERROR(Rle64Decode(bytes_, &values));
-        break;
-    }
-    if (values.size() != count_) {
-      return Status::Corruption("compressed bat: count drifted on decode");
-    }
-    b->AppendRaw(values.data(), values.size());
-  }
+    return Status::OK();
+  }));
   b->mutable_props() = props_;
   return b;
 }
@@ -219,41 +234,16 @@ Result<const CompressedBat::RleRuns*> CompressedBat::RunsView() const {
   std::call_once(runs_cache_->once, [this] {
     // Walk the (value, run) pairs once; the view replaces O(rows) decodes
     // with O(runs) folds in the compressed kernels.
-    const std::vector<uint8_t>& in = bytes_;
-    const size_t vw = type_ == PhysType::kInt32 ? 4 : 8;
-    if (in.size() < 8) {
-      runs_cache_->status = Status::IOError("rle: truncated header");
-      return;
-    }
-    uint32_t count = 0;
-    std::memcpy(&count, in.data() + 4, 4);
     RleRuns& runs = runs_cache_->runs;
     uint64_t row = 0;
-    size_t off = 8;
-    while (row < count) {
-      if (off + vw + 4 > in.size()) {
-        runs_cache_->status = Status::IOError("rle: truncated run");
-        return;
-      }
-      int64_t v = 0;
-      if (vw == 4) {
-        int32_t v32;
-        std::memcpy(&v32, in.data() + off, 4);
-        v = v32;
-      } else {
-        std::memcpy(&v, in.data() + off, 8);
-      }
-      uint32_t run = 0;
-      std::memcpy(&run, in.data() + off + vw, 4);
-      off += vw + 4;
-      if (row + run > count) {
-        runs_cache_->status = Status::IOError("rle: run overflow");
-        return;
-      }
-      runs.values.push_back(v);
-      runs.starts.push_back(row);
-      row += run;
-    }
+    runs_cache_->status = VisitWidth(type_, [&](auto zero) {
+      using T = decltype(zero);
+      return RleForEachRun<T>(bytes_, [&](T v, uint32_t run) {
+        runs.values.push_back(v);
+        runs.starts.push_back(row);
+        row += run;
+      });
+    });
     runs.starts.push_back(row);
   });
   MAMMOTH_RETURN_IF_ERROR(runs_cache_->status);
@@ -271,11 +261,15 @@ Result<CompressedBat::DictView> CompressedBat::PdictView() const {
   std::memcpy(&count, bytes_.data() + 4, 4);
   std::memcpy(&view.dsize, bytes_.data() + 8, 4);
   std::memcpy(&view.bits, bytes_.data() + 12, 4);
-  if (magic != 0x31434450 || count != count_ || view.bits > 32) {
+  if (magic != kPdictMagic || count != count_ || view.bits > 32) {
     return Status::IOError("pdict: bad header");
   }
   const size_t dict_end = 16 + static_cast<size_t>(view.dsize) * 4;
-  if (bytes_.size() < dict_end) return Status::IOError("pdict: truncated");
+  // +8: code unpacking issues 8-byte loads into the encoder's slack.
+  if (bytes_.size() <
+      dict_end + PackedBytes(count_, static_cast<int>(view.bits)) + 8) {
+    return Status::IOError("pdict: truncated");
+  }
   view.dict = reinterpret_cast<const int32_t*>(bytes_.data() + 16);
   view.codes = bytes_.data() + dict_end;
   view.sorted = std::is_sorted(view.dict, view.dict + view.dsize);
@@ -292,26 +286,7 @@ Status CompressedBat::DecodeRange(size_t start, size_t n,
   if (type_ != PhysType::kInt32) {
     return Status::TypeMismatch("decode range: column is not bat[:int]");
   }
-  if (n == 0) return Status::OK();  // empty range: no-op at any start
-  if (start >= count_ || n > count_ - start) {
-    return Status::OutOfRange("decode range beyond column");
-  }
-  switch (codec_) {
-    case Codec::kPfor:
-      return PforDecodeRangeIndexed(bytes_, block_index_, start, n, out);
-    case Codec::kPdict:
-      return PdictDecodeRange(bytes_, start, n, out);
-    case Codec::kPforDelta:
-    case Codec::kRle: {
-      // No random access (running prefix / variable-length runs): decode
-      // once into the shared cache and serve ranges from it.
-      MAMMOTH_RETURN_IF_ERROR(FillCache());
-      std::memcpy(out, cache_->bat->TailData<int32_t>() + start,
-                  n * sizeof(int32_t));
-      return Status::OK();
-    }
-  }
-  return Status::Internal("unreachable");
+  return DecodeRangeRaw(start, n, out);
 }
 
 Status CompressedBat::DecodeRange(size_t start, size_t n,
@@ -319,31 +294,35 @@ Status CompressedBat::DecodeRange(size_t start, size_t n,
   if (type_ != PhysType::kInt64) {
     return Status::TypeMismatch("decode range: column is not bat[:long]");
   }
+  return DecodeRangeRaw(start, n, out);
+}
+
+Status CompressedBat::DecodeRangeRaw(size_t start, size_t n,
+                                     void* out) const {
   if (n == 0) return Status::OK();  // empty range: no-op at any start
   if (start >= count_ || n > count_ - start) {
     return Status::OutOfRange("decode range beyond column");
   }
   switch (codec_) {
     case Codec::kPfor:
-      return Pfor64DecodeRangeIndexed(bytes_, block_index_, start, n, out);
-    case Codec::kPdict:
-      return Status::Unsupported("compress: pdict has no int64 variant");
+      return VisitWidth(type_, [&](auto zero) {
+        using T = decltype(zero);
+        return PforDecodeRangeIndexed(bytes_, block_index_, start, n,
+                                      static_cast<T*>(out));
+      });
+    case Codec::kPdict:  // int32 only: Compress and Deserialize refuse int64
+      return PdictDecodeRange(bytes_, start, n, static_cast<int32_t*>(out));
     case Codec::kPforDelta:
     case Codec::kRle: {
+      // No random access (running prefix / variable-length runs): decode
+      // once into the shared cache and serve ranges from it.
       MAMMOTH_RETURN_IF_ERROR(FillCache());
-      std::memcpy(out, cache_->bat->TailData<int64_t>() + start,
-                  n * sizeof(int64_t));
+      std::memcpy(out, cache_->bat->TailData<uint8_t>() + start * width(),
+                  n * width());
       return Status::OK();
     }
   }
   return Status::Internal("unreachable");
-}
-
-Status CompressedBat::DecodeRangeRaw(size_t start, size_t n,
-                                     void* out) const {
-  return type_ == PhysType::kInt32
-             ? DecodeRange(start, n, static_cast<int32_t*>(out))
-             : DecodeRange(start, n, static_cast<int64_t*>(out));
 }
 
 void CompressedBat::Serialize(std::string* out) const {
@@ -407,18 +386,50 @@ Result<CompressedBat> CompressedBat::Deserialize(std::string_view in) {
     return Status::Corruption("compressed bat: truncated stream");
   }
   out.bytes_.assign(r.p, r.p + stream_bytes);
-  MAMMOTH_RETURN_IF_ERROR(out.RebuildIndexes());
+  MAMMOTH_RETURN_IF_ERROR(out.CheckStream());
   return out;
 }
 
-Status CompressedBat::RebuildIndexes() {
-  if (codec_ != Codec::kPfor) return Status::OK();
-  if (type_ == PhysType::kInt32) {
-    MAMMOTH_ASSIGN_OR_RETURN(block_index_, PforBuildBlockIndex(bytes_));
-  } else {
-    MAMMOTH_ASSIGN_OR_RETURN(block_index_, Pfor64BuildBlockIndex(bytes_));
-  }
-  return Status::OK();
+Status CompressedBat::CheckStream() {
+  return VisitWidth(type_, [this](auto zero) -> Status {
+    using T = decltype(zero);
+    // Every codec stream opens with (u32 magic, u32 count).
+    uint32_t magic = 0, count = 0;
+    if (bytes_.size() >= 8) {
+      std::memcpy(&magic, bytes_.data(), 4);
+      std::memcpy(&count, bytes_.data() + 4, 4);
+    }
+    const uint32_t want = StreamMagic<T>(codec_);
+    if (want == 0 || magic != want) {
+      return Status::Corruption(
+          "compressed bat: stream does not match codec and type");
+    }
+    if (count != count_) {
+      return Status::Corruption("compressed bat: stream count mismatch");
+    }
+    Status st = Status::OK();
+    switch (codec_) {
+      case Codec::kPfor:
+      case Codec::kPforDelta: {
+        Result<std::vector<uint32_t>> index = PforBuildBlockIndex<T>(bytes_);
+        st = index.status();
+        if (index.ok() && codec_ == Codec::kPfor) {
+          block_index_ = *std::move(index);
+        }
+        break;
+      }
+      case Codec::kPdict: {
+        Result<DictView> view = PdictView();
+        st = view.ok() ? CheckCodes(*view, count_) : view.status();
+        break;
+      }
+      case Codec::kRle:
+        st = RleForEachRun<T>(bytes_, [](T, uint32_t) {});
+        break;
+    }
+    if (st.ok()) return st;
+    return Status::Corruption("compressed bat: " + st.message());
+  });
 }
 
 }  // namespace mammoth::compress

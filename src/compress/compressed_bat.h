@@ -132,6 +132,13 @@ class CompressedBat {
   /// Self-describing byte image (codec, type, props, stats, stream); the
   /// catalog snapshot writes one per compressed column.
   void Serialize(std::string* out) const;
+  /// Images come from disk at recovery and from a primary at replica
+  /// bootstrap, with no checksum over them, so the stream is validated
+  /// once here and anything the kernels cannot handle is kCorruption: the
+  /// stream magic must match the codec and type, the stream count the
+  /// header count, PFOR blocks must lie inside the stream, PDICT codes
+  /// must be packed in full and name dictionary entries, and RLE runs
+  /// must add up to the count.
   static Result<CompressedBat> Deserialize(std::string_view in);
 
  private:
@@ -154,7 +161,9 @@ class CompressedBat {
   };
 
   Status FillCache() const;
-  Status RebuildIndexes();
+  /// Load-time check that the stream is one the kernels can run on (see
+  /// Deserialize); also rebuilds the PFOR block index.
+  Status CheckStream();
 
   Codec codec_ = Codec::kPfor;
   PhysType type_ = PhysType::kInt32;

@@ -9,12 +9,6 @@
 
 namespace mammoth::compress {
 
-namespace {
-
-constexpr uint32_t kMagic = 0x31434450;  // "PDC1"
-
-}  // namespace
-
 Status PdictEncode(const int32_t* values, size_t n,
                    std::vector<uint8_t>* out) {
   std::unordered_map<int32_t, uint32_t> dict;
@@ -56,8 +50,8 @@ Status PdictEncode(const int32_t* values, size_t n,
   const uint32_t count = static_cast<uint32_t>(n);
   const uint32_t dsize = static_cast<uint32_t>(dict_values.size());
   const uint32_t bits32 = static_cast<uint32_t>(bits);
-  out->insert(out->end(), reinterpret_cast<const uint8_t*>(&kMagic),
-              reinterpret_cast<const uint8_t*>(&kMagic) + 4);
+  out->insert(out->end(), reinterpret_cast<const uint8_t*>(&kPdictMagic),
+              reinterpret_cast<const uint8_t*>(&kPdictMagic) + 4);
   out->insert(out->end(), reinterpret_cast<const uint8_t*>(&count),
               reinterpret_cast<const uint8_t*>(&count) + 4);
   out->insert(out->end(), reinterpret_cast<const uint8_t*>(&dsize),
@@ -81,7 +75,7 @@ Status PdictDecodeRange(const std::vector<uint8_t>& in, size_t start,
   std::memcpy(&count, in.data() + 4, 4);
   std::memcpy(&dsize, in.data() + 8, 4);
   std::memcpy(&bits, in.data() + 12, 4);
-  if (magic != kMagic) return Status::IOError("pdict: bad magic");
+  if (magic != kPdictMagic) return Status::IOError("pdict: bad magic");
   if (bits > 32) return Status::IOError("pdict: bad code width");
   if (start + n > count) {
     return Status::OutOfRange("pdict: range beyond column");
@@ -119,7 +113,7 @@ Status PdictDecode(const std::vector<uint8_t>& in,
   std::memcpy(&count, in.data() + 4, 4);
   std::memcpy(&dsize, in.data() + 8, 4);
   std::memcpy(&bits, in.data() + 12, 4);
-  if (magic != kMagic) return Status::IOError("pdict: bad magic");
+  if (magic != kPdictMagic) return Status::IOError("pdict: bad magic");
   if (bits > 32) return Status::IOError("pdict: bad code width");
   if (count > (1u << 28)) return Status::IOError("pdict: implausible count");
   const size_t dict_end = 16 + static_cast<size_t>(dsize) * 4;

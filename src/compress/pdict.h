@@ -8,6 +8,10 @@
 
 namespace mammoth::compress {
 
+/// Magic opening every PdictEncode stream: (u32 magic, u32 count, u32
+/// dsize, u32 bits), the int32 dictionary, then the bit-packed codes.
+inline constexpr uint32_t kPdictMagic = 0x31434450;  // "PDC1"
+
 /// PDICT — dictionary compression ([44], §5): distinct values go into a
 /// per-stream dictionary; the column becomes bit-packed codes. Decode is a
 /// shift-mask plus a gather from a (usually cache-resident) dictionary.

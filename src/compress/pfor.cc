@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <limits>
+#include <type_traits>
 
 #include "compress/bitpack.h"
 
@@ -10,16 +11,14 @@ namespace mammoth::compress {
 
 namespace {
 
-constexpr uint32_t kPforMagic = 0x31524650;   // "PFR1"
-constexpr uint32_t kPforDMagic = 0x31444650;  // "PFD1"
+template <typename T>
+using Unsigned = std::make_unsigned_t<T>;
 
-struct BlockHeader {
-  int32_t base;
-  uint8_t bits;
-  uint8_t n_exceptions;
-  uint16_t payload_bytes;
-};
-static_assert(sizeof(BlockHeader) == 8);
+template <typename T>
+constexpr int kWidth = 8 * sizeof(T);
+
+template <typename T>
+using Header = typename PforTraits<T>::Header;
 
 void Append(std::vector<uint8_t>* out, const void* p, size_t n) {
   const auto* b = static_cast<const uint8_t*>(p);
@@ -27,39 +26,43 @@ void Append(std::vector<uint8_t>* out, const void* p, size_t n) {
 }
 
 /// Picks the (base, bits) frame minimizing block bytes (payload +
-/// 5B/exception). Unlike naive FOR (base = min), the frame is the *densest*
+/// exceptions). Unlike naive FOR (base = min), the frame is the *densest*
 /// value window, so outliers on either side become exceptions instead of
 /// widening every slot — the "patched" part of PFOR.
-void ChooseFrame(const int32_t* v, size_t n, int32_t* base_out,
-                 int* bits_out) {
-  int32_t sorted[kPforBlock];
+template <typename T>
+void ChooseFrame(const T* v, size_t n, T* base_out, int* bits_out) {
+  using U = Unsigned<T>;
+  T sorted[kPforBlock];
   std::copy(v, v + n, sorted);
   std::sort(sorted, sorted + n);
 
   size_t best_cost = std::numeric_limits<size_t>::max();
-  int best_bits = 32;
-  int32_t best_base = sorted[0];
-  for (int b = 0; b <= 32; ++b) {
-    const uint64_t span = b == 32 ? ~uint64_t{0} : (uint64_t{1} << b);
-    // Widest coverage window of width `span` over the sorted values.
-    size_t covered = 0;
+  int best_bits = kWidth<T>;
+  T best_base = sorted[0];
+  for (int b = 0; b <= kWidth<T>; ++b) {
+    size_t covered = n;  // a full-width frame holds every value
     size_t base_idx = 0;
-    size_t j = 0;
-    for (size_t i = 0; i < n; ++i) {
-      if (j < i) j = i;
-      while (j < n &&
-             static_cast<uint64_t>(static_cast<uint32_t>(sorted[j]) -
-                                   static_cast<uint32_t>(sorted[i])) < span) {
-        ++j;
-      }
-      if (j - i > covered) {
-        covered = j - i;
-        base_idx = i;
+    if (b < kWidth<T>) {
+      // Widest window of 2^b consecutive values over the sorted block,
+      // measured in modular distance.
+      const U span = U{1} << b;
+      covered = 0;
+      for (size_t i = 0, j = 0; i < n; ++i) {
+        if (j < i) j = i;
+        while (j < n && static_cast<U>(static_cast<U>(sorted[j]) -
+                                       static_cast<U>(sorted[i])) < span) {
+          ++j;
+        }
+        if (j - i > covered) {
+          covered = j - i;
+          base_idx = i;
+        }
       }
     }
     const size_t exceptions = n - covered;
     if (exceptions > 255) continue;
-    const size_t cost = PackedBytes(n, b) + exceptions * 5;
+    const size_t cost =
+        PackedBytes(n, b) + exceptions * PforTraits<T>::kExceptionBytes;
     if (cost < best_cost) {
       best_cost = cost;
       best_bits = b;
@@ -70,45 +73,37 @@ void ChooseFrame(const int32_t* v, size_t n, int32_t* base_out,
   *bits_out = best_bits;
 }
 
-Status EncodeStream(uint32_t magic, const int32_t* values, size_t n,
+template <typename T>
+Status EncodeStream(uint32_t magic, const T* values, size_t n,
                     std::vector<uint8_t>* out) {
-  out->clear();
-  Append(out, &magic, 4);
-  const uint32_t count = static_cast<uint32_t>(n);
-  Append(out, &count, 4);
+  using U = Unsigned<T>;
+  const uint32_t header[2] = {magic, static_cast<uint32_t>(n)};
+  out->assign(reinterpret_cast<const uint8_t*>(header),
+              reinterpret_cast<const uint8_t*>(header + 2));
 
-  uint32_t deltas[kPforBlock];
   for (size_t start = 0; start < n; start += kPforBlock) {
     const size_t bn = std::min(kPforBlock, n - start);
-    const int32_t* v = values + start;
-    int32_t base;
-    int bits;
+    const T* v = values + start;
+    T base = 0;
+    int bits = 0;
     ChooseFrame(v, bn, &base, &bits);
     // Modular deltas: values below the base wrap to huge offsets and are
-    // caught as exceptions like values above the frame.
-    for (size_t i = 0; i < bn; ++i) {
-      deltas[i] = static_cast<uint32_t>(v[i]) - static_cast<uint32_t>(base);
-    }
-    const uint64_t limit =
-        bits == 32 ? ~uint64_t{0} : (uint64_t{1} << bits);
-
-    // Exceptions keep a packed slot of 0 and are patched after unpack.
+    // caught as exceptions like values above the frame. Exceptions keep a
+    // packed slot of 0 and are patched after unpack.
+    U packed[kPforBlock];
     uint8_t ex_pos[kPforBlock];
-    int32_t ex_val[kPforBlock];
     size_t n_ex = 0;
-    uint32_t packed[kPforBlock];
     for (size_t i = 0; i < bn; ++i) {
-      if (deltas[i] >= limit) {
-        ex_pos[n_ex] = static_cast<uint8_t>(i);
-        ex_val[n_ex] = v[i];
-        ++n_ex;
+      const U d = static_cast<U>(v[i]) - static_cast<U>(base);
+      if (bits < kWidth<T> && d >= (U{1} << bits)) {
+        ex_pos[n_ex++] = static_cast<uint8_t>(i);
         packed[i] = 0;
       } else {
-        packed[i] = deltas[i];
+        packed[i] = d;
       }
     }
 
-    BlockHeader hdr;
+    Header<T> hdr{};
     hdr.base = base;
     hdr.bits = static_cast<uint8_t>(bits);
     hdr.n_exceptions = static_cast<uint8_t>(n_ex);
@@ -117,239 +112,234 @@ Status EncodeStream(uint32_t magic, const int32_t* values, size_t n,
     PackBits(packed, bn, bits, out);
     for (size_t e = 0; e < n_ex; ++e) {
       Append(out, &ex_pos[e], 1);
-      Append(out, &ex_val[e], 4);
+      Append(out, &v[ex_pos[e]], sizeof(T));
     }
   }
-  // Slack so UnpackBits' 8-byte loads never read past the buffer.
-  out->resize(out->size() + 8, 0);
+  out->resize(out->size() + PforTraits<T>::kSlack, 0);
   return Status::OK();
 }
 
-Status DecodeStream(uint32_t magic, const std::vector<uint8_t>& in,
-                    std::vector<int32_t>* out) {
+/// Reads the (magic, count) stream header: a PFOR or PFOR-DELTA magic of
+/// T, and a count whose blocks could fit in `in` (each needs at least a
+/// header), so a corrupted count cannot force an implausible allocation.
+template <typename T>
+Status ReadStreamHeader(const std::vector<uint8_t>& in, uint32_t* magic,
+                        uint32_t* count) {
   if (in.size() < 8) return Status::IOError("pfor: truncated header");
-  uint32_t got_magic, count;
-  std::memcpy(&got_magic, in.data(), 4);
-  std::memcpy(&count, in.data() + 4, 4);
-  if (got_magic != magic) return Status::IOError("pfor: bad magic");
-  // Sanity: every block of up to 128 values needs at least an 8-byte
-  // header, so a corrupted count cannot force an implausible allocation.
-  if (static_cast<uint64_t>(count) >
-      (in.size() / sizeof(BlockHeader) + 1) * kPforBlock) {
+  std::memcpy(magic, in.data(), 4);
+  std::memcpy(count, in.data() + 4, 4);
+  if (*magic != PforTraits<T>::kMagic &&
+      *magic != PforTraits<T>::kDeltaMagic) {
+    return Status::IOError("pfor: bad magic");
+  }
+  if ((size_t{*count} + kPforBlock - 1) / kPforBlock >
+      in.size() / sizeof(Header<T>)) {
     return Status::IOError("pfor: implausible count");
   }
-  out->resize(count);
-
-  size_t off = 8;
-  uint32_t unpacked[kPforBlock];
-  for (size_t start = 0; start < count; start += kPforBlock) {
-    const size_t bn = std::min(kPforBlock, count - start);
-    if (off + sizeof(BlockHeader) > in.size()) {
-      return Status::IOError("pfor: truncated block header");
-    }
-    BlockHeader hdr;
-    std::memcpy(&hdr, in.data() + off, sizeof(hdr));
-    off += sizeof(hdr);
-    if (hdr.bits > 32) return Status::IOError("pfor: bad block width");
-    // The encoder writes exactly PackedBytes(bn, bits); any other value
-    // means corruption (and would desynchronize UnpackBits' reads).
-    if (hdr.payload_bytes != PackedBytes(bn, hdr.bits)) {
-      return Status::IOError("pfor: inconsistent block header");
-    }
-    // +8: UnpackBits issues 8-byte loads; the encoder always leaves that
-    // much slack, so anything tighter is a corrupted stream.
-    if (off + hdr.payload_bytes + hdr.n_exceptions * 5 + 8 > in.size()) {
-      return Status::IOError("pfor: truncated block payload");
-    }
-    // Hot path: unpack + add base.
-    UnpackBits(in.data() + off, bn, hdr.bits, unpacked);
-    off += hdr.payload_bytes;
-    int32_t* dst = out->data() + start;
-    for (size_t i = 0; i < bn; ++i) {
-      // Modular add mirrors the encoder's modular delta.
-      dst[i] = static_cast<int32_t>(static_cast<uint32_t>(hdr.base) +
-                                    unpacked[i]);
-    }
-    // Patch exceptions.
-    for (size_t e = 0; e < hdr.n_exceptions; ++e) {
-      const uint8_t pos = in[off];
-      int32_t val;
-      std::memcpy(&val, in.data() + off + 1, 4);
-      off += 5;
-      if (pos >= bn) return Status::IOError("pfor: bad exception slot");
-      dst[pos] = val;
-    }
-  }
   return Status::OK();
 }
 
-inline uint32_t ZigZag(int32_t v) {
-  return (static_cast<uint32_t>(v) << 1) ^
-         static_cast<uint32_t>(v >> 31);
+template <typename T>
+size_t BlockBytes(const Header<T>& hdr) {
+  return sizeof(hdr) + hdr.payload_bytes +
+         static_cast<size_t>(hdr.n_exceptions) * PforTraits<T>::kExceptionBytes;
 }
 
-inline int32_t UnZigZag(uint32_t z) {
-  return static_cast<int32_t>((z >> 1) ^ (~(z & 1) + 1));
+/// Reads the header of the block at byte `off` holding `bn` values and
+/// checks it: a sane width, the payload size the encoder writes for it
+/// (anything else would desynchronize UnpackBits), and the block plus the
+/// unpack slack inside `in` (the stream's trailing slack follows every
+/// block). Returns nullptr when the block checks out, else what is wrong.
+template <typename T>
+const char* ReadBlockHeader(const std::vector<uint8_t>& in, size_t off,
+                            size_t bn, Header<T>* hdr) {
+  if (off + sizeof(*hdr) > in.size()) return "pfor: truncated block header";
+  std::memcpy(hdr, in.data() + off, sizeof(*hdr));
+  if (hdr->bits > kWidth<T>) return "pfor: bad block width";
+  if (hdr->payload_bytes != PackedBytes(bn, hdr->bits)) {
+    return "pfor: inconsistent block header";
+  }
+  if (off + BlockBytes<T>(*hdr) + PforTraits<T>::kSlack > in.size()) {
+    return "pfor: truncated block payload";
+  }
+  return nullptr;
 }
 
-}  // namespace
-
-Status PforEncode(const int32_t* values, size_t n, std::vector<uint8_t>* out) {
-  return EncodeStream(kPforMagic, values, n, out);
-}
-
-Status PforDecode(const std::vector<uint8_t>& in, std::vector<int32_t>* out) {
-  return DecodeStream(kPforMagic, in, out);
-}
-
-namespace {
-
-/// Decodes the block at byte `off` (covering rows [block_start,
-/// block_start+bn)) and copies the slice overlapping [start, start+n).
-Status DecodeBlockSlice(const std::vector<uint8_t>& in, size_t off,
-                        size_t block_start, size_t bn, size_t start,
-                        size_t n, int32_t* out) {
-  if (off + sizeof(BlockHeader) > in.size()) {
-    return Status::IOError("pfor: truncated block header");
-  }
-  BlockHeader hdr;
-  std::memcpy(&hdr, in.data() + off, sizeof(hdr));
-  if (hdr.bits > 32) return Status::IOError("pfor: bad block width");
-  if (hdr.payload_bytes != PackedBytes(bn, hdr.bits)) {
-    return Status::IOError("pfor: inconsistent block header");
-  }
-  const size_t body = sizeof(hdr) + hdr.payload_bytes +
-                      static_cast<size_t>(hdr.n_exceptions) * 5;
-  // +8: UnpackBits issues 8-byte loads into the encoder-guaranteed slack.
-  if (off + body + 8 > in.size()) {
-    return Status::IOError("pfor: truncated block payload");
-  }
-  uint32_t unpacked[kPforBlock];
-  UnpackBits(in.data() + off + sizeof(hdr), bn, hdr.bits, unpacked);
-  int32_t block_vals[kPforBlock];
-  for (size_t i = 0; i < bn; ++i) {
-    block_vals[i] = static_cast<int32_t>(static_cast<uint32_t>(hdr.base) +
-                                         unpacked[i]);
-  }
-  const uint8_t* ex = in.data() + off + sizeof(hdr) + hdr.payload_bytes;
-  for (size_t e = 0; e < hdr.n_exceptions; ++e) {
-    const uint8_t pos = ex[e * 5];
-    if (pos >= bn) return Status::IOError("pfor: bad exception slot");
-    std::memcpy(&block_vals[pos], ex + e * 5 + 1, 4);
-  }
-  const size_t lo = std::max(start, block_start);
-  const size_t hi = std::min(start + n, block_start + bn);
-  for (size_t i = lo; i < hi; ++i) {
-    out[i - start] = block_vals[i - block_start];
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-Status PforDecodeRange(const std::vector<uint8_t>& in, size_t start,
-                       size_t n, int32_t* out) {
-  if (in.size() < 8) return Status::IOError("pfor: truncated header");
-  uint32_t magic, count;
-  std::memcpy(&magic, in.data(), 4);
-  std::memcpy(&count, in.data() + 4, 4);
-  if (magic != kPforMagic) return Status::IOError("pfor: bad magic");
-  if (start + n > count) return Status::OutOfRange("pfor: range beyond column");
-  if (n == 0) return Status::OK();
-
-  // Walk block headers to the first covering block.
-  size_t off = 8;
-  size_t block_start = 0;
-  while (block_start < count) {
-    const size_t bn = std::min(kPforBlock, count - block_start);
-    if (off + sizeof(BlockHeader) > in.size()) {
-      return Status::IOError("pfor: truncated block header");
-    }
-    BlockHeader hdr;
-    std::memcpy(&hdr, in.data() + off, sizeof(hdr));
-    const size_t body = sizeof(hdr) + hdr.payload_bytes +
-                        static_cast<size_t>(hdr.n_exceptions) * 5;
-    if (block_start + bn <= start) {
-      off += body;  // entirely before the range: skip without decoding
-      block_start += bn;
-      continue;
-    }
-    if (block_start >= start + n) break;
-    MAMMOTH_RETURN_IF_ERROR(
-        DecodeBlockSlice(in, off, block_start, bn, start, n, out));
-    off += body;
-    block_start += bn;
-  }
-  return Status::OK();
-}
-
-Result<std::vector<uint32_t>> PforBuildBlockIndex(
-    const std::vector<uint8_t>& in) {
-  if (in.size() < 8) return Status::IOError("pfor: truncated header");
-  uint32_t magic, count;
-  std::memcpy(&magic, in.data(), 4);
-  std::memcpy(&count, in.data() + 4, 4);
-  if (magic != kPforMagic) return Status::IOError("pfor: bad magic");
-  std::vector<uint32_t> offsets;
+/// The one block walker: calls fn(block_start, bn, off, hdr) for each
+/// block of a `count`-row stream in order, once its header checks out.
+/// Like the block helpers, fn returns nullptr or what is wrong.
+template <typename T, typename Fn>
+Status WalkBlocks(const std::vector<uint8_t>& in, uint32_t count, Fn&& fn) {
   size_t off = 8;
   for (size_t block_start = 0; block_start < count;
        block_start += kPforBlock) {
-    if (off + sizeof(BlockHeader) > in.size()) {
-      return Status::IOError("pfor: truncated block header");
-    }
-    offsets.push_back(static_cast<uint32_t>(off));
-    BlockHeader hdr;
-    std::memcpy(&hdr, in.data() + off, sizeof(hdr));
-    off += sizeof(hdr) + hdr.payload_bytes +
-           static_cast<size_t>(hdr.n_exceptions) * 5;
+    const size_t bn = std::min(kPforBlock, count - block_start);
+    Header<T> hdr{};
+    const char* err = ReadBlockHeader<T>(in, off, bn, &hdr);
+    if (err == nullptr) err = fn(block_start, bn, off, hdr);
+    if (err != nullptr) return Status::IOError(err);
+    off += BlockBytes<T>(hdr);
   }
+  return Status::OK();
+}
+
+/// The block decoder: decodes the checked block `hdr` at byte `off` (rows
+/// [block_start, block_start+bn)) and stores its overlap with rows
+/// [start, start+n) at out[row - start]. A block wholly inside the range
+/// is decoded straight into `out`; a partly covered one goes through a
+/// block-sized scratch. Returns nullptr, or what is wrong.
+template <typename T>
+const char* DecodeBlock(const std::vector<uint8_t>& in, size_t off,
+                        const Header<T>& hdr, size_t block_start, size_t bn,
+                        size_t start, size_t n, T* out) {
+  using U = Unsigned<T>;
+  const bool whole = block_start >= start && block_start + bn <= start + n;
+  T scratch[kPforBlock];
+  T* dst = whole ? out + (block_start - start) : scratch;
+  // Hot path: unpack + add base (modular, mirroring the encoder's delta).
+  U unpacked[kPforBlock];
+  UnpackBits(in.data() + off + sizeof(hdr), bn, hdr.bits, unpacked);
+  for (size_t i = 0; i < bn; ++i) {
+    dst[i] = static_cast<T>(static_cast<U>(hdr.base) + unpacked[i]);
+  }
+  const uint8_t* ex = in.data() + off + sizeof(hdr) + hdr.payload_bytes;
+  for (size_t e = 0; e < hdr.n_exceptions;
+       ++e, ex += PforTraits<T>::kExceptionBytes) {
+    if (ex[0] >= bn) return "pfor: bad exception slot";
+    std::memcpy(&dst[ex[0]], ex + 1, sizeof(T));
+  }
+  if (!whole) {
+    const size_t lo = std::max(start, block_start);
+    const size_t hi = std::min(start + n, block_start + bn);
+    std::copy(scratch + (lo - block_start), scratch + (hi - block_start),
+              out + (lo - start));
+  }
+  return nullptr;
+}
+
+template <typename T>
+Status DecodeStream(uint32_t magic, const std::vector<uint8_t>& in,
+                    std::vector<T>* out) {
+  uint32_t got_magic = 0, count = 0;
+  MAMMOTH_RETURN_IF_ERROR(ReadStreamHeader<T>(in, &got_magic, &count));
+  if (got_magic != magic) return Status::IOError("pfor: bad magic");
+  out->resize(count);
+  T* dst = out->data();
+  return WalkBlocks<T>(in, count,
+                       [&](size_t block_start, size_t bn, size_t off,
+                           const Header<T>& hdr) {
+                         return DecodeBlock(in, off, hdr, block_start, bn, 0,
+                                            count, dst);
+                       });
+}
+
+template <typename T>
+Unsigned<T> ZigZag(T v) {
+  return (static_cast<Unsigned<T>>(v) << 1) ^
+         static_cast<Unsigned<T>>(v >> (kWidth<T> - 1));
+}
+
+template <typename T>
+T UnZigZag(Unsigned<T> z) {
+  return static_cast<T>((z >> 1) ^ (~(z & 1) + 1));
+}
+
+}  // namespace
+
+template <typename T>
+Status PforEncode(const T* values, size_t n, std::vector<uint8_t>* out) {
+  return EncodeStream(PforTraits<T>::kMagic, values, n, out);
+}
+
+template <typename T>
+Status PforDecode(const std::vector<uint8_t>& in, std::vector<T>* out) {
+  return DecodeStream(PforTraits<T>::kMagic, in, out);
+}
+
+template <typename T>
+Result<std::vector<uint32_t>> PforBuildBlockIndex(
+    const std::vector<uint8_t>& in) {
+  uint32_t magic = 0, count = 0;
+  MAMMOTH_RETURN_IF_ERROR(ReadStreamHeader<T>(in, &magic, &count));
+  std::vector<uint32_t> offsets;
+  offsets.reserve((size_t{count} + kPforBlock - 1) / kPforBlock);
+  MAMMOTH_RETURN_IF_ERROR(WalkBlocks<T>(
+      in, count,
+      [&](size_t, size_t, size_t off, const Header<T>&) -> const char* {
+        offsets.push_back(static_cast<uint32_t>(off));
+        return nullptr;
+      }));
   return offsets;
 }
 
+template <typename T>
 Status PforDecodeRangeIndexed(const std::vector<uint8_t>& in,
                               const std::vector<uint32_t>& block_index,
-                              size_t start, size_t n, int32_t* out) {
-  if (in.size() < 8) return Status::IOError("pfor: truncated header");
-  uint32_t count;
-  std::memcpy(&count, in.data() + 4, 4);
+                              size_t start, size_t n, T* out) {
+  uint32_t magic = 0, count = 0;
+  MAMMOTH_RETURN_IF_ERROR(ReadStreamHeader<T>(in, &magic, &count));
+  if (magic != PforTraits<T>::kMagic) return Status::IOError("pfor: bad magic");
   if (start + n > count) return Status::OutOfRange("pfor: range beyond column");
   if (n == 0) return Status::OK();
-  const size_t first_block = start / kPforBlock;
   const size_t last_block = (start + n - 1) / kPforBlock;
   if (last_block >= block_index.size()) {
     return Status::IOError("pfor: block index too short");
   }
-  for (size_t b = first_block; b <= last_block; ++b) {
+  for (size_t b = start / kPforBlock; b <= last_block; ++b) {
     const size_t block_start = b * kPforBlock;
     const size_t bn = std::min(kPforBlock, count - block_start);
-    MAMMOTH_RETURN_IF_ERROR(DecodeBlockSlice(in, block_index[b], block_start,
-                                             bn, start, n, out));
+    Header<T> hdr{};
+    const char* err = ReadBlockHeader<T>(in, block_index[b], bn, &hdr);
+    if (err == nullptr) {
+      err = DecodeBlock(in, block_index[b], hdr, block_start, bn, start, n,
+                        out);
+    }
+    if (err != nullptr) return Status::IOError(err);
   }
   return Status::OK();
 }
 
-Status PforDeltaEncode(const int32_t* values, size_t n,
-                       std::vector<uint8_t>* out) {
-  std::vector<int32_t> zz(n);
-  uint32_t prev = 0;
+template <typename T>
+Status PforDeltaEncode(const T* values, size_t n, std::vector<uint8_t>* out) {
+  using U = Unsigned<T>;
+  std::vector<T> zz(n);
+  U prev = 0;
   for (size_t i = 0; i < n; ++i) {
-    // Modular difference: wraparound-safe for arbitrary int32 inputs.
-    const uint32_t d = static_cast<uint32_t>(values[i]) - prev;
-    zz[i] = static_cast<int32_t>(ZigZag(static_cast<int32_t>(d)));
-    prev = static_cast<uint32_t>(values[i]);
+    // Modular difference: wraparound-safe for arbitrary inputs.
+    const U d = static_cast<U>(values[i]) - prev;
+    zz[i] = static_cast<T>(ZigZag(static_cast<T>(d)));
+    prev = static_cast<U>(values[i]);
   }
-  return EncodeStream(kPforDMagic, zz.data(), n, out);
+  return EncodeStream(PforTraits<T>::kDeltaMagic, zz.data(), n, out);
 }
 
-Status PforDeltaDecode(const std::vector<uint8_t>& in,
-                       std::vector<int32_t>* out) {
-  MAMMOTH_RETURN_IF_ERROR(DecodeStream(kPforDMagic, in, out));
-  uint32_t prev = 0;
-  for (int32_t& v : *out) {
-    prev += static_cast<uint32_t>(UnZigZag(static_cast<uint32_t>(v)));
-    v = static_cast<int32_t>(prev);
+template <typename T>
+Status PforDeltaDecode(const std::vector<uint8_t>& in, std::vector<T>* out) {
+  using U = Unsigned<T>;
+  MAMMOTH_RETURN_IF_ERROR(DecodeStream(PforTraits<T>::kDeltaMagic, in, out));
+  U prev = 0;
+  for (T& v : *out) {
+    prev += static_cast<U>(UnZigZag<T>(static_cast<U>(v)));
+    v = static_cast<T>(prev);
   }
   return Status::OK();
 }
+
+#define MAMMOTH_PFOR_INSTANTIATE(T)                                         \
+  template Status PforEncode(const T*, size_t, std::vector<uint8_t>*);      \
+  template Status PforDecode(const std::vector<uint8_t>&, std::vector<T>*); \
+  template Result<std::vector<uint32_t>> PforBuildBlockIndex<T>(            \
+      const std::vector<uint8_t>&);                                         \
+  template Status PforDecodeRangeIndexed(const std::vector<uint8_t>&,       \
+                                         const std::vector<uint32_t>&,      \
+                                         size_t, size_t, T*);               \
+  template Status PforDeltaEncode(const T*, size_t, std::vector<uint8_t>*); \
+  template Status PforDeltaDecode(const std::vector<uint8_t>&,              \
+                                  std::vector<T>*);
+
+MAMMOTH_PFOR_INSTANTIATE(int32_t)
+MAMMOTH_PFOR_INSTANTIATE(int64_t)
+
+#undef MAMMOTH_PFOR_INSTANTIATE
 
 }  // namespace mammoth::compress

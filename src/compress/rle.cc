@@ -1,106 +1,45 @@
 #include "compress/rle.h"
 
-#include <cstring>
-
 namespace mammoth::compress {
 
 namespace {
-constexpr uint32_t kMagic = 0x31454C52;    // "RLE1"
-constexpr uint32_t kMagic64 = 0x38454C52;  // "RLE8"
+
+void Append(std::vector<uint8_t>* out, const void* p, size_t n) {
+  const auto* b = static_cast<const uint8_t*>(p);
+  out->insert(out->end(), b, b + n);
+}
+
 }  // namespace
 
-Status RleEncode(const int32_t* values, size_t n, std::vector<uint8_t>* out) {
-  out->clear();
-  const uint32_t count = static_cast<uint32_t>(n);
-  out->insert(out->end(), reinterpret_cast<const uint8_t*>(&kMagic),
-              reinterpret_cast<const uint8_t*>(&kMagic) + 4);
-  out->insert(out->end(), reinterpret_cast<const uint8_t*>(&count),
-              reinterpret_cast<const uint8_t*>(&count) + 4);
-  size_t i = 0;
-  while (i < n) {
-    const int32_t v = values[i];
+template <typename T>
+Status RleEncode(const T* values, size_t n, std::vector<uint8_t>* out) {
+  const uint32_t header[2] = {kRleMagic<T>, static_cast<uint32_t>(n)};
+  out->assign(reinterpret_cast<const uint8_t*>(header),
+              reinterpret_cast<const uint8_t*>(header + 2));
+  for (size_t i = 0; i < n;) {
+    const T v = values[i];
     uint32_t run = 1;
     while (i + run < n && values[i + run] == v) ++run;
-    out->insert(out->end(), reinterpret_cast<const uint8_t*>(&v),
-                reinterpret_cast<const uint8_t*>(&v) + 4);
-    out->insert(out->end(), reinterpret_cast<const uint8_t*>(&run),
-                reinterpret_cast<const uint8_t*>(&run) + 4);
+    Append(out, &v, sizeof(v));
+    Append(out, &run, 4);
     i += run;
   }
   return Status::OK();
 }
 
-Status RleDecode(const std::vector<uint8_t>& in, std::vector<int32_t>* out) {
-  if (in.size() < 8) return Status::IOError("rle: truncated header");
-  uint32_t magic, count;
-  std::memcpy(&magic, in.data(), 4);
-  std::memcpy(&count, in.data() + 4, 4);
-  if (magic != kMagic) return Status::IOError("rle: bad magic");
-  // Sanity cap: protects against corrupted counts demanding multi-GB
-  // allocations (a legitimate column in this library is far smaller).
-  if (count > (1u << 28)) return Status::IOError("rle: implausible count");
+template <typename T>
+Status RleDecode(const std::vector<uint8_t>& in, std::vector<T>* out) {
+  uint32_t count = 0;
+  MAMMOTH_RETURN_IF_ERROR(RleReadHeader<T>(in, &count));
   out->clear();
   out->reserve(count);
-  size_t off = 8;
-  while (out->size() < count) {
-    if (off + 8 > in.size()) return Status::IOError("rle: truncated run");
-    int32_t v;
-    uint32_t run;
-    std::memcpy(&v, in.data() + off, 4);
-    std::memcpy(&run, in.data() + off + 4, 4);
-    off += 8;
-    if (out->size() + run > count) return Status::IOError("rle: run overflow");
-    out->insert(out->end(), run, v);
-  }
-  return Status::OK();
+  return RleForEachRun<T>(
+      in, [out](T v, uint32_t run) { out->insert(out->end(), run, v); });
 }
 
-Status Rle64Encode(const int64_t* values, size_t n,
-                   std::vector<uint8_t>* out) {
-  out->clear();
-  const uint32_t count = static_cast<uint32_t>(n);
-  out->insert(out->end(), reinterpret_cast<const uint8_t*>(&kMagic64),
-              reinterpret_cast<const uint8_t*>(&kMagic64) + 4);
-  out->insert(out->end(), reinterpret_cast<const uint8_t*>(&count),
-              reinterpret_cast<const uint8_t*>(&count) + 4);
-  size_t i = 0;
-  while (i < n) {
-    const int64_t v = values[i];
-    uint32_t run = 1;
-    while (i + run < n && values[i + run] == v) ++run;
-    out->insert(out->end(), reinterpret_cast<const uint8_t*>(&v),
-                reinterpret_cast<const uint8_t*>(&v) + 8);
-    out->insert(out->end(), reinterpret_cast<const uint8_t*>(&run),
-                reinterpret_cast<const uint8_t*>(&run) + 4);
-    i += run;
-  }
-  return Status::OK();
-}
-
-Status Rle64Decode(const std::vector<uint8_t>& in,
-                   std::vector<int64_t>* out) {
-  if (in.size() < 8) return Status::IOError("rle64: truncated header");
-  uint32_t magic, count;
-  std::memcpy(&magic, in.data(), 4);
-  std::memcpy(&count, in.data() + 4, 4);
-  if (magic != kMagic64) return Status::IOError("rle64: bad magic");
-  if (count > (1u << 28)) return Status::IOError("rle64: implausible count");
-  out->clear();
-  out->reserve(count);
-  size_t off = 8;
-  while (out->size() < count) {
-    if (off + 12 > in.size()) return Status::IOError("rle64: truncated run");
-    int64_t v;
-    uint32_t run;
-    std::memcpy(&v, in.data() + off, 8);
-    std::memcpy(&run, in.data() + off + 8, 4);
-    off += 12;
-    if (out->size() + run > count) {
-      return Status::IOError("rle64: run overflow");
-    }
-    out->insert(out->end(), run, v);
-  }
-  return Status::OK();
-}
+template Status RleEncode(const int32_t*, size_t, std::vector<uint8_t>*);
+template Status RleEncode(const int64_t*, size_t, std::vector<uint8_t>*);
+template Status RleDecode(const std::vector<uint8_t>&, std::vector<int32_t>*);
+template Status RleDecode(const std::vector<uint8_t>&, std::vector<int64_t>*);
 
 }  // namespace mammoth::compress

@@ -426,7 +426,7 @@ ColumnEncoding ProbeResultCodec(const BatPtr& col, size_t nrows,
       *stream = std::move(attempt);
     }
   } else if (col->type() == PhysType::kInt64) {
-    if (compress::Rle64Encode(col->TailData<int64_t>(), nrows, &attempt)
+    if (compress::RleEncode(col->TailData<int64_t>(), nrows, &attempt)
             .ok() &&
         attempt.size() < raw_bytes) {
       best = ColumnEncoding::kRle;
@@ -565,7 +565,7 @@ Result<mal::QueryResult> DecodeResult(std::string_view payload) {
               "wire: pdict encoding on int64 column");
         }
         std::vector<int64_t> values;
-        MAMMOTH_RETURN_IF_ERROR(compress::Rle64Decode(stream, &values));
+        MAMMOTH_RETURN_IF_ERROR(compress::RleDecode(stream, &values));
         if (values.size() != nrows) {
           return Status::InvalidArgument(
               "wire: compressed column row count mismatch");

@@ -5,9 +5,11 @@
 
 #include "common/rng.h"
 #include "compress/bitpack.h"
+#include "compress/compressed_bat.h"
 #include "compress/pdict.h"
 #include "compress/pfor.h"
 #include "compress/rle.h"
+#include "wal/record.h"
 
 namespace mammoth::compress {
 namespace {
@@ -191,6 +193,117 @@ TEST(RleTest, RunsCompress) {
   std::vector<uint8_t> buf;
   ASSERT_TRUE(RleEncode(data.data(), data.size(), &buf).ok());
   EXPECT_LT(buf.size(), data.size() * 4 / 3);
+}
+
+// ------------------------------------------------------- golden bytes --
+//
+// Codec streams are frozen formats: `.cbat` snapshots, WAL checkpoints
+// and caps-negotiated wire results all carry them. Each case below encodes
+// fixed shapes through CompressedBat (whose Serialize() image embeds the
+// codec stream verbatim) and pins the CRC-32 of the images: a mismatch
+// means a frozen format changed.
+
+enum GoldenShape { kRandom, kOutliers, kSortedKeys, kLongRuns, kExtremes };
+
+template <typename T>
+T GoldenValue(GoldenShape shape, size_t i, Rng* rng) {
+  // int64 shapes sit beyond +-2^32 so a 32-bit truncation would show.
+  const int64_t wide = sizeof(T) == 8 ? int64_t{5} << 40 : 0;
+  switch (shape) {
+    case kRandom:
+      return static_cast<T>(rng->Next());
+    case kOutliers:
+      return rng->Uniform(16) == 0
+                 ? static_cast<T>(rng->Next())
+                 : static_cast<T>(wide + static_cast<int64_t>(
+                                             rng->Uniform(1000)));
+    case kSortedKeys:
+      return static_cast<T>(-wide + static_cast<int64_t>(i) * 3 +
+                            static_cast<int64_t>(rng->Uniform(3)));
+    case kLongRuns:
+      return static_cast<T>(wide + static_cast<int64_t>(i / 40) * 7);
+    case kExtremes: {
+      using L = std::numeric_limits<T>;
+      const int64_t k[] = {static_cast<int64_t>(L::min()),
+                           static_cast<int64_t>(L::max()),
+                           0,
+                           -1,
+                           1,
+                           static_cast<int64_t>(L::min()) + 1,
+                           static_cast<int64_t>(L::max()) - 1,
+                           sizeof(T) == 8 ? (int64_t{1} << 32) + 7 : 7,
+                           sizeof(T) == 8 ? -(int64_t{1} << 32) - 9 : -9,
+                           sizeof(T) == 8 ? -(int64_t{1} << 62) : -(1 << 30)};
+      return static_cast<T>(k[(i * 7 + i / 10) % 10]);
+    }
+  }
+  return 0;
+}
+
+/// CRC-32 over the Serialize() images of one codec x type x shape at every
+/// golden row count (empty, one, a block minus/at/plus one, many blocks).
+template <typename T>
+uint32_t GoldenCrc(Codec codec, GoldenShape shape) {
+  std::string images;
+  for (size_t n : {size_t{0}, size_t{1}, size_t{127}, size_t{128},
+                   size_t{129}, size_t{1000}}) {
+    Rng rng(1000 + static_cast<uint64_t>(shape));
+    BatPtr b = Bat::New(sizeof(T) == 4 ? PhysType::kInt32 : PhysType::kInt64);
+    for (size_t i = 0; i < n; ++i) b->Append<T>(GoldenValue<T>(shape, i, &rng));
+    auto cb = CompressedBat::Compress(b, codec);
+    EXPECT_TRUE(cb.ok()) << CodecName(codec) << " n=" << n;
+    if (cb.ok()) cb->Serialize(&images);
+  }
+  return wal::Crc32(images.data(), images.size());
+}
+
+struct GoldenCase {
+  Codec codec;
+  bool wide;  ///< int64 column (else int32)
+  uint32_t crc[5];  ///< one per GoldenShape
+};
+
+TEST(GoldenBytesTest, EveryCodecAndWidthMatchesRecordedStreams) {
+  const GoldenCase cases[] = {
+      {Codec::kPfor,
+       false,
+       {0x0596da35, 0x51fef2f8, 0x6d61b729,
+        0xdda90faf, 0xd299773b}},
+      {Codec::kPforDelta,
+       false,
+       {0x7d73258f, 0x2a1e334f, 0xa9091f74,
+        0x1f7a70e4, 0x5554f21c}},
+      {Codec::kRle,
+       false,
+       {0xa3f64247, 0xa6f03315, 0x6fc0596e,
+        0xcf8570b8, 0x8dc08d3f}},
+      {Codec::kPdict,
+       false,
+       {0xa929971d, 0x3445c535, 0xf70f9aa8,
+        0x1d00a79e, 0xc8dbcf55}},
+      {Codec::kPfor,
+       true,
+       {0xee2fbeb9, 0xd616e506, 0x602caff0,
+        0x7c7f8f90, 0xcb77afe2}},
+      {Codec::kPforDelta,
+       true,
+       {0x1ed2d873, 0x6c00f4b4, 0xf127d971,
+        0xc023a1dc, 0x9428812f}},
+      {Codec::kRle,
+       true,
+       {0xafe04dc8, 0x1c2d37b0, 0xe5f3d473,
+        0x49e5fc40, 0x2cdfb096}},
+  };
+  for (const GoldenCase& c : cases) {
+    for (int s = kRandom; s <= kExtremes; ++s) {
+      const auto shape = static_cast<GoldenShape>(s);
+      const uint32_t got = c.wide ? GoldenCrc<int64_t>(c.codec, shape)
+                                  : GoldenCrc<int32_t>(c.codec, shape);
+      EXPECT_EQ(got, c.crc[s])
+          << CodecName(c.codec) << (c.wide ? " int64" : " int32")
+          << " shape " << s << ": got 0x" << std::hex << got;
+    }
+  }
 }
 
 }  // namespace

@@ -2,10 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/rng.h"
+#include "compress/bitpack.h"
+#include "compress/compressed_kernels.h"
+#include "compress/pfor.h"
+#include "compress/rle.h"
 
 namespace mammoth::compress {
 namespace {
@@ -233,6 +239,142 @@ TEST_P(DecodeRangeEdgeTest, EdgeRanges) {
 INSTANTIATE_TEST_SUITE_P(Codecs, DecodeRangeEdgeTest,
                          ::testing::Values(Codec::kPfor, Codec::kPforDelta,
                                            Codec::kPdict, Codec::kRle));
+
+// ------------------------------------------------ validation at load --
+//
+// Serialize() images come back from disk at recovery and from a primary
+// at replica bootstrap, with no checksum over them. Deserialize must turn
+// every image the kernels cannot handle into kCorruption instead of an
+// out-of-bounds read or a wrong answer later.
+
+/// Serializes `cb`, lets `edit` rewrite the codec stream (the image's
+/// tail), and re-frames the image with the new stream length.
+std::string EditedImage(
+    const CompressedBat& cb,
+    const std::function<void(std::vector<uint8_t>*)>& edit) {
+  std::string image;
+  cb.Serialize(&image);
+  const size_t stream_len = cb.CompressedBytes();
+  const size_t frame_len = image.size() - stream_len - sizeof(uint64_t);
+  std::vector<uint8_t> stream(image.begin() + frame_len + sizeof(uint64_t),
+                              image.end());
+  edit(&stream);
+  image.resize(frame_len);
+  const uint64_t len = stream.size();
+  image.append(reinterpret_cast<const char*>(&len), sizeof(len));
+  image.append(stream.begin(), stream.end());
+  return image;
+}
+
+/// 1000 rows cycling through five values: PDICT has dsize 5 and 3-bit
+/// codes, so codes 5..7 are representable but out of the dictionary.
+BatPtr FiveValueColumn() {
+  BatPtr b = Bat::New(PhysType::kInt32);
+  for (int i = 0; i < 1000; ++i) b->Append<int32_t>((i / 3) % 5 * 2);
+  return b;
+}
+
+void ExpectCorruption(const std::string& image) {
+  auto r = CompressedBat::Deserialize(image);
+  ASSERT_FALSE(r.ok()) << "image loaded";
+  EXPECT_EQ(r.status().code(), StatusCode::kCorruption)
+      << r.status().ToString();
+}
+
+TEST(CompressedBatLoadTest, UntouchedImagesLoad) {
+  for (Codec c : {Codec::kPfor, Codec::kPforDelta, Codec::kPdict,
+                  Codec::kRle}) {
+    auto cb = CompressedBat::Compress(FiveValueColumn(), c);
+    ASSERT_TRUE(cb.ok());
+    auto back = CompressedBat::Deserialize(EditedImage(*cb, [](auto*) {}));
+    ASSERT_TRUE(back.ok()) << CodecName(c) << back.status().ToString();
+  }
+}
+
+TEST(CompressedBatLoadTest, PdictCodeBeyondDictionaryIsCorruption) {
+  auto cb = CompressedBat::Compress(FiveValueColumn(), Codec::kPdict);
+  ASSERT_TRUE(cb.ok());
+  ExpectCorruption(EditedImage(*cb, [](std::vector<uint8_t>* s) {
+    // Header (16 bytes) + 5 dictionary entries, then the codes: the first
+    // byte becomes codes 7 and 7.
+    (*s)[16 + 5 * 4] = 0xff;
+  }));
+}
+
+TEST(CompressedBatLoadTest, TruncatedPdictCodesAreCorruption) {
+  auto cb = CompressedBat::Compress(FiveValueColumn(), Codec::kPdict);
+  ASSERT_TRUE(cb.ok());
+  ExpectCorruption(EditedImage(*cb, [](std::vector<uint8_t>* s) {
+    s->resize(16 + 5 * 4 + PackedBytes(1000, 3) / 2);
+  }));
+}
+
+TEST(CompressedBatLoadTest, RleRunsShortOfCountAreCorruption) {
+  BatPtr b = FiveValueColumn();
+  auto cb = CompressedBat::Compress(b, Codec::kRle);
+  ASSERT_TRUE(cb.ok());
+  // A well-formed RLE stream of the first 900 rows under a 1000-row header.
+  const std::string image = EditedImage(*cb, [&](std::vector<uint8_t>* s) {
+    ASSERT_TRUE(RleEncode(b->TailData<int32_t>(), 900, s).ok());
+  });
+  ExpectCorruption(image);
+}
+
+TEST(CompressedBatLoadTest, StreamOfWrongWidthIsCorruption) {
+  BatPtr b64 = SortedColumn64(1000, 51);
+  BatPtr b32 = SortedColumn(1000, 51);
+  for (Codec c : {Codec::kPfor, Codec::kPforDelta, Codec::kRle}) {
+    auto cb64 = CompressedBat::Compress(b64, c);
+    auto cb32 = CompressedBat::Compress(b32, c);
+    ASSERT_TRUE(cb64.ok() && cb32.ok());
+    std::string image32;
+    cb32->Serialize(&image32);
+    // An int32 stream under the int64 column header.
+    ExpectCorruption(EditedImage(*cb64, [&](std::vector<uint8_t>* s) {
+      s->assign(image32.end() - static_cast<ptrdiff_t>(cb32->CompressedBytes()),
+                image32.end());
+    }));
+  }
+}
+
+TEST(CompressedBatLoadTest, StreamOfWrongCodecIsCorruption) {
+  BatPtr b = FiveValueColumn();
+  auto rle = CompressedBat::Compress(b, Codec::kRle);
+  ASSERT_TRUE(rle.ok());
+  std::vector<uint8_t> pfor;
+  ASSERT_TRUE(PforEncode(b->TailData<int32_t>(), 1000, &pfor).ok());
+  // A PFOR stream under an RLE header.
+  ExpectCorruption(EditedImage(*rle, [&](std::vector<uint8_t>* s) {
+    *s = pfor;
+  }));
+}
+
+TEST(CompressedBatLoadTest, PforBlocksPastTheStreamAreCorruption) {
+  for (BatPtr b : {SortedColumn(1000, 52), SortedColumn64(1000, 52)}) {
+    for (Codec c : {Codec::kPfor, Codec::kPforDelta}) {
+      auto cb = CompressedBat::Compress(b, c);
+      ASSERT_TRUE(cb.ok());
+      // Cut the stream inside the last block's payload.
+      ExpectCorruption(EditedImage(*cb, [](std::vector<uint8_t>* s) {
+        s->resize(s->size() - 24);
+      }));
+    }
+  }
+}
+
+TEST(CompressedBatLoadTest, StreamCountOtherThanHeaderIsCorruption) {
+  BatPtr b = FiveValueColumn();
+  for (Codec c : {Codec::kPfor, Codec::kPforDelta, Codec::kPdict,
+                  Codec::kRle}) {
+    auto cb = CompressedBat::Compress(b, c);
+    ASSERT_TRUE(cb.ok());
+    // Every codec stream opens with (u32 magic, u32 count).
+    ExpectCorruption(EditedImage(*cb, [](std::vector<uint8_t>* s) {
+      const uint32_t count = 999;
+      std::memcpy(s->data() + 4, &count, sizeof(count));
+    }));
+  }
+}
 
 // ----------------------------------------------------- concurrency (a) --
 
