@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "compress/compressed_kernels.h"
+#include "core/candidates.h"
 #include "core/project.h"
 
 namespace mammoth::compress {
@@ -77,6 +78,39 @@ Result<BatPtr> CompressedProject(
   stats::ProjectFull();
   MAMMOTH_ASSIGN_OR_RETURN(BatPtr full, values->DecodedBat());
   return algebra::Project(oids, full, ctx);
+}
+
+Result<BatPtr> ProjectMainDelta(
+    const BatPtr& oids, const BatPtr& main,
+    const std::shared_ptr<const CompressedBat>& comp, const BatPtr& delta,
+    const parallel::ExecContext& ctx) {
+  if (oids == nullptr || (main == nullptr && comp == nullptr)) {
+    return Status::InvalidArgument("project: null input");
+  }
+  auto project_main = [&](const BatPtr& o) {
+    return main != nullptr ? algebra::Project(o, main, ctx)
+                           : CompressedProject(o, comp, ctx);
+  };
+  if (delta == nullptr || delta->empty()) return project_main(oids);
+  if (!KnownSorted(oids)) {
+    BatPtr plain = main;
+    if (plain == nullptr) {
+      stats::ProjectFull();
+      MAMMOTH_ASSIGN_OR_RETURN(plain, comp->DecodedBat());
+    }
+    return algebra::Project(oids, ConcatColumn(plain, delta), ctx);
+  }
+  const OidSplit split = SplitSortedOids(oids, delta->hseqbase());
+  if (split.high->empty()) return project_main(oids);
+  MAMMOTH_ASSIGN_OR_RETURN(BatPtr out,
+                           algebra::Project(split.high, delta, ctx));
+  if (!split.low->empty()) {
+    MAMMOTH_ASSIGN_OR_RETURN(BatPtr head, project_main(split.low));
+    head->AppendTail(*out);
+    out = std::move(head);
+  }
+  out->set_hseqbase(oids->hseqbase());
+  return out;
 }
 
 }  // namespace mammoth::compress

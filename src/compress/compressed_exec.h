@@ -22,6 +22,19 @@ Result<BatPtr> CompressedProject(
     const BatPtr& oids, const std::shared_ptr<const CompressedBat>& values,
     const parallel::ExecContext& ctx);
 
+/// Projection over a column held as (main image, pending delta): the main
+/// image is `main` when set, else `comp`; `delta` (null or empty when
+/// nothing is pending) is headed at the main row count. Sorted `oids` cut
+/// at that boundary: the low half gathers from the main image — through
+/// CompressedProject for `comp`, so dense and narrow lists stay bounded —
+/// the high half from the delta, and only the gathered values are
+/// concatenated. Unsorted `oids` gather from main ++ delta materialized.
+/// Bit-identical to algebra::Project over Table::ScanColumn.
+Result<BatPtr> ProjectMainDelta(
+    const BatPtr& oids, const BatPtr& main,
+    const std::shared_ptr<const CompressedBat>& comp, const BatPtr& delta,
+    const parallel::ExecContext& ctx);
+
 }  // namespace mammoth::compress
 
 #endif  // MAMMOTH_COMPRESS_COMPRESSED_EXEC_H_

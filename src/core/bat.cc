@@ -128,6 +128,21 @@ BatPtr Bat::Clone() const {
   return out;
 }
 
+void Bat::AppendTail(const Bat& src) {
+  MAMMOTH_DCHECK(src.type_ == type_, "AppendTail type mismatch");
+  MaterializeDense();
+  const size_t n = src.Count();
+  if (src.dense_tail_) {
+    tail_.Reserve(tail_.size() + n);
+    for (size_t i = 0; i < n; ++i) tail_.Append<Oid>(src.tseqbase_ + i);
+  } else if (type_ == PhysType::kStr && src.heap_ != heap_) {
+    for (size_t i = 0; i < n; ++i) AppendString(src.StringAt(i));
+  } else {
+    tail_.AppendRaw(src.tail_.raw_data(), n);
+  }
+  props_ = BatProperties{};
+}
+
 std::string Bat::ToString() const {
   char buf[128];
   std::snprintf(buf, sizeof(buf), "bat[:oid,:%s]{count=%zu%s%s%s%s}",
@@ -135,6 +150,13 @@ std::string Bat::ToString() const {
                 props_.sorted ? ",sorted" : "",
                 props_.revsorted ? ",revsorted" : "", props_.key ? ",key" : "");
   return buf;
+}
+
+BatPtr ConcatColumn(const BatPtr& main, const BatPtr& delta) {
+  if (delta == nullptr || delta->empty()) return main;
+  BatPtr out = main->Clone();
+  out->AppendTail(*delta);
+  return out;
 }
 
 BatPtr MakeStringBat(std::initializer_list<std::string_view> values) {

@@ -138,6 +138,12 @@ class Bat {
   /// Deep copy (string BATs share the heap).
   BatPtr Clone() const;
 
+  /// Appends every tail value of `src` (same tail type). String offsets
+  /// copy straight across when `src` shares this BAT's heap and are
+  /// re-interned otherwise; a dense OID tail on either side is
+  /// materialized. Resets the properties.
+  void AppendTail(const Bat& src);
+
   /// Debug rendering: "bat[:oid,:int]{count=42,sorted}".
   std::string ToString() const;
 
@@ -179,6 +185,11 @@ BatPtr MakeBat(std::initializer_list<T> values) {
 
 /// Convenience: builds a string BAT from a list of literals.
 BatPtr MakeStringBat(std::initializer_list<std::string_view> values);
+
+/// `main` ++ `delta` as one BAT headed at main's hseqbase: `main` itself
+/// when `delta` is null or empty, a fresh copy otherwise. The one
+/// materializer of a column image together with its pending delta.
+BatPtr ConcatColumn(const BatPtr& main, const BatPtr& delta);
 
 }  // namespace mammoth
 

@@ -1,27 +1,33 @@
 #include "core/table.h"
 
 #include <algorithm>
+#include <atomic>
 
 #include "core/dispatch.h"
 
 namespace mammoth {
 
+namespace {
+
+/// Main epochs are unique across tables, so a table recreated under an
+/// old name never matches a cache entry of its predecessor.
+uint64_t NextMainEpoch() {
+  static std::atomic<uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
+}  // namespace
+
 Table::Table(std::string name, std::vector<ColumnDef> schema)
-    : name_(std::move(name)), schema_(std::move(schema)) {
+    : name_(std::move(name)),
+      schema_(std::move(schema)),
+      main_epoch_(NextMainEpoch()) {
   mains_.reserve(schema_.size());
   compressed_.resize(schema_.size());
   str_dicts_.resize(schema_.size());
-  inserts_.reserve(schema_.size());
-  for (const ColumnDef& def : schema_) {
-    mains_.push_back(NewColumnBat(def));
-    // Insert deltas of string columns share the main column's heap so the
-    // merge step is a plain offset append.
-    if (def.type == PhysType::kStr) {
-      inserts_.push_back(Bat::NewString(mains_.back()->heap()));
-    } else {
-      inserts_.push_back(Bat::New(def.type));
-    }
-  }
+  inserts_.resize(schema_.size());
+  for (const ColumnDef& def : schema_) mains_.push_back(NewColumnBat(def));
+  for (size_t i = 0; i < schema_.size(); ++i) ResetDelta(i);
   deleted_ = Bat::New(PhysType::kOid);
   deleted_->mutable_props().sorted = true;
   deleted_->mutable_props().key = true;
@@ -31,6 +37,14 @@ Table::Table(std::string name, std::vector<ColumnDef> schema)
 BatPtr Table::NewColumnBat(const ColumnDef& def) {
   return def.type == PhysType::kStr ? Bat::NewString(nullptr)
                                     : Bat::New(def.type);
+}
+
+void Table::ResetDelta(size_t i) {
+  // Sharing the heap makes the merge step a plain offset append.
+  inserts_[i] = schema_[i].type == PhysType::kStr
+                    ? Bat::NewString(mains_[i]->heap())
+                    : Bat::New(schema_[i].type);
+  inserts_[i]->set_hseqbase(MainRowCount());
 }
 
 Result<TablePtr> Table::Create(std::string name,
@@ -67,11 +81,9 @@ Result<TablePtr> Table::FromColumns(std::string name,
   }
   for (size_t i = 0; i < columns.size(); ++i) {
     t->mains_[i] = std::move(columns[i]);
-    // String deltas must share the adopted heap.
-    if (t->schema_[i].type == PhysType::kStr) {
-      t->inserts_[i] = Bat::NewString(t->mains_[i]->heap());
-    }
+    t->ResetDelta(i);
   }
+  t->main_epoch_ = NextMainEpoch();
   return t;
 }
 
@@ -187,14 +199,7 @@ Result<BatPtr> Table::ScanColumn(size_t idx) const {
     // pay for at most one decompression per compressed image.
     MAMMOTH_ASSIGN_OR_RETURN(main, compressed_[idx]->DecodedBat());
   }
-  const BatPtr& ins = inserts_[idx];
-  if (ins->Count() == 0) return main;
-  // Materialize main ++ inserts. String deltas share the main heap, so the
-  // offsets concatenate directly.
-  BatPtr merged = main->Clone();
-  merged->AppendRaw(ins->tail().raw_data(), ins->Count());
-  merged->mutable_props() = BatProperties{};
-  return merged;
+  return ConcatColumn(main, inserts_[idx]);
 }
 
 Result<BatPtr> Table::ScanColumn(std::string_view column_name) const {
@@ -283,13 +288,9 @@ Status Table::MergeDeltas() {
             std::make_shared<const compress::StrDict>(*std::move(dict));
       }
     }
-    // Fresh empty delta (string deltas re-attach to the main heap).
-    if (schema_[i].type == PhysType::kStr) {
-      inserts_[i] = Bat::NewString(mains_[i]->heap());
-    } else {
-      inserts_[i] = Bat::New(schema_[i].type);
-    }
   }
+  // Fresh empty deltas, headed at the new main row count.
+  for (size_t i = 0; i < schema_.size(); ++i) ResetDelta(i);
   deleted_ = Bat::New(PhysType::kOid);
   deleted_->mutable_props().sorted = true;
   deleted_->mutable_props().key = true;
@@ -300,6 +301,7 @@ Status Table::MergeDeltas() {
   commit_history_.clear();
   ++all_visible_version_;
   ++version_;
+  main_epoch_ = NextMainEpoch();
   return Status::OK();
 }
 
@@ -341,6 +343,7 @@ TablePtr Table::Snapshot() const {
   snap->commit_history_ = commit_history_;
   snap->all_visible_version_ = all_visible_version_;
   snap->version_ = version_;
+  snap->main_epoch_ = main_epoch_;
   return snap;
 }
 
@@ -363,6 +366,7 @@ Status Table::SetCompression(bool on) {
   // and the representation they bound to; be conservative.
   ++all_visible_version_;
   ++version_;
+  main_epoch_ = NextMainEpoch();
   return Status::OK();
 }
 
@@ -527,15 +531,13 @@ Result<TablePtr> Table::FromStorage(
       // snapshot.
       MAMMOTH_ASSIGN_OR_RETURN(t->mains_[i], sdicts[i]->Decode());
       t->str_dicts_[i] = std::move(sdicts[i]);
-      t->inserts_[i] = Bat::NewString(t->mains_[i]->heap());
     } else {
       t->mains_[i] = std::move(mains[i]);
-      if (t->schema_[i].type == PhysType::kStr) {
-        t->inserts_[i] = Bat::NewString(t->mains_[i]->heap());
-      }
     }
+    t->ResetDelta(i);
   }
   t->compress_policy_ = policy;
+  t->main_epoch_ = NextMainEpoch();
   return t;
 }
 

@@ -81,8 +81,10 @@ class Table {
   Status Delete(const BatPtr& oids, uint64_t stamp = txn::kVisibleToAll,
                 const txn::Snapshot* snap = nullptr);
 
-  /// The *merged* read image of a column: main ++ inserts, one BAT. Cheap
-  /// when no pending inserts exist (returns the main BAT itself).
+  /// Cold-path materializer: main ++ inserts as one plain BAT (the main
+  /// BAT itself when no inserts are pending). Queries never call it —
+  /// they read the main image and DeltaColumn side by side — only
+  /// MergeDeltas, catalog comparison and the Volcano oracle do.
   Result<BatPtr> ScanColumn(size_t idx) const;
   Result<BatPtr> ScanColumn(std::string_view column_name) const;
 
@@ -96,8 +98,8 @@ class Table {
   ///
   /// Every pending insert row and delete mark carries a commit stamp
   /// (txn/txn.h). Readers resolve visibility through candidate lists:
-  /// ScanColumn stays the full physical merge, and VisibleCandidates
-  /// excludes the positions a snapshot must not see.
+  /// columns stay the full physical (main image, delta) pair, and
+  /// VisibleCandidates excludes the positions a snapshot must not see.
 
   /// Candidate list of the positions visible to `snap`: rows whose insert
   /// stamp the snapshot sees, minus rows whose delete mark it sees.
@@ -173,9 +175,15 @@ class Table {
   /// Number of deleted, not-yet-compacted rows.
   size_t DeletedCount() const { return deleted_->Count(); }
 
-  /// Direct access to the main BAT of a column (bench/test aid; bypasses
-  /// deltas). Empty stub when the column's main image is compressed.
+  /// Direct access to the main BAT of a column (bypasses deltas). Empty
+  /// stub when the column's main image is compressed.
   const BatPtr& MainColumn(size_t idx) const { return mains_[idx]; }
+
+  /// The pending-insert delta of a column: a plain BAT headed at the main
+  /// row count, so kernels run over it emit table-wide OIDs. String
+  /// deltas share the main column's heap. Mutated by Insert/Rollback and
+  /// replaced by MergeDeltas (callers hold the engine lock to read it).
+  const BatPtr& DeltaColumn(size_t idx) const { return inserts_[idx]; }
 
   /// --- Compression (§5: compressed columns as first-class storage) ----
 
@@ -217,16 +225,26 @@ class Table {
   /// Bytes pinned by whole-column decode caches of compressed int columns.
   size_t CompressedCacheBytesTotal() const;
 
-  /// Monotone *physical* version counter, bumped by every
-  /// Insert/Delete/MergeDeltas. Keys caches tied to the physical column
-  /// image (shared-scan zone maps, decode buffers); snapshot-dependent
+  /// Monotone write-progress counter, bumped by every
+  /// Insert/Delete/MergeDeltas (restored by Rollback). Snapshot-dependent
   /// caches key on VisibleStateKey instead.
   uint64_t version() const { return version_; }
+
+  /// Identity of the main image (every column's mains_/compressed_/
+  /// str_dicts_ entry): a process-unique value that changes only when the
+  /// main image is replaced — at load, MergeDeltas and SetCompression.
+  /// Inserts and deletes leave it alone, so caches over the main image
+  /// (shared-scan passes, zone maps, decode buffers) survive them.
+  uint64_t main_epoch() const { return main_epoch_; }
 
  private:
   Table(std::string name, std::vector<ColumnDef> schema);
 
   static BatPtr NewColumnBat(const ColumnDef& def);
+
+  /// Gives column `i` a fresh, empty insert delta headed at the main row
+  /// count (string deltas share the main column's heap).
+  void ResetDelta(size_t i);
 
   /// Rows in the main image, whatever its representation.
   size_t MainRowCount() const {
@@ -265,6 +283,7 @@ class Table {
   uint64_t all_visible_version_ = 0;
   bool compress_policy_ = false;
   uint64_t version_ = 0;
+  uint64_t main_epoch_;
 };
 
 }  // namespace mammoth

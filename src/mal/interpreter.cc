@@ -8,6 +8,7 @@
 #include "common/timer.h"
 #include "compress/compressed_exec.h"
 #include "compress/compressed_kernels.h"
+#include "core/candidates.h"
 #include "core/group.h"
 #include "core/join.h"
 #include "core/project.h"
@@ -20,28 +21,36 @@ namespace {
 
 /// Runtime slot for one MAL variable.
 struct Rt {
+  /// The slot's BAT. For a kBind slot this is the column's *main* image
+  /// when it is plain or dictionary-backed, and null when it is
+  /// compressed (until a consumer decodes it); `delta` holds the rest.
   BatPtr bat;
-  /// Compressed base-column image, set by kBind when the bound column is
-  /// stored compressed (and no pending inserts extend it). `bat` stays
-  /// null then: select, project and aggregate route the compressed image
-  /// directly (code-space kernels or chunk-at-a-time decompression); any
-  /// other consumer materializes the shared whole-column decode via
-  /// NeedBat.
+  /// Compressed main image of a bound column. `bat` stays null then:
+  /// select, project and aggregate route the compressed image directly
+  /// (code-space kernels or chunk-at-a-time decompression); any other
+  /// consumer materializes the shared whole-column decode via NeedBat.
   std::shared_ptr<const compress::CompressedBat> cbat;
-  /// Dictionary image of a bound string column (compression policy on,
-  /// no pending inserts). Unlike cbat, `bat` is set alongside it — the
-  /// plain heap image stays resident — so only code-space-rewritable
-  /// string predicates route through the dictionary; everything else
-  /// reads `bat` unchanged.
+  /// Dictionary image of a bound string column's main image. Unlike cbat,
+  /// `bat` is set alongside it — the plain heap image stays resident — so
+  /// only code-space-rewritable string predicates route through the
+  /// dictionary; everything else reads `bat` unchanged.
   std::shared_ptr<const compress::StrDict> sdict;
+  /// Pending inserts of a bound column (null when none): the table's
+  /// plain delta BAT, headed at the main row count so kernels over it
+  /// emit table-wide OIDs. Selects and projections run over the main
+  /// image and the delta separately and concatenate only their results;
+  /// every other consumer gets main ++ delta from NeedBat.
+  BatPtr delta;
   Value scalar;
   uint64_t sig = 0;
-  /// Base-table provenance, set by kBind (and only kBind): marks this BAT
-  /// as a whole base column, which makes a downstream full-column select
-  /// eligible for the shared-scan path. `bind` points into the program's
-  /// instruction list (stable for the run).
+  /// Base-table provenance, set by kBind (and only kBind): marks the main
+  /// image as a whole base column, which makes a downstream full-column
+  /// select eligible for the shared-scan path. `bind` points into the
+  /// program's instruction list (stable for the run).
   const Instr* bind = nullptr;
-  uint64_t bind_version = 0;
+  /// The table's main epoch: keys shared passes and zone maps, and stays
+  /// put while inserts pile up in the delta.
+  uint64_t main_epoch = 0;
 };
 
 uint64_t HashValue(const Value& v) {
@@ -96,101 +105,110 @@ uint64_t RangeBase(const Instr& ins, const std::vector<Rt>& vars) {
                                                   : vars[ins.inputs[1]].sig);
 }
 
-/// Validates (and, for compressed binds, materializes) the BAT operand:
-/// a slot holding only a compressed image decodes it here — through the
-/// shared cache, so repeated materializations pay once.
+/// Whether slot `id` holds a BAT image (plain or compressed).
+bool HasImage(const std::vector<Rt>& vars, int id) {
+  return id >= 0 && (vars[id].bat != nullptr || vars[id].cbat != nullptr);
+}
+
+Status MissingOperand(const char* what) {
+  return Status::Internal(std::string("mal: missing BAT operand for ") +
+                          what);
+}
+
+/// Validates the BAT operand and makes it one plain BAT: a compressed
+/// main image decodes through the shared cache (so repeated
+/// materializations pay once), and pending inserts append to a copy
+/// (ConcatColumn). A slot merged with its delta is no longer a base-column
+/// bind: its image is not the one the main epoch names.
 Status NeedBat(std::vector<Rt>& vars, int id, const char* what) {
-  if (id >= 0 && vars[id].bat == nullptr && vars[id].cbat != nullptr) {
-    MAMMOTH_ASSIGN_OR_RETURN(vars[id].bat, vars[id].cbat->DecodedBat());
+  if (!HasImage(vars, id)) return MissingOperand(what);
+  Rt& v = vars[id];
+  if (v.bat == nullptr) {
+    MAMMOTH_ASSIGN_OR_RETURN(v.bat, v.cbat->DecodedBat());
   }
-  if (id < 0 || vars[id].bat == nullptr) {
-    return Status::Internal(std::string("mal: missing BAT operand for ") +
-                            what);
+  if (v.delta != nullptr) {
+    v.bat = ConcatColumn(v.bat, v.delta);
+    v.delta = nullptr;
+    v.cbat = nullptr;
+    v.sdict = nullptr;
+    v.bind = nullptr;
   }
   return Status::OK();
 }
 
 /// Whether `cands` filters nothing: absent, or a dense list spanning every
 /// row of a column of `count` rows headed at `hseq` (what
-/// Table::LiveCandidates returns for delete-free tables). Such a select is
-/// a full-column scan and may be routed through the shared-scan scheduler.
+/// Table::VisibleCandidates yields for a main image without deletes).
+/// Such a select is a full-column scan and may be routed through the
+/// shared-scan scheduler.
 bool CoversWholeColumn(const BatPtr& cands, size_t count, Oid hseq) {
   return cands == nullptr ||
          (cands->IsDenseTail() && cands->Count() == count &&
           cands->tseqbase() == hseq);
 }
 
-/// Whether `cands` is a dense *prefix* [hseq, hseq+k) of a column of
-/// `count` rows — what Table::VisibleCandidates returns when another
-/// transaction's uncommitted rows form the delta tail. Such a select can
-/// still join a shared full-column pass: run over all rows, then cut the
-/// sorted result at the prefix boundary (bit-identical to scanning only
-/// the prefix, since selects never look across rows).
-bool CoversDensePrefix(const BatPtr& cands, size_t count, Oid hseq,
-                       size_t* prefix) {
-  if (cands == nullptr || !cands->IsDenseTail() ||
-      cands->tseqbase() != hseq || cands->Count() >= count) {
-    return false;
-  }
-  *prefix = cands->Count();
-  return true;
-}
-
-/// Drops every OID >= `limit` from a sorted select result.
-BatPtr TruncateSorted(const BatPtr& r, Oid limit) {
-  if (r->IsDenseTail()) {
-    const size_t keep =
-        r->tseqbase() >= limit
-            ? 0
-            : std::min<size_t>(r->Count(), limit - r->tseqbase());
-    if (keep == r->Count()) return r;
-    return Bat::NewDense(r->tseqbase(), keep, r->hseqbase());
-  }
-  const Oid* data = r->TailData<Oid>();
-  const size_t keep = static_cast<size_t>(
-      std::lower_bound(data, data + r->Count(), limit) - data);
-  if (keep == r->Count()) return r;
-  BatPtr out = Bat::New(PhysType::kOid);
-  out->AppendRaw(data, keep);
-  out->mutable_props().sorted = true;
-  out->mutable_props().key = true;
-  return out;
-}
-
-/// The scan source of a slot: the compressed image when the bind left
-/// one, the dictionary-backed string image when one exists, the plain BAT
-/// otherwise.
+/// The scan source of a slot's main image: the compressed image when the
+/// bind left one, the dictionary-backed string image when one exists, the
+/// plain BAT otherwise.
 scan::ColumnSource SourceOf(const Rt& in) {
   if (in.cbat != nullptr) return scan::ColumnSource::Compressed(in.cbat);
   if (in.sdict != nullptr) return scan::ColumnSource::Dict(in.bat, in.sdict);
   return scan::ColumnSource::Plain(in.bat);
 }
 
-/// The route of a select that reads every row of slot `in`: the
-/// scheduler's pass when one is attached and the slot is a base-table
-/// bind (a dense-prefix candidate list rides the full pass, then cuts the
-/// result), the scan layer's direct entry point otherwise. Either one
-/// picks code space or decode-then-kernel for the slot's image. Returns
-/// null when `cands` filters rows (or the slot is empty), leaving the
-/// select to the kernel over the candidates.
-Result<BatPtr> SelectWholeColumn(const Rt& in, const BatPtr& cands,
-                                 const scan::ScanPredicate& pred,
-                                 const parallel::ExecContext& ctx) {
-  if (in.bat == nullptr && in.cbat == nullptr) return BatPtr{};
+/// A select over the main image of slot `in`. When `cands` filters
+/// nothing (and `whole` allows it) it reads every row: through the
+/// scheduler's shared pass when one is attached and the slot is a
+/// base-table bind, else the scan layer's direct entry point; either one
+/// picks code space or decode-then-kernel for the image. Otherwise the
+/// kernel runs over the candidates, decoding a compressed-only slot first
+/// (counted as a fallback; the decode stays in the slot).
+Result<BatPtr> SelectMain(Rt& in, const BatPtr& cands,
+                          const scan::ScanPredicate& pred, bool whole,
+                          const parallel::ExecContext& ctx) {
   const scan::ColumnSource src = SourceOf(in);
-  const bool whole = CoversWholeColumn(cands, src.Count(), src.hseqbase);
-  size_t prefix = 0;
-  if (ctx.shared_scans() != nullptr && in.bind != nullptr &&
-      (whole ||
-       CoversDensePrefix(cands, src.Count(), src.hseqbase, &prefix))) {
-    MAMMOTH_ASSIGN_OR_RETURN(
-        BatPtr r, ctx.shared_scans()->Select(src, in.bind->table,
-                                             in.bind->column,
-                                             in.bind_version, pred, ctx));
-    return whole ? r : TruncateSorted(r, src.hseqbase + prefix);
+  if (whole && CoversWholeColumn(cands, src.Count(), src.hseqbase)) {
+    if (ctx.shared_scans() != nullptr && in.bind != nullptr) {
+      return ctx.shared_scans()->Select(src, in.bind->table, in.bind->column,
+                                        in.main_epoch, pred, ctx);
+    }
+    return scan::RunKernelSource(src, pred, ctx);
   }
-  if (!whole) return BatPtr{};
-  return scan::RunKernelSource(src, pred, ctx);
+  if (in.bat == nullptr) {
+    compress::stats::SelectFallback();
+    MAMMOTH_ASSIGN_OR_RETURN(in.bat, in.cbat->DecodedBat());
+  }
+  return scan::RunKernel(in.bat, cands, pred, ctx);
+}
+
+/// A select over slot `in`. With pending inserts the sorted candidates
+/// cut at the delta's head: the main half goes through SelectMain — so
+/// shared passes, zone maps and code space still apply — and the delta
+/// half through the stock kernel. Every delta OID follows every main OID,
+/// so the two sorted results simply concatenate.
+Result<BatPtr> SelectSlot(std::vector<Rt>& vars, int id, const BatPtr& cands,
+                          const scan::ScanPredicate& pred, bool whole,
+                          const parallel::ExecContext& ctx) {
+  if (!HasImage(vars, id)) return MissingOperand("select");
+  if (vars[id].delta != nullptr && !KnownSorted(cands)) {
+    MAMMOTH_RETURN_IF_ERROR(NeedBat(vars, id, "select"));
+  }
+  Rt& in = vars[id];
+  if (in.delta == nullptr) return SelectMain(in, cands, pred, whole, ctx);
+  const OidSplit split = SplitSortedOids(cands, in.delta->hseqbase());
+  MAMMOTH_ASSIGN_OR_RETURN(BatPtr tail,
+                           scan::RunKernel(in.delta, split.high, pred, ctx));
+  // No main candidates: skip the main image (a compressed one would
+  // decode just to select nothing).
+  if (split.low != nullptr && split.low->empty()) return tail;
+  MAMMOTH_ASSIGN_OR_RETURN(BatPtr head,
+                           SelectMain(in, split.low, pred, whole, ctx));
+  if (tail->empty()) return head;
+  if (head->empty()) return tail;
+  BatPtr out = ConcatColumn(head, tail);
+  out->mutable_props().sorted = true;
+  out->mutable_props().key = true;
+  return out;
 }
 
 }  // namespace
@@ -289,26 +307,17 @@ Result<QueryResult> Interpreter::Run(const Program& program, RunStats* stats) {
         MAMMOTH_ASSIGN_OR_RETURN(TablePtr t, catalog_->Get(ins.table));
         MAMMOTH_ASSIGN_OR_RETURN(size_t idx, t->ColumnIndex(ins.column));
         Rt& out = vars[ins.outputs[0]];
-        out.bat = nullptr;
-        out.cbat = nullptr;
-        out.sdict = nullptr;
-        // A compressed column with no pending inserts binds as its
-        // compressed image (decoded lazily, or chunk-at-a-time by the
-        // scan path); otherwise the merged plain image. A dictionary-
-        // backed string column binds both images: the plain BAT for
-        // general consumers, the dictionary for code-space predicates.
-        const auto& comp = t->CompressedColumn(idx);
-        if (comp != nullptr && t->PendingInsertCount() == 0) {
-          out.cbat = comp;
-        } else {
-          MAMMOTH_ASSIGN_OR_RETURN(out.bat, t->ScanColumn(idx));
-          const auto& sdict = t->StringDictColumn(idx);
-          if (sdict != nullptr && t->PendingInsertCount() == 0) {
-            out.sdict = sdict;
-          }
-        }
+        // The main image binds as stored — compressed (decoded lazily, or
+        // chunk-at-a-time by the scan path), or plain with the dictionary
+        // alongside for code-space predicates — and pending inserts ride
+        // next to it as the delta. Nothing is copied.
+        out.cbat = t->CompressedColumn(idx);
+        out.bat = out.cbat != nullptr ? nullptr : t->MainColumn(idx);
+        out.sdict = t->StringDictColumn(idx);
+        const BatPtr& delta = t->DeltaColumn(idx);
+        out.delta = delta->empty() ? nullptr : delta;
         out.bind = &ins;
-        out.bind_version = t->version();
+        out.main_epoch = t->main_epoch();
         // Signatures key on the *snapshot-visible* state, not the physical
         // version: rows another transaction appended but this snapshot
         // cannot see leave the key — and hence every cached downstream
@@ -345,56 +354,34 @@ Result<QueryResult> Interpreter::Run(const Program& program, RunStats* stats) {
             recycler_->LookupRangeSuperset(RangeBase(ins, vars),
                                            ins.consts[0].AsReal(),
                                            ins.consts[1].AsReal(), &cands);
-        const int col = ins.inputs[0];
-        BatPtr r;
-        if (!subsumed && col >= 0) {
-          MAMMOTH_ASSIGN_OR_RETURN(
-              r, SelectWholeColumn(vars[col], cands, pred, ctx_));
-        }
-        if (r == nullptr) {
-          // A candidate-filtered select runs the kernel over the plain
-          // image, decoding a compressed-only slot first.
-          if (col >= 0 && vars[col].cbat != nullptr &&
-              vars[col].bat == nullptr) {
-            compress::stats::SelectFallback();
-          }
-          MAMMOTH_RETURN_IF_ERROR(NeedBat(vars, col, "select"));
-          MAMMOTH_ASSIGN_OR_RETURN(
-              r, scan::RunKernel(vars[col].bat, cands, pred, ctx_));
-        }
-        vars[ins.outputs[0]].bat = r;
+        MAMMOTH_ASSIGN_OR_RETURN(
+            vars[ins.outputs[0]].bat,
+            SelectSlot(vars, ins.inputs[0], cands, pred, !subsumed, ctx_));
         break;
       }
       case OpCode::kProject: {
         MAMMOTH_RETURN_IF_ERROR(NeedBat(vars, ins.inputs[0], "projection"));
-        // Projection out of a compressed bind decodes only the touched
-        // range (dense OID gathers) instead of the whole column. An
-        // identity projection (dense OID list covering every row — what
-        // a WHERE-less query's candidate list looks like) passes the
+        const BatPtr& oids = vars[ins.inputs[0]].bat;
+        if (!HasImage(vars, ins.inputs[1])) {
+          return MissingOperand("projection");
+        }
+        const Rt& in = vars[ins.inputs[1]];
+        // An identity projection (dense OID list covering every row — what
+        // a WHERE-less query's candidate list looks like) passes a
         // compressed image through untouched, so a downstream aggregate
         // can fold it without ever decoding.
-        if (ins.inputs[1] >= 0 && vars[ins.inputs[1]].bat == nullptr &&
-            vars[ins.inputs[1]].cbat != nullptr) {
-          const BatPtr& oids = vars[ins.inputs[0]].bat;
-          const auto& comp = vars[ins.inputs[1]].cbat;
-          if (oids->IsDenseTail() && oids->Count() == comp->Count() &&
-              oids->tseqbase() == 0 && oids->hseqbase() == 0) {
-            vars[ins.outputs[0]].bat = nullptr;
-            vars[ins.outputs[0]].cbat = comp;
-            break;
-          }
-          MAMMOTH_ASSIGN_OR_RETURN(
-              BatPtr r,
-              compress::CompressedProject(vars[ins.inputs[0]].bat,
-                                          vars[ins.inputs[1]].cbat, ctx_));
-          vars[ins.outputs[0]].bat = r;
+        if (in.bat == nullptr && in.delta == nullptr && oids->IsDenseTail() &&
+            oids->Count() == in.cbat->Count() && oids->tseqbase() == 0 &&
+            oids->hseqbase() == 0) {
+          vars[ins.outputs[0]].cbat = in.cbat;
           break;
         }
-        MAMMOTH_RETURN_IF_ERROR(NeedBat(vars, ins.inputs[1], "projection"));
+        // Otherwise the main image gathers only the touched rows (bounded
+        // decodes for a compressed one) and pending inserts gather from
+        // the delta.
         MAMMOTH_ASSIGN_OR_RETURN(
-            BatPtr r, algebra::Project(vars[ins.inputs[0]].bat,
-                                       vars[ins.inputs[1]].bat, ctx_));
-        vars[ins.outputs[0]].bat = r;
+            vars[ins.outputs[0]].bat,
+            compress::ProjectMainDelta(oids, in.bat, in.cbat, in.delta, ctx_));
         break;
       }
       case OpCode::kJoin: {
@@ -438,7 +425,8 @@ Result<QueryResult> Interpreter::Run(const Program& program, RunStats* stats) {
         // without decoding; COUNT only reads the row count. Grouped and
         // non-foldable aggregates decode via NeedBat below.
         if (ins.inputs[0] >= 0 && vars[ins.inputs[0]].bat == nullptr &&
-            vars[ins.inputs[0]].cbat != nullptr) {
+            vars[ins.inputs[0]].cbat != nullptr &&
+            vars[ins.inputs[0]].delta == nullptr) {
           const auto& comp = vars[ins.inputs[0]].cbat;
           Result<BatPtr> cr = Status::Internal("unrouted");
           bool routed = false;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 
+#include "compress/compressed_exec.h"
 #include "core/project.h"
 #include "core/select.h"
 #include "core/sort.h"
@@ -576,16 +577,21 @@ Status Engine::RunUpdate(const UpdateStmt& stmt, wal::TxnBuilder* txn,
   if (oids->Count() == 0) return Status::OK();
 
   // MonetDB-style update: re-insert the modified image, delete the old
-  // rows (both through the delta BATs).
+  // rows (both through the delta BATs). Only the target rows are fetched,
+  // from the main image and the delta alike.
   std::vector<BatPtr> columns;
   for (size_t c = 0; c < t->NumColumns(); ++c) {
-    MAMMOTH_ASSIGN_OR_RETURN(BatPtr col, t->ScanColumn(c));
+    const auto& comp = t->CompressedColumn(c);
+    MAMMOTH_ASSIGN_OR_RETURN(
+        BatPtr col,
+        compress::ProjectMainDelta(
+            oids, comp != nullptr ? nullptr : t->MainColumn(c), comp,
+            t->DeltaColumn(c), parallel::ExecContext::Default()));
     columns.push_back(std::move(col));
   }
   std::vector<std::vector<Value>> new_rows;
   new_rows.reserve(oids->Count());
-  for (size_t i = 0; i < oids->Count(); ++i) {
-    const size_t row = static_cast<size_t>(oids->OidAt(i));
+  for (size_t row = 0; row < oids->Count(); ++row) {
     std::vector<Value> new_row(t->NumColumns());
     for (size_t c = 0; c < t->NumColumns(); ++c) {
       const Bat& col = *columns[c];
@@ -713,7 +719,13 @@ Result<mal::QueryResult> Engine::CommitDurable(
 
 Status Engine::ApplyReplicatedTxn(const std::vector<wal::Record>& ops) {
   std::unique_lock<std::shared_mutex> lock(rw_mu_);
-  catalog_version_.fetch_add(1, std::memory_order_relaxed);
+  for (const wal::Record& op : ops) {
+    if (op.type == wal::RecordType::kCreateTable ||
+        op.type == wal::RecordType::kSetCompression) {
+      schema_version_.fetch_add(1, std::memory_order_relaxed);
+      break;
+    }
+  }
   // Whole-txn atomicity for replica readers: the rows are applied with a
   // replica-local commit timestamp minted up front, and open snapshots
   // (ts < this one) never see any of them — a read-only transaction on a
@@ -741,7 +753,7 @@ Status Engine::ResetCatalogForReplication(std::shared_ptr<Catalog> catalog) {
     return Status::InvalidArgument("replication: null catalog");
   }
   std::unique_lock<std::shared_mutex> lock(rw_mu_);
-  catalog_version_.fetch_add(1, std::memory_order_relaxed);
+  schema_version_.fetch_add(1, std::memory_order_relaxed);
   catalog_ = std::move(catalog);
   if (recycler_ != nullptr) recycler_->Clear();
   return Status::OK();
@@ -808,7 +820,6 @@ Result<mal::QueryResult> Engine::RunCommit(Session* session) {
     return mal::QueryResult{};
   }
   std::unique_lock<std::shared_mutex> lock(rw_mu_);
-  catalog_version_.fetch_add(1, std::memory_order_relaxed);
   const uint64_t txn_id = session->snap_.txn_id;
   // Publication point: restamping pending rows with the fresh commit
   // timestamp happens under the exclusive lock, so no reader observes a
@@ -838,7 +849,6 @@ void Engine::RollbackLocked(Session* session) {
   const uint64_t txn_id = session->snap_.txn_id;
   if (!session->write_set_.empty()) {
     std::unique_lock<std::shared_mutex> lock(rw_mu_);
-    catalog_version_.fetch_add(1, std::memory_order_relaxed);
     // Single-owner rule: this transaction's pending rows are the delta
     // tail of every claimed table, so restoring the first-claim mark is
     // a physical undo — the table ends byte-identical to before BEGIN.
@@ -915,11 +925,11 @@ Result<mal::QueryResult> Engine::ExecuteParsed(
   }
 
   std::unique_lock<std::shared_mutex> lock(rw_mu_);
-  // Any mutation invalidates cached prepared plans wholesale: stale
-  // plans recompile lazily at their next EXECUTE. Bumped up front so
-  // even a failed statement errs toward recompilation, never toward a
-  // stale plan.
-  catalog_version_.fetch_add(1, std::memory_order_relaxed);
+  // DDL invalidates cached prepared plans wholesale: stale plans
+  // recompile lazily at their next EXECUTE. Bumped up front so even a
+  // failed statement errs toward recompilation, never toward a stale
+  // plan. DML leaves plans alone — they name tables and columns, not rows.
+  if (is_ddl) schema_version_.fetch_add(1, std::memory_order_relaxed);
   if (auto* cre = std::get_if<CreateStmt>(&stmt)) {
     wal::TxnBuilder txn;
     MAMMOTH_RETURN_IF_ERROR(RunCreate(*cre, &txn));
@@ -1066,12 +1076,12 @@ Result<mal::QueryResult> Engine::ExecutePreparedLocked(
     std::shared_lock<std::shared_mutex> lock(rw_mu_);
     const txn::Snapshot snap =
         session->in_txn_ ? session->snap_ : tm_.LatestSnapshot();
-    const uint64_t version = catalog_version_.load(std::memory_order_relaxed);
+    const uint64_t version = schema_version_.load(std::memory_order_relaxed);
     mal::Program prog;
     {
       // (Re)compile under the entry's plan lock when absent or stale.
-      // DDL/DML bump catalog_version_ only under the exclusive lock, so
-      // the staleness check cannot race while we hold the shared lock.
+      // DDL bumps schema_version_ only under the exclusive lock, so the
+      // staleness check cannot race while we hold the shared lock.
       std::lock_guard<std::mutex> plan_lock(entry->plan_mu);
       if (!entry->has_plan || entry->plan_version != version) {
         MAMMOTH_ASSIGN_OR_RETURN(mal::Program fresh, Compile(*sel));

@@ -161,11 +161,10 @@ class Engine {
   /// EXECUTE: runs a prepared statement with `params` bound to its
   /// placeholders. SELECTs reuse the cached compiled + optimized MAL
   /// plan — skipping SQL parsing and SQL→MAL compilation — unless a
-  /// DDL/DML statement has bumped the catalog version since the plan was
+  /// DDL statement has bumped the schema version since the plan was
   /// built, in which case it is recompiled in place (counted as a cache
-  /// miss, mirroring the recycler's wholesale invalidation). DML
-  /// statements bind a private AST copy and take the normal exclusive
-  /// path.
+  /// miss). DML statements bind a private AST copy and take the normal
+  /// exclusive path.
   Result<mal::QueryResult> ExecutePrepared(
       uint64_t stmt_id, const std::vector<Value>& params,
       const parallel::ExecContext& ctx = parallel::ExecContext::Default());
@@ -336,10 +335,12 @@ class Engine {
   SessionPtr default_session_;
   std::atomic<uint64_t> next_session_id_{1};
   PreparedCache prepared_;
-  /// Bumped under the exclusive lock by every mutating statement; a
-  /// prepared plan stamped with an older version recompiles lazily at
+  /// Bumped under the exclusive lock by DDL (CREATE, ALTER), a replica
+  /// catalog reset and replicated batches that carry DDL — never by DML,
+  /// COMMIT or ROLLBACK: Compile and the optimizer read only the schema.
+  /// A prepared plan stamped with an older version recompiles lazily at
   /// its next EXECUTE (the shared lock makes the check race-free).
-  std::atomic<uint64_t> catalog_version_{0};
+  std::atomic<uint64_t> schema_version_{0};
   wal::Wal* wal_ = nullptr;
   recycle::Recycler* recycler_ = nullptr;
   scan::SharedScanScheduler* shared_scans_ = nullptr;

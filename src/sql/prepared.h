@@ -19,9 +19,9 @@ namespace mammoth::sql {
 /// at PREPARE time; for SELECTs the compiled + optimized MAL plan (still
 /// carrying `?` placeholders in its consts) is cached alongside it, so
 /// EXECUTE skips both the SQL parser and SQL→MAL compilation. The plan is
-/// stamped with the engine's catalog version and lazily recompiled when a
-/// DDL/DML statement has bumped it since — the same wholesale
-/// invalidation discipline the recycler uses (recycle/recycler.h).
+/// stamped with the engine's schema version and lazily recompiled when a
+/// DDL statement has bumped it since. DML leaves plans valid: a plan
+/// names tables and columns, never rows.
 struct PreparedStatement {
   uint64_t id = 0;
   std::string key;  ///< normalized statement text (cache key)
@@ -40,7 +40,7 @@ struct PreparedStatement {
   std::mutex plan_mu;
   bool has_plan = false;
   mal::Program plan;          ///< SELECT only: optimized, placeholders intact
-  uint64_t plan_version = 0;  ///< catalog version the plan was built against
+  uint64_t plan_version = 0;  ///< schema version the plan was built against
 };
 
 struct PreparedStats {

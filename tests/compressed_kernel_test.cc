@@ -694,18 +694,35 @@ std::vector<RouteQuery> RandomRouteQueries(uint64_t seed, size_t n) {
   return queries;
 }
 
-/// bind → select over the live candidates → project a PFOR payload
-/// column and, with `project_selected`, the selected column itself.
+/// What RunRoute returns for the selection.
+enum class RouteOut {
+  kPayload,       ///< the projected PFOR payload column
+  kWithSelected,  ///< the payload and the projected selected column
+  kAggregates,    ///< COUNT, SUM(payload) and, for an int column, SUM(col)
+};
+
+/// bind → select over the live candidates → the `out` columns.
 std::string RunRoute(Catalog* catalog, const RouteQuery& q,
                      const parallel::ExecContext& ctx,
-                     bool project_selected = false) {
+                     RouteOut out = RouteOut::kPayload) {
   mal::Program p;
   const int col = p.Bind("routes", q.column);
   const int cands = p.BindCandidates("routes");
   const int sel = q.range ? p.RangeSelect(col, cands, q.lo, q.hi, q.anti)
                           : p.ThetaSelect(col, cands, q.v, q.op);
-  p.Result(p.Project(sel, p.Bind("routes", "rand64")), "rand64");
-  if (project_selected) p.Result(p.Project(sel, col), q.column);
+  const int payload_col = p.Project(sel, p.Bind("routes", "rand64"));
+  if (out == RouteOut::kAggregates) {
+    p.Result(p.Aggr(mal::OpCode::kAggrCount, sel), "count");
+    p.Result(p.Aggr(mal::OpCode::kAggrSum, payload_col), "sum_rand64");
+    if (q.column != "tag") {
+      p.Result(p.Aggr(mal::OpCode::kAggrSum, p.Project(sel, col)), "sum");
+    }
+  } else {
+    p.Result(payload_col, "rand64");
+    if (out == RouteOut::kWithSelected) {
+      p.Result(p.Project(sel, col), q.column);
+    }
+  }
   mal::Interpreter interp(catalog, nullptr, ctx);
   auto r = interp.Run(p);
   EXPECT_TRUE(r.ok()) << q.what << ": " << r.status().ToString();
@@ -713,6 +730,22 @@ std::string RunRoute(Catalog* catalog, const RouteQuery& q,
   auto payload = EncodeResult(*r);
   EXPECT_TRUE(payload.ok()) << q.what;
   return payload.ok() ? *payload : "";
+}
+
+/// `n` random route-table rows as one INSERT statement, drawn from the
+/// same domains as the table (so the random predicates hit them); the
+/// tag words include two the main image never holds.
+std::string RandomRouteInsert(Rng* rng, size_t n) {
+  std::string sql = "INSERT INTO routes VALUES ";
+  for (size_t i = 0; i < n; ++i) {
+    sql += i == 0 ? "(" : ", (";
+    for (const RouteColumn& c : RouteColumns()) {
+      const auto [lo, hi] = RouteDomain(c.shape);
+      sql += std::to_string(rng->UniformRange(lo, hi)) + ", ";
+    }
+    sql += "'" + TagWord(rng->Uniform(27)) + "')";
+  }
+  return sql;
 }
 
 std::vector<uint64_t> KernelStatsSince(const compress::KernelStats& before) {
@@ -727,11 +760,19 @@ std::vector<uint64_t> KernelStatsSince(const compress::KernelStats& before) {
 }
 
 /// Every select route agrees: an uncompressed oracle, the compressed
-/// table with no scheduler, the compressed table through a scheduler at
-/// pools 1 and 4, and the compressed table with a pending INSERT (which
-/// the oracle receives too). Results must be byte-identical on the wire,
-/// and a query's KernelStats delta must not depend on the scheduler. The
-/// stats are process-wide, so every query runs serially.
+/// table with no scheduler, and the compressed table through a scheduler
+/// at pools 1 and 4 — first with no deltas, then with rows pending.
+/// Results must be byte-identical on the wire, and without deltas a
+/// query's KernelStats delta must not depend on the scheduler. The stats
+/// are process-wide, so every query runs serially.
+///
+/// The pending arm commits several INSERT batches whose rows hit the
+/// predicates (the oracle receives them too), adds TEXT `=`/LIKE probes
+/// for words only the delta holds and COUNT/SUM over projected
+/// candidates, and keeps another transaction's INSERT open — the
+/// default snapshot must not see that tail. It checks once with a dense
+/// visible prefix and once after a DELETE, then CHECKPOINTs the
+/// compressed table (folding the deltas) and checks the merged image.
 TEST(CompressedKernelTest, SeededSelectRoutesAgreeAcrossEngines) {
   scan::SharedScanConfig config;
   config.chunk_bytes = kChunk;  // floors every width to one-morsel chunks
@@ -740,11 +781,16 @@ TEST(CompressedKernelTest, SeededSelectRoutesAgreeAcrossEngines) {
   const compress::KernelStats start = compress::GetKernelStats();
 
   for (uint64_t seed : {1, 2, 3}) {
+    const std::string dir =
+        ::testing::TempDir() + "/mammoth_routes_" + std::to_string(seed);
+    fs::remove_all(dir);
     sql::Engine oracle, comp;
+    auto db = wal::OpenDatabase(dir, &comp);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
     ASSERT_TRUE(oracle.catalog()->Register(RouteTable(seed)).ok());
     ASSERT_TRUE(comp.catalog()->Register(RouteTable(seed)).ok());
     ASSERT_TRUE(comp.Execute("ALTER TABLE routes COMPRESS").ok());
-    const std::vector<RouteQuery> queries = RandomRouteQueries(seed, 40);
+    std::vector<RouteQuery> queries = RandomRouteQueries(seed, 40);
 
     for (const RouteQuery& q : queries) {
       const std::string want =
@@ -766,25 +812,91 @@ TEST(CompressedKernelTest, SeededSelectRoutesAgreeAcrossEngines) {
       }
     }
 
-    const std::string insert =
-        "INSERT INTO routes VALUES (3, 5, 77, 49300, 3, 5, 77, 49300, 't4')";
-    ASSERT_TRUE(oracle.Execute(insert).ok());
-    ASSERT_TRUE(comp.Execute(insert).ok());
+    // --- Pending arm ------------------------------------------------------
+    // Half the random mix keeps the sanitizer runs short; the TEXT probes
+    // cover words only the delta holds.
+    queries.resize(queries.size() / 2);
+    const std::pair<CmpOp, const char*> kTagProbes[] = {
+        {CmpOp::kEq, "t4"},   {CmpOp::kEq, "t25"},  {CmpOp::kEq, "t26"},
+        {CmpOp::kLike, "t2%"}, {CmpOp::kLike, "%6"}};
+    for (const auto& [op, word] : kTagProbes) {
+      RouteQuery q;
+      q.column = "tag";
+      q.op = op;
+      q.v = Value::Str(word);
+      q.what = std::string("tag probe ") + word;
+      queries.push_back(std::move(q));
+    }
+    auto both = [&](const std::string& sql) {
+      ASSERT_TRUE(oracle.Execute(sql).ok()) << sql;
+      ASSERT_TRUE(comp.Execute(sql).ok()) << sql;
+    };
+    // Every route over the pending state equals the oracle.
+    auto check = [&](const std::string& phase) {
+      for (const RouteQuery& q : queries) {
+        const std::string want =
+            RunRoute(oracle.catalog(), q, parallel::ExecContext::Serial());
+        const std::string want_aggr =
+            RunRoute(oracle.catalog(), q, parallel::ExecContext::Serial(),
+                     RouteOut::kAggregates);
+        EXPECT_EQ(
+            RunRoute(comp.catalog(), q, parallel::ExecContext::Serial()),
+            want)
+            << q.what << " (" << phase << ")";
+        EXPECT_EQ(RunRoute(comp.catalog(), q, parallel::ExecContext::Serial(),
+                           RouteOut::kAggregates),
+                  want_aggr)
+            << q.what << " (" << phase << ", aggregates)";
+        for (parallel::TaskPool* pool : {&pool1, &pool4}) {
+          scan::SharedScanScheduler sched(config);
+          const parallel::ExecContext ctx =
+              parallel::ExecContext(pool).WithSharedScans(&sched);
+          EXPECT_EQ(RunRoute(comp.catalog(), q, ctx), want)
+              << q.what << " (" << phase << ", pool " << pool->threads()
+              << ")";
+          EXPECT_EQ(RunRoute(comp.catalog(), q, ctx, RouteOut::kAggregates),
+                    want_aggr)
+              << q.what << " (" << phase << ", aggregates, pool "
+              << pool->threads() << ")";
+        }
+      }
+    };
+    // An open transaction's INSERT on the compressed table only: its rows
+    // are the delta tail, invisible to the default snapshot.
+    Rng rng(seed * 31 + 7);
+    sql::SessionPtr writer = comp.CreateSession();
+    auto open_tail = [&] {
+      ASSERT_TRUE(comp.ExecuteSession(writer, "BEGIN").ok());
+      ASSERT_TRUE(
+          comp.ExecuteSession(writer, RandomRouteInsert(&rng, 30)).ok());
+    };
+
+    for (int batch = 0; batch < 3; ++batch) {
+      both(RandomRouteInsert(&rng, 40));
+    }
+    open_tail();
     auto table = comp.catalog()->Get("routes");
     ASSERT_TRUE(table.ok());
-    ASSERT_EQ((*table)->PendingInsertCount(), 1u);
-    scan::SharedScanScheduler sched(config);
-    const parallel::ExecContext ctx =
-        parallel::ExecContext(&pool4).WithSharedScans(&sched);
-    for (const RouteQuery& q : queries) {
-      const std::string want =
-          RunRoute(oracle.catalog(), q, parallel::ExecContext::Serial());
-      EXPECT_EQ(RunRoute(comp.catalog(), q, parallel::ExecContext::Serial()),
-                want)
-          << q.what << " (pending insert)";
-      EXPECT_EQ(RunRoute(comp.catalog(), q, ctx), want)
-          << q.what << " (pending insert, scheduler)";
-    }
+    ASSERT_EQ((*table)->PendingInsertCount(), 150u);
+    const compress::KernelStats pending_start = compress::GetKernelStats();
+    check("pending inserts, open tail");
+    ASSERT_TRUE(comp.ExecuteSession(writer, "ROLLBACK").ok());
+
+    both("DELETE FROM routes WHERE low32 = 3");
+    open_tail();
+    check("pending inserts and deletes, open tail");
+    EXPECT_GT(KernelStatsSince(pending_start)[0], 0u)
+        << "no select ran in code space while rows were pending";
+    ASSERT_TRUE(comp.ExecuteSession(writer, "ROLLBACK").ok());
+
+    ASSERT_TRUE(comp.Execute("CHECKPOINT").ok());
+    table = comp.catalog()->Get("routes");
+    ASSERT_TRUE(table.ok());
+    ASSERT_EQ((*table)->PendingInsertCount(), 0u);
+    ASSERT_EQ((*table)->DeletedCount(), 0u);
+    check("after checkpoint");
+    db->wal.reset();
+    fs::remove_all(dir);
   }
   // The mix reached both sides of the route.
   const std::vector<uint64_t> total = KernelStatsSince(start);
@@ -814,14 +926,15 @@ TEST(CompressedKernelTest, ProjectAfterDecodingSelectCountsAlikeOnEveryRoute) {
   for (const RouteQuery& q : {sorted_range, random_ne}) {
     compress::KernelStats before = compress::GetKernelStats();
     const std::string want = RunRoute(
-        comp.catalog(), q, parallel::ExecContext::Serial(), true);
+        comp.catalog(), q, parallel::ExecContext::Serial(),
+        RouteOut::kWithSelected);
     const std::vector<uint64_t> unrouted = KernelStatsSince(before);
     EXPECT_EQ(unrouted[1], 1u) << q.column << ": the select decoded";
     scan::SharedScanScheduler sched(config);
     before = compress::GetKernelStats();
     EXPECT_EQ(RunRoute(comp.catalog(), q,
                        parallel::ExecContext::Serial().WithSharedScans(&sched),
-                       true),
+                       RouteOut::kWithSelected),
               want);
     EXPECT_EQ(KernelStatsSince(before), unrouted) << q.column;
   }

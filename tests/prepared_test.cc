@@ -91,28 +91,46 @@ TEST_F(PreparedTest, PlanCacheHitsSkipRecompilation) {
   EXPECT_EQ(after.hits - before.hits, 2u);
 }
 
-TEST_F(PreparedTest, DdlAndDmlInvalidateCachedPlans) {
+TEST_F(PreparedTest, OnlyDdlInvalidatesCachedPlans) {
   auto entry = engine_.Prepare("SELECT COUNT(*) FROM items WHERE price = ?");
   ASSERT_TRUE(entry.ok());
-  ASSERT_TRUE(engine_.ExecutePrepared((*entry)->id, {Value::Int(5)}).ok());
+  auto first = engine_.ExecutePrepared((*entry)->id, {Value::Int(5)});
+  ASSERT_TRUE(first.ok());
+  const int64_t before_insert = first->columns[0]->ValueAt<int64_t>(0);
   const PreparedStats warm = engine_.prepared_stats();
+  auto direct_count = [&] {
+    auto direct =
+        engine_.Execute("SELECT COUNT(*) FROM items WHERE price = 5");
+    EXPECT_TRUE(direct.ok());
+    return direct.ok() ? direct->columns[0]->ValueAt<int64_t>(0) : -1;
+  };
 
-  // Any mutation bumps the engine's catalog version: the next execution
-  // must recompile against the new state (a plan-cache miss), exactly
-  // like the recycler drops its cached intermediates.
+  // DML (auto-commit, and a committed transaction) leaves the schema
+  // alone: the cached plan stays valid — a hit — and still sees the rows.
   ASSERT_TRUE(engine_.Execute("INSERT INTO items VALUES (9999, 5, 'odd')")
                   .ok());
+  ASSERT_TRUE(engine_.Execute("BEGIN").ok());
+  ASSERT_TRUE(engine_.Execute("INSERT INTO items VALUES (9998, 5, 'odd')")
+                  .ok());
+  ASSERT_TRUE(engine_.Execute("COMMIT").ok());
   auto r = engine_.ExecutePrepared((*entry)->id, {Value::Int(5)});
   ASSERT_TRUE(r.ok());
-  const PreparedStats after = engine_.prepared_stats();
-  EXPECT_EQ(after.misses - warm.misses, 1u);
-  // The recompiled plan sees the new row.
-  auto direct = engine_.Execute("SELECT COUNT(*) FROM items WHERE price = 5");
-  ASSERT_TRUE(direct.ok());
-  EXPECT_EQ(r->columns[0]->ValueAt<int64_t>(0),
-            direct->columns[0]->ValueAt<int64_t>(0));
+  PreparedStats after = engine_.prepared_stats();
+  EXPECT_EQ(after.misses, warm.misses);
+  EXPECT_EQ(after.hits - warm.hits, 1u);
+  EXPECT_EQ(r->columns[0]->ValueAt<int64_t>(0), before_insert + 2);
+  EXPECT_EQ(r->columns[0]->ValueAt<int64_t>(0), direct_count());
+
+  // DDL bumps the schema version: the next execution recompiles (a
+  // miss) and answers the same.
+  ASSERT_TRUE(engine_.Execute("ALTER TABLE items COMPRESS").ok());
+  r = engine_.ExecutePrepared((*entry)->id, {Value::Int(5)});
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(engine_.prepared_stats().misses - after.misses, 1u);
+  EXPECT_EQ(r->columns[0]->ValueAt<int64_t>(0), direct_count());
 
   // And the plan stays cached again afterwards.
+  after = engine_.prepared_stats();
   ASSERT_TRUE(engine_.ExecutePrepared((*entry)->id, {Value::Int(5)}).ok());
   EXPECT_EQ(engine_.prepared_stats().misses, after.misses);
 }

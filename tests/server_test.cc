@@ -947,21 +947,33 @@ TEST_F(ServerTest, PreparedOverWireMatchesAndInvalidates) {
   EXPECT_GE(counters["prepared_cache_misses"], 1); // prepare + compile
   const int64_t misses_before = counters["prepared_cache_misses"];
 
-  // DML invalidates the cached plan; the next execution recompiles and
-  // sees the new row, staying bit-identical to an unprepared query.
+  // DML keeps the cached plan: the next execution is a hit and sees the
+  // new row, staying bit-identical to an unprepared query.
   ASSERT_TRUE(client.Query("INSERT INTO sensors VALUES (9999, 150, 'lab')")
                   .ok());
-  auto direct = client.Query(Queries()[0]);
-  ASSERT_TRUE(direct.ok());
-  auto prepared = client.ExecutePrepared(
-      *handle, {Value::Int(100), Value::Int(200)});
-  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
-  auto a = EncodeResult(*direct);
-  auto b = EncodeResult(*prepared);
-  ASSERT_TRUE(a.ok() && b.ok());
-  EXPECT_EQ(*a, *b);
+  auto same_as_direct = [&] {
+    auto direct = client.Query(Queries()[0]);
+    ASSERT_TRUE(direct.ok());
+    auto prepared = client.ExecutePrepared(
+        *handle, {Value::Int(100), Value::Int(200)});
+    ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+    auto a = EncodeResult(*direct);
+    auto b = EncodeResult(*prepared);
+    ASSERT_TRUE(a.ok() && b.ok());
+    EXPECT_EQ(*a, *b);
+    EXPECT_NE(*b, expected[0]) << "the inserted row is missing";
+  };
+  const int64_t hits_before = counters["prepared_cache_hits"];
+  same_as_direct();
   counters = ServerStatus(&client);
-  EXPECT_GT(counters["prepared_cache_misses"], misses_before);
+  EXPECT_EQ(counters["prepared_cache_misses"], misses_before);
+  EXPECT_EQ(counters["prepared_cache_hits"], hits_before + 1);
+
+  // DDL invalidates it: the next execution recompiles.
+  ASSERT_TRUE(client.Query("ALTER TABLE sensors COMPRESS").ok());
+  same_as_direct();
+  counters = ServerStatus(&client);
+  EXPECT_EQ(counters["prepared_cache_misses"], misses_before + 1);
 
   // Executing an unknown statement id is a typed error; session survives.
   auto unknown = client.ExecutePrepared(

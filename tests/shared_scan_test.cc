@@ -485,8 +485,9 @@ TEST(SharedScanEngineTest, RecyclerVersionKeyedAcrossDml) {
 }
 
 /// Satellite (MVCC): scans inside an open transaction still ride the
-/// shared pass — the pass sweeps the physical column, and each consumer
-/// truncates deliveries to its own snapshot's dense visible prefix. A
+/// shared pass — the pass sweeps the main image, which every snapshot
+/// sees in full, and each reader selects its own visible slice of the
+/// pending delta separately. A
 /// pinned-snapshot reader and a latest-state reader share one scheduler
 /// concurrently, and each gets exactly its own visibility, bit-identical
 /// to a plain serial engine at the matching state.

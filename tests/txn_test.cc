@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
@@ -12,6 +13,7 @@
 #include "core/catalog.h"
 #include "parallel/exec_context.h"
 #include "parallel/task_pool.h"
+#include "scan/shared_scan.h"
 #include "sql/engine.h"
 #include "txn/txn.h"
 #include "wal/db.h"
@@ -423,6 +425,136 @@ TEST(TxnConcurrencyTest, WritersAndReadersRace) {
   EXPECT_EQ(final_count->columns[0]->ValueAt<int64_t>(0),
             1 + committed.load());
   EXPECT_EQ(engine.txn_stats().active, 0u);
+}
+
+/// Reads over a COMPRESSED table's (main image, delta) pair while
+/// auto-commit writers append to the delta: 4 reader sessions (two of
+/// them inside snapshot transactions) share one shared-scan scheduler
+/// with 2 writers. Every COUNT/SUM must be the generator's answer for
+/// some committed prefix of each writer's rows, an auto-commit reader
+/// never sees the prefix shrink, and the final read sees every row.
+TEST(TxnConcurrencyTest, DeltaAwareReadsUnderConcurrentInserts) {
+  constexpr int kMainRows = 8192;
+  constexpr int kWriters = 2;
+  constexpr int kInserts = 40;
+  constexpr int kReaders = 4;
+  constexpr int kRounds = 30;
+  constexpr int kWriterKey = 100000;
+  auto writer_v = [](int w, int i) -> int64_t {
+    return int64_t{w + 1} * 1000003 + int64_t{i} * 7;
+  };
+
+  Engine engine;
+  scan::SharedScanConfig config;
+  config.min_share_rows = 1024;
+  scan::SharedScanScheduler sched(config);
+  engine.AttachSharedScans(&sched);
+  ASSERT_TRUE(engine.Execute("CREATE TABLE f (k INT, v BIGINT) COMPRESSED")
+                  .ok());
+  int64_t main_sum = 0;
+  std::string rows = "INSERT INTO f VALUES ";
+  for (int i = 0; i < kMainRows; ++i) {
+    const int64_t v = (int64_t{i} * 7919) % 100000;
+    main_sum += v;
+    rows += (i == 0 ? "(" : ", (") + std::to_string(i) + ", " +
+            std::to_string(v) + ")";
+  }
+  ASSERT_TRUE(engine.Execute(rows).ok());
+  ASSERT_TRUE(engine.Execute("ALTER TABLE f COMPRESS").ok());
+  auto table = engine.catalog()->Get("f");
+  ASSERT_TRUE(table.ok());
+  ASSERT_NE((*table)->CompressedColumn(1), nullptr);
+
+  // (count, sum) of writer rows matches prefixes (a, b) of the writers.
+  std::vector<std::vector<int64_t>> prefix_sum(
+      kWriters, std::vector<int64_t>(kInserts + 1, 0));
+  for (int w = 0; w < kWriters; ++w) {
+    for (int i = 0; i < kInserts; ++i) {
+      prefix_sum[w][i + 1] = prefix_sum[w][i] + writer_v(w, i);
+    }
+  }
+  auto committed_prefix = [&](int64_t count, int64_t sum) {
+    for (int64_t a = 0; a <= kInserts && a <= count; ++a) {
+      const int64_t b = count - a;
+      if (b <= kInserts && prefix_sum[0][a] + prefix_sum[1][b] == sum) {
+        return true;
+      }
+    }
+    return false;
+  };
+
+  auto count_sum = [&](const SessionPtr& s, const std::string& where,
+                       const parallel::ExecContext& ctx) {
+    auto res = engine.ExecuteSession(
+        s, "SELECT COUNT(*), SUM(v) FROM f WHERE " + where, ctx);
+    EXPECT_TRUE(res.ok()) << res.status().ToString();
+    if (!res.ok() || res->RowCount() != 1) {
+      return std::pair<int64_t, int64_t>{-1, -1};
+    }
+    return std::pair<int64_t, int64_t>{res->columns[0]->ValueAt<int64_t>(0),
+                                       res->columns[1]->ValueAt<int64_t>(0)};
+  };
+
+  std::atomic<int> writers_left{kWriters};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      for (int i = 0; i < kInserts; ++i) {
+        auto r = engine.Execute(
+            "INSERT INTO f VALUES (" +
+            std::to_string(kWriterKey + w * kInserts + i) + ", " +
+            std::to_string(writer_v(w, i)) + ")");
+        EXPECT_TRUE(r.ok()) << r.status().ToString();
+      }
+      --writers_left;
+    });
+  }
+  for (int r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&, r] {
+      SessionPtr s = engine.CreateSession();
+      parallel::TaskPool pool(r % 2 == 0 ? 1 : 2);
+      const parallel::ExecContext ctx(&pool);
+      const bool snapshot = r % 2 == 1;
+      int64_t last_count = 0;
+      // Keep reading while the writers run, so reads overlap inserts.
+      for (int round = 0; round < kRounds || writers_left.load() > 0;
+           ++round) {
+        if (snapshot) ASSERT_TRUE(engine.ExecuteSession(s, "BEGIN").ok());
+        // Main and delta: every main row plus the writers' prefixes.
+        const auto all = count_sum(s, "k >= 0", ctx);
+        EXPECT_TRUE(all.first >= kMainRows &&
+                    committed_prefix(all.first - kMainRows,
+                                     all.second - main_sum))
+            << "count " << all.first << " sum " << all.second;
+        // Delta only.
+        const auto tail =
+            count_sum(s, "k >= " + std::to_string(kWriterKey), ctx);
+        EXPECT_TRUE(committed_prefix(tail.first, tail.second))
+            << "count " << tail.first << " sum " << tail.second;
+        if (snapshot) {
+          // One snapshot: both reads saw the same prefix.
+          EXPECT_EQ(tail.first, all.first - kMainRows);
+          EXPECT_EQ(tail.second, all.second - main_sum);
+          ASSERT_TRUE(engine.ExecuteSession(s, "COMMIT").ok());
+        } else {
+          // Each statement reads the latest commit: never fewer rows.
+          EXPECT_GE(tail.first, last_count);
+          last_count = tail.first;
+        }
+        // Readers take the engine lock shared and are preferred over a
+        // waiting writer: pause so the inserts get their turn.
+        std::this_thread::sleep_for(std::chrono::microseconds(500));
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ((*table)->PendingInsertCount(),
+            static_cast<size_t>(kWriters * kInserts));
+  const auto final_all = count_sum(engine.CreateSession(), "k >= 0",
+                                   parallel::ExecContext::Serial());
+  EXPECT_EQ(final_all.first, kMainRows + kWriters * kInserts);
+  EXPECT_EQ(final_all.second,
+            main_sum + prefix_sum[0][kInserts] + prefix_sum[1][kInserts]);
 }
 
 }  // namespace
