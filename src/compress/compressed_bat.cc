@@ -317,8 +317,9 @@ Status CompressedBat::DecodeRangeRaw(size_t start, size_t n,
       // No random access (running prefix / variable-length runs): decode
       // once into the shared cache and serve ranges from it.
       MAMMOTH_RETURN_IF_ERROR(FillCache());
-      std::memcpy(out, cache_->bat->TailData<uint8_t>() + start * width(),
-                  n * width());
+      const auto* base =
+          static_cast<const uint8_t*>(cache_->bat->tail().raw_data());
+      std::memcpy(out, base + start * width(), n * width());
       return Status::OK();
     }
   }

@@ -135,9 +135,9 @@ void Bat::AppendTail(const Bat& src) {
   if (src.dense_tail_) {
     tail_.Reserve(tail_.size() + n);
     for (size_t i = 0; i < n; ++i) tail_.Append<Oid>(src.tseqbase_ + i);
-  } else if (type_ == PhysType::kStr && src.heap_ != heap_) {
-    for (size_t i = 0; i < n; ++i) AppendString(src.StringAt(i));
   } else {
+    MAMMOTH_DCHECK(type_ != PhysType::kStr || src.heap_ == heap_,
+                   "AppendTail string heaps differ");
     tail_.AppendRaw(src.tail_.raw_data(), n);
   }
   props_ = BatProperties{};

@@ -138,10 +138,11 @@ class Bat {
   /// Deep copy (string BATs share the heap).
   BatPtr Clone() const;
 
-  /// Appends every tail value of `src` (same tail type). String offsets
-  /// copy straight across when `src` shares this BAT's heap and are
-  /// re-interned otherwise; a dense OID tail on either side is
-  /// materialized. Resets the properties.
+  /// Appends every tail value of `src` (same tail type). A string `src`
+  /// must share this BAT's heap, so its offsets copy straight across
+  /// (a table keeps every string delta on its main column's heap); a
+  /// dense OID tail on either side is materialized. Resets the
+  /// properties.
   void AppendTail(const Bat& src);
 
   /// Debug rendering: "bat[:oid,:int]{count=42,sorted}".

@@ -770,9 +770,10 @@ std::vector<uint64_t> KernelStatsSince(const compress::KernelStats& before) {
 /// predicates (the oracle receives them too), adds TEXT `=`/LIKE probes
 /// for words only the delta holds and COUNT/SUM over projected
 /// candidates, and keeps another transaction's INSERT open — the
-/// default snapshot must not see that tail. It checks once with a dense
-/// visible prefix and once after a DELETE, then CHECKPOINTs the
-/// compressed table (folding the deltas) and checks the merged image.
+/// default snapshot must not see that tail. It checks the whole random
+/// mix with a dense visible prefix, then the first half of it after a
+/// DELETE, and again after CHECKPOINTing the compressed table (folding
+/// the deltas into the merged image).
 TEST(CompressedKernelTest, SeededSelectRoutesAgreeAcrossEngines) {
   scan::SharedScanConfig config;
   config.chunk_bytes = kChunk;  // floors every width to one-morsel chunks
@@ -813,27 +814,31 @@ TEST(CompressedKernelTest, SeededSelectRoutesAgreeAcrossEngines) {
     }
 
     // --- Pending arm ------------------------------------------------------
-    // Half the random mix keeps the sanitizer runs short; the TEXT probes
-    // cover words only the delta holds.
-    queries.resize(queries.size() / 2);
+    // The first pending phase runs the whole random mix; the later two run
+    // its first half, which keeps the sanitizer runs short. Every phase
+    // adds TEXT probes for words only the delta holds.
     const std::pair<CmpOp, const char*> kTagProbes[] = {
         {CmpOp::kEq, "t4"},   {CmpOp::kEq, "t25"},  {CmpOp::kEq, "t26"},
         {CmpOp::kLike, "t2%"}, {CmpOp::kLike, "%6"}};
+    std::vector<RouteQuery> half(queries.begin(),
+                                 queries.begin() + queries.size() / 2);
     for (const auto& [op, word] : kTagProbes) {
       RouteQuery q;
       q.column = "tag";
       q.op = op;
       q.v = Value::Str(word);
       q.what = std::string("tag probe ") + word;
-      queries.push_back(std::move(q));
+      queries.push_back(q);
+      half.push_back(std::move(q));
     }
     auto both = [&](const std::string& sql) {
       ASSERT_TRUE(oracle.Execute(sql).ok()) << sql;
       ASSERT_TRUE(comp.Execute(sql).ok()) << sql;
     };
     // Every route over the pending state equals the oracle.
-    auto check = [&](const std::string& phase) {
-      for (const RouteQuery& q : queries) {
+    auto check = [&](const std::vector<RouteQuery>& mix,
+                     const std::string& phase) {
+      for (const RouteQuery& q : mix) {
         const std::string want =
             RunRoute(oracle.catalog(), q, parallel::ExecContext::Serial());
         const std::string want_aggr =
@@ -879,12 +884,12 @@ TEST(CompressedKernelTest, SeededSelectRoutesAgreeAcrossEngines) {
     ASSERT_TRUE(table.ok());
     ASSERT_EQ((*table)->PendingInsertCount(), 150u);
     const compress::KernelStats pending_start = compress::GetKernelStats();
-    check("pending inserts, open tail");
+    check(queries, "pending inserts, open tail");
     ASSERT_TRUE(comp.ExecuteSession(writer, "ROLLBACK").ok());
 
     both("DELETE FROM routes WHERE low32 = 3");
     open_tail();
-    check("pending inserts and deletes, open tail");
+    check(half, "pending inserts and deletes, open tail");
     EXPECT_GT(KernelStatsSince(pending_start)[0], 0u)
         << "no select ran in code space while rows were pending";
     ASSERT_TRUE(comp.ExecuteSession(writer, "ROLLBACK").ok());
@@ -894,7 +899,7 @@ TEST(CompressedKernelTest, SeededSelectRoutesAgreeAcrossEngines) {
     ASSERT_TRUE(table.ok());
     ASSERT_EQ((*table)->PendingInsertCount(), 0u);
     ASSERT_EQ((*table)->DeletedCount(), 0u);
-    check("after checkpoint");
+    check(half, "after checkpoint");
     db->wal.reset();
     fs::remove_all(dir);
   }
