@@ -358,10 +358,30 @@ void BM_StrSelectLikePrefixDict(benchmark::State& state) {
 void BM_StrSelectLikePrefixPlainKernel(benchmark::State& state) {
   DictStrSelect(state, CmpOp::kLike, "tag_1%", false);
 }
+// `<>` fills the LUT and clears the probed code; LIKE '%lit%' evaluates
+// the glob once per distinct word. With `=`/ordered ops (one probe or
+// bound) and LIKE 'lit%' (a prefix range) above, every way of building the
+// LUT has a number.
+void BM_StrSelectNeDict(benchmark::State& state) {
+  DictStrSelect(state, CmpOp::kNe, "tag_42", true);
+}
+void BM_StrSelectNePlainKernel(benchmark::State& state) {
+  DictStrSelect(state, CmpOp::kNe, "tag_42", false);
+}
+void BM_StrSelectLikeInfixDict(benchmark::State& state) {
+  DictStrSelect(state, CmpOp::kLike, "%42%", true);
+}
+void BM_StrSelectLikeInfixPlainKernel(benchmark::State& state) {
+  DictStrSelect(state, CmpOp::kLike, "%42%", false);
+}
 BENCHMARK(BM_StrSelectEqDict)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_StrSelectEqPlainKernel)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_StrSelectLikePrefixDict)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_StrSelectLikePrefixPlainKernel)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_StrSelectNeDict)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_StrSelectNePlainKernel)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_StrSelectLikeInfixDict)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_StrSelectLikeInfixPlainKernel)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------- end-to-end --
 // Compression as an execution path, measured through the whole engine:

@@ -1,6 +1,7 @@
 #ifndef MAMMOTH_COMPRESS_BITPACK_H_
 #define MAMMOTH_COMPRESS_BITPACK_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <type_traits>
@@ -47,23 +48,41 @@ inline void PackBits(const U* values, size_t n, int bits,
   out->resize(start + PackedBytes(n, bits));
 }
 
-/// Unpacks `n` values of `bits` bits each. The source buffer must be
-/// readable up to 8 bytes (uint64_t: 9 bytes) past the last touched bit;
-/// every encoder appends that much slack after its packed stream.
+/// Unpacks values [from, from+n) of a stream of `bits`-bit values. The
+/// source buffer must be readable up to 8 bytes (uint64_t: 9 bytes) past
+/// the last touched bit; every encoder appends that much slack after its
+/// packed stream. This is the only unpacker: codecs decode with from = 0,
+/// and the code-space kernels unpack row windows in batches.
 ///
 /// This is the hot loop the "<5 cycles per value" claim is about: one
-/// unaligned load, one shift, one mask per value.
+/// unaligned load, one shift, one mask per value. Byte-aligned widths (8
+/// and 16, the common dictionary-code widths) are plain widening copies.
 template <typename U>
-inline void UnpackBits(const uint8_t* src, size_t n, int bits, U* out) {
+inline void UnpackBits(const uint8_t* src, size_t from, size_t n, int bits,
+                       U* out) {
   static_assert(std::is_same_v<U, uint32_t> || std::is_same_v<U, uint64_t>);
   if (bits == 0) {
     std::memset(out, 0, n * sizeof(U));
     return;
   }
+  if (bits == 8) {
+    const uint8_t* p = src + from;
+    for (size_t i = 0; i < n; ++i) out[i] = p[i];
+    return;
+  }
+  if (bits == 16) {
+    const uint8_t* p = src + from * 2;
+    for (size_t i = 0; i < n; ++i) {
+      uint16_t v;
+      std::memcpy(&v, p + i * 2, sizeof(v));
+      out[i] = v;
+    }
+    return;
+  }
   const uint64_t mask =
       bits == 64 ? ~uint64_t{0} : ((uint64_t{1} << bits) - 1);
   for (size_t i = 0; i < n; ++i) {
-    const size_t bitpos = i * bits;
+    const size_t bitpos = (from + i) * bits;
     uint64_t word;
     std::memcpy(&word, src + bitpos / 8, sizeof(word));
     uint64_t v = word >> (bitpos % 8);
@@ -75,6 +94,22 @@ inline void UnpackBits(const uint8_t* src, size_t n, int bits, U* out) {
     }
     out[i] = static_cast<U>(v & mask);
   }
+}
+
+/// Whether each of the first `n` codes of a `bits`-bit packed stream is
+/// below `limit`. Kernels index per-code tables with raw codes, so every
+/// dictionary image is checked with this once when it is loaded.
+inline bool CodesBelow(const uint8_t* src, size_t n, int bits,
+                       uint32_t limit) {
+  if (bits < 32 && (uint64_t{1} << bits) <= limit) return true;
+  constexpr size_t kBatch = 4096;
+  uint32_t codes[kBatch];
+  for (size_t base = 0; base < n; base += kBatch) {
+    const size_t m = std::min(kBatch, n - base);
+    UnpackBits(src, base, m, bits, codes);
+    if (*std::max_element(codes, codes + m) >= limit) return false;
+  }
+  return true;
 }
 
 }  // namespace mammoth::compress

@@ -79,25 +79,6 @@ uint32_t StreamMagic(Codec codec) {
   return 0;
 }
 
-/// The compressed kernels index per-code tables with raw codes, so every
-/// code of an `n`-row column must name a dictionary entry.
-Status CheckCodes(const CompressedBat::DictView& view, size_t n) {
-  if (view.bits < 32 && (uint64_t{1} << view.bits) <= view.dsize) {
-    return Status::OK();  // every representable code is in range
-  }
-  constexpr size_t kBatch = 4096;  // a multiple of 8: byte-aligned batches
-  uint32_t codes[kBatch];
-  for (size_t base = 0; base < n; base += kBatch) {
-    const size_t m = std::min(kBatch, n - base);
-    UnpackBits(view.codes + base * view.bits / 8, m,
-               static_cast<int>(view.bits), codes);
-    if (*std::max_element(codes, codes + m) >= view.dsize) {
-      return Status::IOError("pdict: code beyond dictionary");
-    }
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
 const char* CodecName(Codec c) {
@@ -421,7 +402,12 @@ Status CompressedBat::CheckStream() {
       }
       case Codec::kPdict: {
         Result<DictView> view = PdictView();
-        st = view.ok() ? CheckCodes(*view, count_) : view.status();
+        st = view.status();
+        if (view.ok() && !CodesBelow(view->codes, count_,
+                                     static_cast<int>(view->bits),
+                                     view->dsize)) {
+          st = Status::IOError("pdict: code beyond dictionary");
+        }
         break;
       }
       case Codec::kRle:

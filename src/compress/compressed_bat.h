@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -110,21 +109,13 @@ class CompressedBat {
   /// Zero-copy view into a PDICT column's dictionary and packed codes.
   /// Valid only while this CompressedBat instance is alive. `sorted` is
   /// true when the dictionary is ascending (every image written since the
-  /// sorted-dict encoder; legacy first-appearance images scan via a LUT).
+  /// sorted-dict encoder), which lets MIN/MAX read its two ends.
   struct DictView {
     const int32_t* dict = nullptr;
     uint32_t dsize = 0;
     uint32_t bits = 0;
     const uint8_t* codes = nullptr;  ///< bit-packed stream (+8B slack)
     bool sorted = false;
-    /// Code of row i; callers special-case bits == 0 (dsize <= 1).
-    uint32_t CodeAt(size_t i) const {
-      const size_t bitpos = i * bits;
-      uint64_t word;
-      std::memcpy(&word, codes + bitpos / 8, sizeof(word));
-      return static_cast<uint32_t>((word >> (bitpos % 8)) &
-                                   ((uint64_t{1} << bits) - 1));
-    }
   };
   Result<DictView> PdictView() const;
 

@@ -2,21 +2,17 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstring>
 #include <limits>
 #include <vector>
+
+#include "compress/bitpack.h"
+#include "core/select.h"
 
 namespace mammoth::compress {
 
 namespace {
 
-/// Same guarantees ScanThetaSelect stamps on its results: ascending OIDs,
-/// pairwise distinct.
-void StampSelectResult(const BatPtr& r) {
-  r->mutable_props().sorted = true;
-  r->mutable_props().key = true;
-  r->mutable_props().revsorted = r->Count() <= 1;
-}
+using algebra::StampSelectResult;
 
 struct Counters {
   std::atomic<uint64_t> selects_direct{0};
@@ -39,48 +35,6 @@ bool CodecSelectable(const CompressedBat& comp) {
   // PFOR and PFOR-DELTA carry no exploitable structure — their only play
   // is decoding, which the fallback already does (into the shared cache).
   return comp.codec() == Codec::kRle || comp.codec() == Codec::kPdict;
-}
-
-/// Streaming unpack of `n` fixed-width codes starting at row `from` into
-/// `out`: a 64-bit reservoir refilled byte-aligned, so each load yields
-/// floor((64 - 7) / bits) codes instead of CodeAt's one load per row.
-/// Requires the packed stream's 8-byte slack (both encoders provide it).
-void UnpackCodes(const uint8_t* codes, uint32_t bits, size_t from, size_t n,
-                 uint32_t* out) {
-  if (bits == 0) {
-    std::fill(out, out + n, 0u);
-    return;
-  }
-  if (bits == 8) {  // byte-aligned: plain widening copy
-    const uint8_t* p = codes + from;
-    for (size_t i = 0; i < n; ++i) out[i] = p[i];
-    return;
-  }
-  if (bits == 16) {
-    const uint8_t* p = codes + from * 2;
-    for (size_t i = 0; i < n; ++i) {
-      uint16_t c;
-      std::memcpy(&c, p + i * 2, sizeof(c));
-      out[i] = c;
-    }
-    return;
-  }
-  const uint64_t mask = (uint64_t{1} << bits) - 1;
-  size_t bitpos = from * bits;
-  size_t i = 0;
-  while (i < n) {
-    uint64_t w;
-    std::memcpy(&w, codes + (bitpos >> 3), sizeof(w));
-    const uint32_t off = static_cast<uint32_t>(bitpos & 7);
-    w >>= off;
-    uint32_t avail = 64 - off;
-    while (avail >= bits && i < n) {
-      out[i++] = static_cast<uint32_t>(w & mask);
-      w >>= bits;
-      avail -= bits;
-      bitpos += bits;
-    }
-  }
 }
 
 /// Batch grain for code-space scans: fits L1 alongside the output.
@@ -116,54 +70,44 @@ Result<BatPtr> RleSelect(const CompressedBat& comp, size_t begin, size_t end,
   return r;
 }
 
-/// PDICT select: evaluate the predicate once per dictionary entry, then
-/// scan the packed codes. When the surviving codes form one contiguous
-/// interval (the common case with the sorted dictionary) the row test is
-/// two compares; otherwise a byte LUT.
+/// The one code-space row loop, shared by PDICT and dictionary strings:
+/// unpacks rows [begin, end) of a packed code stream in kCodeBatch
+/// batches and keeps row i iff lut[code(i)] is 1. The emit is branch-free
+/// (X100-style selection vector): every row writes its OID and the cursor
+/// advances by the LUT byte, so the cost does not depend on selectivity.
+/// `lut` must cover every code in the stream, which the load-time
+/// CodesBelow check guarantees.
+BatPtr SelectCodes(const uint8_t* codes, uint32_t bits,
+                   const std::vector<uint8_t>& lut, size_t begin, size_t end,
+                   Oid hseq) {
+  BatPtr r = Bat::New(PhysType::kOid);
+  uint32_t batch[kCodeBatch];
+  Oid sel[kCodeBatch];
+  for (size_t base = begin; base < end; base += kCodeBatch) {
+    const size_t n = std::min(kCodeBatch, end - base);
+    UnpackBits(codes, base, n, static_cast<int>(bits), batch);
+    size_t k = 0;
+    for (size_t i = 0; i < n; ++i) {
+      sel[k] = hseq + base + i;
+      k += lut[batch[i]];
+    }
+    r->AppendRaw(sel, k);
+  }
+  StampSelectResult(r);
+  return r;
+}
+
+/// PDICT select: evaluate the predicate once per dictionary entry into a
+/// per-code LUT, then run the code loop.
 template <typename KeepFn>
 Result<BatPtr> PdictSelect(const CompressedBat& comp, size_t begin,
                            size_t end, Oid hseq, const KeepFn& keep) {
   MAMMOTH_ASSIGN_OR_RETURN(CompressedBat::DictView view, comp.PdictView());
-  BatPtr r = Bat::New(PhysType::kOid);
-  if (begin >= end) {
-    StampSelectResult(r);
-    return r;
-  }
-  if (view.dsize <= 1) {
-    if (view.dsize == 1 && keep(static_cast<int64_t>(view.dict[0]))) {
-      AppendRange(r, hseq, begin, end);
-    }
-    StampSelectResult(r);
-    return r;
-  }
-  std::vector<uint8_t> lut(view.dsize);
-  uint32_t lo = view.dsize, hi = 0;
-  size_t nkeep = 0;
+  std::vector<uint8_t> lut(view.dsize, 0);
   for (uint32_t c = 0; c < view.dsize; ++c) {
     lut[c] = keep(static_cast<int64_t>(view.dict[c])) ? 1 : 0;
-    if (lut[c]) {
-      lo = std::min(lo, c);
-      hi = c + 1;
-      ++nkeep;
-    }
   }
-  const bool interval = nkeep == 0 || hi - lo == nkeep;
-  uint32_t buf[kCodeBatch];
-  for (size_t base = begin; base < end; base += kCodeBatch) {
-    const size_t n = std::min(kCodeBatch, end - base);
-    UnpackCodes(view.codes, view.bits, base, n, buf);
-    if (interval) {
-      for (size_t i = 0; i < n; ++i) {
-        if (buf[i] >= lo && buf[i] < hi) r->Append<Oid>(hseq + base + i);
-      }
-    } else {
-      for (size_t i = 0; i < n; ++i) {
-        if (lut[buf[i]]) r->Append<Oid>(hseq + base + i);
-      }
-    }
-  }
-  StampSelectResult(r);
-  return r;
+  return SelectCodes(view.codes, view.bits, lut, begin, end, hseq);
 }
 
 template <typename KeepFn>
@@ -228,7 +172,8 @@ bool AggregatableOnCompressed(const CompressedBat& comp) {
 
 bool StrSelectableOnDict(const Value& v, CmpOp op) {
   // `=` stays on the plain kernel: heap interning makes it one offset
-  // compare per row, which beats unpacking a code per row.
+  // compare per row, which beats unpacking a code per row at widths that
+  // are not byte-aligned (DESIGN.md §13).
   return v.is_str() && op != CmpOp::kEq;
 }
 
@@ -276,85 +221,47 @@ Result<BatPtr> DictStrSelectRange(const StrDict& dict, const Value& v,
   }
   const std::string& pat = v.AsStr();
   const uint32_t dsize = dict.dsize();
-  BatPtr r = Bat::New(PhysType::kOid);
-  if (begin >= end) {
-    StampSelectResult(r);
-    return r;
-  }
-  // Rewrite the predicate into one code interval where the sorted
-  // dictionary allows (eq, ordered ops, LIKE 'lit%'); general patterns and
-  // != fall to a per-code LUT built from ONE evaluation per distinct word.
-  uint32_t lo = 0, hi = 0;
-  bool use_interval = true, invert = false;
+  std::vector<uint8_t> lut(dsize, 0);
+  const auto mark = [&lut](uint32_t lo, uint32_t hi) {
+    std::fill(lut.begin() + lo, lut.begin() + hi, 1);
+  };
+  // The sorted dictionary turns `=`, `<>`, ordered ops and LIKE 'lit%'
+  // into code ranges found by binary search, so building the LUT costs
+  // no per-word compare; general LIKE evaluates once per distinct word.
+  uint32_t code = 0, lo = 0, hi = 0;
   std::string_view prefix;
   switch (op) {
-    case CmpOp::kEq: {
-      uint32_t code = 0;
-      if (dict.FindCode(pat, &code)) {
-        lo = code;
-        hi = code + 1;
-      }
+    case CmpOp::kEq:
+      if (dict.FindCode(pat, &code)) lut[code] = 1;
       break;
-    }
-    case CmpOp::kNe: {
-      uint32_t code = 0;
-      if (dict.FindCode(pat, &code)) {
-        lo = code;
-        hi = code + 1;
-      } else {
-        lo = hi = 0;  // empty interval, inverted -> everything
-      }
-      invert = true;
+    case CmpOp::kNe:
+      mark(0, dsize);
+      if (dict.FindCode(pat, &code)) lut[code] = 0;
       break;
-    }
     case CmpOp::kLt:
-      lo = 0;
-      hi = dict.LowerBound(pat);
+      mark(0, dict.LowerBound(pat));
       break;
     case CmpOp::kLe:
-      lo = 0;
-      hi = dict.UpperBound(pat);
+      mark(0, dict.UpperBound(pat));
       break;
     case CmpOp::kGe:
-      lo = dict.LowerBound(pat);
-      hi = dsize;
+      mark(dict.LowerBound(pat), dsize);
       break;
     case CmpOp::kGt:
-      lo = dict.UpperBound(pat);
-      hi = dsize;
+      mark(dict.UpperBound(pat), dsize);
       break;
     case CmpOp::kLike:
       if (LikePrefix(pat, &prefix)) {
         dict.PrefixCodeRange(prefix, &lo, &hi);
+        mark(lo, hi);
       } else {
-        use_interval = false;
+        for (uint32_t c = 0; c < dsize; ++c) {
+          lut[c] = LikeMatch(dict.Word(c), pat) ? 1 : 0;
+        }
       }
       break;
   }
-  std::vector<uint8_t> lut;
-  if (!use_interval) {
-    lut.assign(std::max<uint32_t>(dsize, 1), 0);
-    for (uint32_t c = 0; c < dsize; ++c) {
-      lut[c] = LikeMatch(dict.Word(c), pat) ? 1 : 0;
-    }
-  }
-  uint32_t buf[kCodeBatch];
-  for (size_t base = begin; base < end; base += kCodeBatch) {
-    const size_t n = std::min(kCodeBatch, end - base);
-    UnpackCodes(dict.code_data(), dict.bits(), base, n, buf);
-    if (use_interval) {
-      for (size_t i = 0; i < n; ++i) {
-        const uint32_t c = buf[i];
-        if ((c >= lo && c < hi) != invert) r->Append<Oid>(hseq + base + i);
-      }
-    } else {
-      for (size_t i = 0; i < n; ++i) {
-        if (lut[buf[i]]) r->Append<Oid>(hseq + base + i);
-      }
-    }
-  }
-  StampSelectResult(r);
-  return r;
+  return SelectCodes(dict.code_data(), dict.bits(), lut, begin, end, hseq);
 }
 
 Result<BatPtr> CompressedAggrSum(const CompressedBat& comp) {
@@ -376,15 +283,11 @@ Result<BatPtr> CompressedAggrSum(const CompressedBat& comp) {
                                comp.PdictView());
       std::vector<uint64_t> cnt(std::max<uint32_t>(view.dsize, 1), 0);
       const size_t n = comp.Count();
-      if (view.bits == 0) {
-        cnt[0] = n;
-      } else {
-        uint32_t buf[kCodeBatch];
-        for (size_t base = 0; base < n; base += kCodeBatch) {
-          const size_t m = std::min(kCodeBatch, n - base);
-          UnpackCodes(view.codes, view.bits, base, m, buf);
-          for (size_t i = 0; i < m; ++i) ++cnt[buf[i]];
-        }
+      uint32_t batch[kCodeBatch];
+      for (size_t base = 0; base < n; base += kCodeBatch) {
+        const size_t m = std::min(kCodeBatch, n - base);
+        UnpackBits(view.codes, base, m, static_cast<int>(view.bits), batch);
+        for (size_t i = 0; i < m; ++i) ++cnt[batch[i]];
       }
       for (uint32_t c = 0; c < view.dsize; ++c) {
         acc += static_cast<uint64_t>(

@@ -12,10 +12,11 @@ namespace mammoth::compress {
 
 /// Kernels that consume compressed blocks directly (Vertica-style "operate
 /// on encoded data", PAPERS.md): RLE selects walk the run list and emit
-/// whole candidate ranges, RLE aggregates fold value*run in O(runs), PDICT
-/// predicates are rewritten into code space once and evaluated per packed
-/// code, and dictionary-compressed string columns answer =, !=, <, <=, >,
-/// >=, and LIKE without touching a heap.
+/// whole candidate ranges, RLE aggregates fold value*run in O(runs), and
+/// PDICT and dictionary-compressed string columns (=, !=, <, <=, >, >=,
+/// LIKE) evaluate the predicate once per dictionary entry into a per-code
+/// byte LUT, then run one row loop over the packed codes that emits a
+/// branch-free selection vector — no decode, no heap.
 ///
 /// Every kernel is bit-identical to decode-then-stock-kernel: same OIDs in
 /// the same order, same result properties, same accumulator arithmetic
@@ -35,7 +36,7 @@ bool RangeSelectableOnCompressed(const CompressedBat& comp, const Value& lo,
                                  const Value& hi);
 /// Global SUM/MIN/MAX folds: RLE (both widths) and PDICT.
 bool AggregatableOnCompressed(const CompressedBat& comp);
-/// String predicate shapes a sorted dictionary answers in code space:
+/// String predicate shapes the scan layer routes to the dictionary:
 /// everything ThetaSelect accepts on strings (LIKE included) except `=`,
 /// which the plain kernel answers faster (DESIGN.md §13).
 bool StrSelectableOnDict(const Value& v, CmpOp op);
@@ -53,7 +54,8 @@ Result<BatPtr> CompressedRangeSelectRange(const CompressedBat& comp,
                                           bool lo_incl, bool hi_incl,
                                           bool anti, size_t begin, size_t end,
                                           Oid hseq);
-/// String select on a dictionary-compressed column, same contract.
+/// String select on a dictionary-compressed column, same contract; it
+/// answers `=` too, bit-identically, though the router does not send it.
 Result<BatPtr> DictStrSelectRange(const StrDict& dict, const Value& v,
                                   CmpOp op, size_t begin, size_t end,
                                   Oid hseq);

@@ -1,6 +1,7 @@
 #include "compress/dict_str.h"
 
 #include <algorithm>
+#include <cstring>
 #include <unordered_map>
 
 #include "common/bitutil.h"
@@ -128,7 +129,13 @@ Result<BatPtr> StrDict::Decode() const {
     word_off[c] = b->heap()->Put(Word(c));
   }
   std::vector<uint64_t> offs(count_);
-  for (size_t i = 0; i < count_; ++i) offs[i] = word_off[CodeAt(i)];
+  constexpr size_t kBatch = 4096;
+  uint32_t codes[kBatch];
+  for (size_t base = 0; base < count_; base += kBatch) {
+    const size_t m = std::min(kBatch, count_ - base);
+    UnpackBits(codes_.data(), base, m, static_cast<int>(bits_), codes);
+    for (size_t i = 0; i < m; ++i) offs[base + i] = word_off[codes[i]];
+  }
   b->AppendRaw(offs.data(), offs.size());
   b->mutable_props() = props_;
   return b;
@@ -208,12 +215,11 @@ Result<StrDict> StrDict::Deserialize(std::string_view in) {
     return Status::Corruption("strdict: code stream too short");
   }
   out.codes_.assign(p, p + code_bytes);
-  // Reject out-of-range codes up front so CodeAt never indexes past the
+  // Reject out-of-range codes up front so no kernel indexes past the
   // dictionary at scan time.
-  for (size_t i = 0; i < out.count_; ++i) {
-    if (out.CodeAt(i) >= std::max<uint32_t>(dsz, 1)) {
-      return Status::Corruption("strdict: bad code");
-    }
+  if (!CodesBelow(out.codes_.data(), out.count_,
+                  static_cast<int>(out.bits_), dsz)) {
+    return Status::Corruption("strdict: bad code");
   }
   return out;
 }

@@ -2,7 +2,6 @@
 #define MAMMOTH_COMPRESS_DICT_STR_H_
 
 #include <cstdint>
-#include <cstring>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -14,11 +13,11 @@ namespace mammoth::compress {
 
 /// A dictionary-compressed string column: the distinct strings of the heap,
 /// sorted lexicographically, plus one bit-packed code per row. Because the
-/// dictionary is sorted, every string predicate rewrites into code space —
-/// equality is a binary-search probe, ordered comparisons and LIKE-prefix
-/// patterns become one contiguous code interval, and arbitrary LIKE
-/// patterns evaluate once per *distinct* word into a small LUT — so scans
-/// touch only the packed codes, never the heap.
+/// dictionary is sorted, every string predicate rewrites into a per-code
+/// LUT cheaply — `=` and `<>` are one binary-search probe, ordered
+/// comparisons and LIKE-prefix patterns mark a code range found by binary
+/// search, and arbitrary LIKE patterns evaluate once per *distinct* word —
+/// so scans touch only the packed codes, never the heap.
 ///
 /// The dictionary is immutable once encoded; Table re-encodes at
 /// MergeDeltas (the same lifecycle as integer CompressedBat columns).
@@ -44,18 +43,8 @@ class StrDict {
                             offsets_[code + 1] - offsets_[code]);
   }
 
-  /// The code at row i — one unaligned load, shift, mask.
-  uint32_t CodeAt(size_t i) const {
-    if (bits_ == 0) return 0;
-    const size_t bitpos = i * bits_;
-    uint64_t word;
-    std::memcpy(&word, codes_.data() + bitpos / 8, sizeof(word));
-    return static_cast<uint32_t>((word >> (bitpos % 8)) &
-                                 ((uint64_t{1} << bits_) - 1));
-  }
-
-  /// The bit-packed code stream (8 bytes of slack past the last code), for
-  /// kernels that unpack codes in batches instead of per-row CodeAt.
+  /// The bit-packed code stream (8 bytes of slack past the last code);
+  /// kernels unpack it in batches with UnpackBits.
   const uint8_t* code_data() const { return codes_.data(); }
 
   /// Code of `s` if present (binary search over the sorted dictionary).

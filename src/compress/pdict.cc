@@ -26,10 +26,10 @@ Status PdictEncode(const int32_t* values, size_t n,
     }
     codes[i] = it->second;
   }
-  // Emit the dictionary in ascending value order and remap codes: with a
-  // sorted dictionary, constant comparisons against the column rewrite to a
-  // single contiguous code interval (compressed_kernels), while decode stays
-  // a plain gather. Old first-appearance images still decode unchanged.
+  // Emit the dictionary in ascending value order and remap codes: code
+  // order is then value order, so MIN/MAX read the dictionary's two ends
+  // (compressed_kernels), while decode stays a plain gather. Old
+  // first-appearance images still decode unchanged.
   std::vector<int32_t> sorted_vals = dict_values;
   std::sort(sorted_vals.begin(), sorted_vals.end());
   std::vector<uint32_t> remap(dict_values.size());
@@ -67,71 +67,76 @@ Status PdictEncode(const int32_t* values, size_t n,
   return Status::OK();
 }
 
-Status PdictDecodeRange(const std::vector<uint8_t>& in, size_t start,
-                        size_t n, int32_t* out) {
+namespace {
+
+/// A PdictEncode stream whose header, dictionary and packed codes are
+/// checked to lie inside the buffer.
+struct PdictStream {
+  uint32_t count = 0;
+  uint32_t dsize = 0;
+  uint32_t bits = 0;
+  const int32_t* dict = nullptr;
+  const uint8_t* codes = nullptr;
+};
+
+Status ParsePdict(const std::vector<uint8_t>& in, PdictStream* s) {
   if (in.size() < 16) return Status::IOError("pdict: truncated header");
-  uint32_t magic, count, dsize, bits;
+  uint32_t magic;
   std::memcpy(&magic, in.data(), 4);
-  std::memcpy(&count, in.data() + 4, 4);
-  std::memcpy(&dsize, in.data() + 8, 4);
-  std::memcpy(&bits, in.data() + 12, 4);
+  std::memcpy(&s->count, in.data() + 4, 4);
+  std::memcpy(&s->dsize, in.data() + 8, 4);
+  std::memcpy(&s->bits, in.data() + 12, 4);
   if (magic != kPdictMagic) return Status::IOError("pdict: bad magic");
-  if (bits > 32) return Status::IOError("pdict: bad code width");
-  if (start + n > count) {
-    return Status::OutOfRange("pdict: range beyond column");
+  if (s->bits > 32) return Status::IOError("pdict: bad code width");
+  if (s->count > (1u << 28)) {
+    return Status::IOError("pdict: implausible count");
   }
-  if (n == 0) return Status::OK();
-  const size_t dict_end = 16 + static_cast<size_t>(dsize) * 4;
-  // +8: the unpack loop issues 8-byte loads into the encoder's slack.
-  if (in.size() < dict_end + PackedBytes(count, static_cast<int>(bits)) + 8 ||
-      in.size() < dict_end) {
+  const size_t dict_end = 16 + static_cast<size_t>(s->dsize) * 4;
+  // +8: UnpackBits issues 8-byte loads into the encoder's slack.
+  if (in.size() <
+      dict_end + PackedBytes(s->count, static_cast<int>(s->bits)) + 8) {
     return Status::IOError("pdict: truncated payload");
   }
-  const int32_t* dict = reinterpret_cast<const int32_t*>(in.data() + 16);
-  const uint8_t* codes = in.data() + dict_end;
-  const uint64_t mask =
-      bits == 0 ? 0 : ((bits >= 64 ? ~uint64_t{0} : (uint64_t{1} << bits) - 1));
-  for (size_t i = 0; i < n; ++i) {
-    uint32_t code = 0;
-    if (bits > 0) {
-      const size_t bitpos = (start + i) * bits;
-      uint64_t word;
-      std::memcpy(&word, codes + bitpos / 8, sizeof(word));
-      code = static_cast<uint32_t>((word >> (bitpos % 8)) & mask);
+  s->dict = reinterpret_cast<const int32_t*>(in.data() + 16);
+  s->codes = in.data() + dict_end;
+  return Status::OK();
+}
+
+/// Gathers rows [start, start+n) through the dictionary, unpacking the
+/// codes in L1-sized batches.
+Status GatherRows(const PdictStream& s, size_t start, size_t n,
+                  int32_t* out) {
+  constexpr size_t kBatch = 4096;
+  uint32_t codes[kBatch];
+  for (size_t done = 0; done < n; done += kBatch) {
+    const size_t m = std::min(kBatch, n - done);
+    UnpackBits(s.codes, start + done, m, static_cast<int>(s.bits), codes);
+    for (size_t i = 0; i < m; ++i) {
+      if (codes[i] >= s.dsize) return Status::IOError("pdict: bad code");
+      out[done + i] = s.dict[codes[i]];
     }
-    if (code >= dsize) return Status::IOError("pdict: bad code");
-    out[i] = dict[code];
   }
   return Status::OK();
 }
 
+}  // namespace
+
+Status PdictDecodeRange(const std::vector<uint8_t>& in, size_t start,
+                        size_t n, int32_t* out) {
+  PdictStream s;
+  MAMMOTH_RETURN_IF_ERROR(ParsePdict(in, &s));
+  if (start + n > s.count) {
+    return Status::OutOfRange("pdict: range beyond column");
+  }
+  return GatherRows(s, start, n, out);
+}
+
 Status PdictDecode(const std::vector<uint8_t>& in,
                    std::vector<int32_t>* out) {
-  if (in.size() < 16) return Status::IOError("pdict: truncated header");
-  uint32_t magic, count, dsize, bits;
-  std::memcpy(&magic, in.data(), 4);
-  std::memcpy(&count, in.data() + 4, 4);
-  std::memcpy(&dsize, in.data() + 8, 4);
-  std::memcpy(&bits, in.data() + 12, 4);
-  if (magic != kPdictMagic) return Status::IOError("pdict: bad magic");
-  if (bits > 32) return Status::IOError("pdict: bad code width");
-  if (count > (1u << 28)) return Status::IOError("pdict: implausible count");
-  const size_t dict_end = 16 + static_cast<size_t>(dsize) * 4;
-  // +8: UnpackBits issues 8-byte loads into the encoder's slack.
-  if (in.size() < dict_end + PackedBytes(count, static_cast<int>(bits)) + 8) {
-    return Status::IOError("pdict: truncated payload");
-  }
-  const int32_t* dict = reinterpret_cast<const int32_t*>(in.data() + 16);
-  std::vector<uint32_t> codes(count);
-  UnpackBits(in.data() + dict_end, count, static_cast<int>(bits),
-             codes.data());
-  out->resize(count);
-  int32_t* dst = out->data();
-  for (size_t i = 0; i < count; ++i) {
-    if (codes[i] >= dsize) return Status::IOError("pdict: bad code");
-    dst[i] = dict[codes[i]];
-  }
-  return Status::OK();
+  PdictStream s;
+  MAMMOTH_RETURN_IF_ERROR(ParsePdict(in, &s));
+  out->resize(s.count);
+  return GatherRows(s, 0, s.count, out->data());
 }
 
 }  // namespace mammoth::compress

@@ -17,9 +17,8 @@ inline constexpr uint32_t kPdictMagic = 0x31434450;  // "PDC1"
 /// shift-mask plus a gather from a (usually cache-resident) dictionary.
 /// Fails with InvalidArgument when the column has more than 2^16 distinct
 /// values (not dictionary-compressible at a useful ratio). The dictionary is
-/// emitted in ascending value order, so code order equals value order and
-/// constant predicates rewrite to code intervals; decoders accept both sorted
-/// and legacy first-appearance dictionaries.
+/// emitted in ascending value order, so code order equals value order;
+/// decoders accept both sorted and legacy first-appearance dictionaries.
 Status PdictEncode(const int32_t* values, size_t n,
                    std::vector<uint8_t>* out);
 Status PdictDecode(const std::vector<uint8_t>& in, std::vector<int32_t>* out);

@@ -198,7 +198,7 @@ const char* DecodeBlock(const std::vector<uint8_t>& in, size_t off,
   T* dst = whole ? out + (block_start - start) : scratch;
   // Hot path: unpack + add base (modular, mirroring the encoder's delta).
   U unpacked[kPforBlock];
-  UnpackBits(in.data() + off + sizeof(hdr), bn, hdr.bits, unpacked);
+  UnpackBits(in.data() + off + sizeof(hdr), 0, bn, hdr.bits, unpacked);
   for (size_t i = 0; i < bn; ++i) {
     dst[i] = static_cast<T>(static_cast<U>(hdr.base) + unpacked[i]);
   }

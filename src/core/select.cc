@@ -15,13 +15,6 @@ using parallel::ExecContext;
 using parallel::MorselCollector;
 using parallel::TaskPool;
 
-/// Marks a freshly built select result with its guaranteed properties.
-void StampSelectResult(const BatPtr& r) {
-  r->mutable_props().sorted = true;
-  r->mutable_props().key = true;
-  r->mutable_props().revsorted = r->Count() <= 1;
-}
-
 /// Parallel candidate scan: each worker filters its morsels into a private
 /// buffer through `emit(sink, pos_begin, pos_end)`; the runs are stitched
 /// back in morsel order, so the output equals the serial left-to-right scan
@@ -187,6 +180,12 @@ BatPtr StringThetaSelect(const Bat& b, const Bat* cands,
 }
 
 }  // namespace
+
+void StampSelectResult(const BatPtr& r) {
+  r->mutable_props().sorted = true;
+  r->mutable_props().key = true;
+  r->mutable_props().revsorted = r->Count() <= 1;
+}
 
 Result<BatPtr> ThetaSelect(const BatPtr& b, const BatPtr& cands,
                            const Value& v, CmpOp op,

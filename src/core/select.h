@@ -29,6 +29,12 @@ Result<BatPtr> RangeSelect(
     bool lo_incl = true, bool hi_incl = true, bool anti = false,
     const parallel::ExecContext& ctx = parallel::ExecContext::Default());
 
+/// Stamps the properties every materialized select result carries:
+/// ascending, pairwise-distinct OIDs. Every select route (these kernels,
+/// the code-space kernels, shared-scan assembly) stamps through this one
+/// function, so routes agree on properties as well as values.
+void StampSelectResult(const BatPtr& r);
+
 }  // namespace mammoth::algebra
 
 #endif  // MAMMOTH_CORE_SELECT_H_

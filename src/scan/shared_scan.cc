@@ -12,15 +12,6 @@ namespace mammoth::scan {
 
 namespace {
 
-/// Matches StampSelectResult in core/select.cc: the guarantees every
-/// select kernel stamps on its result, replicated so the assembled
-/// shared-scan result is bit-identical (values *and* properties).
-void StampSelectResult(const BatPtr& r) {
-  r->mutable_props().sorted = true;
-  r->mutable_props().key = true;
-  r->mutable_props().revsorted = r->Count() <= 1;
-}
-
 /// Whether the predicate can run over the source's compressed
 /// representation directly (code-space / run-space), bit-identical to
 /// decode-then-kernel.
@@ -684,7 +675,7 @@ Result<BatPtr> SharedScanScheduler::Select(const ColumnSource& source,
     std::memcpy(dst, p->TailData<Oid>(), p->Count() * sizeof(Oid));
     dst += p->Count();
   }
-  StampSelectResult(out);
+  algebra::StampSelectResult(out);
   return out;
 }
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <vector>
 
@@ -14,22 +15,32 @@
 namespace mammoth::compress {
 namespace {
 
-TEST(BitpackTest, RoundTripAllWidths) {
-  Rng rng(1);
-  for (int bits = 0; bits <= 32; ++bits) {
-    const size_t n = 333;
-    std::vector<uint32_t> values(n);
-    const uint64_t mask =
-        bits == 0 ? 0 : (bits == 32 ? 0xffffffffull : ((1ull << bits) - 1));
-    for (auto& v : values) v = static_cast<uint32_t>(rng.Next() & mask);
-    std::vector<uint8_t> packed;
-    PackBits(values.data(), n, bits, &packed);
-    EXPECT_EQ(packed.size(), PackedBytes(n, bits)) << bits;
-    packed.resize(packed.size() + 8);  // unpack slack
-    std::vector<uint32_t> back(n);
-    UnpackBits(packed.data(), n, bits, back.data());
-    ASSERT_EQ(back, values) << "bits=" << bits;
+/// Packs random `bits`-bit values, then unpacks the whole stream and
+/// windows starting at rows off byte boundaries (for odd widths) that run
+/// to the end of the stream, where the slack reads happen.
+template <typename U>
+void CheckRoundTrip(int bits, Rng* rng) {
+  const size_t n = 333;
+  std::vector<U> values(n);
+  const uint64_t mask =
+      bits == 64 ? ~uint64_t{0} : ((uint64_t{1} << bits) - 1);
+  for (auto& v : values) v = static_cast<U>(rng->Next() & mask);
+  std::vector<uint8_t> packed;
+  PackBits(values.data(), n, bits, &packed);
+  EXPECT_EQ(packed.size(), PackedBytes(n, bits)) << bits;
+  packed.resize(packed.size() + 9);  // unpack slack
+  for (const size_t from : {0, 1, 3, 7, 8, 13, 100, 332}) {
+    std::vector<U> back(n - from);
+    UnpackBits(packed.data(), from, back.size(), bits, back.data());
+    ASSERT_TRUE(std::equal(back.begin(), back.end(), values.begin() + from))
+        << "bits=" << bits << " from=" << from;
   }
+}
+
+TEST(BitpackTest, RoundTripAllWidthsAndStartRows) {
+  Rng rng(1);
+  for (int bits = 0; bits <= 32; ++bits) CheckRoundTrip<uint32_t>(bits, &rng);
+  for (int bits = 0; bits <= 64; ++bits) CheckRoundTrip<uint64_t>(bits, &rng);
 }
 
 std::vector<int32_t> MakeData(const std::string& kind, size_t n,

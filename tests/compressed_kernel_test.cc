@@ -315,39 +315,63 @@ BatPtr WordsBat(size_t n, size_t vocab, uint64_t seed) {
   return b;
 }
 
+/// The OIDs of `b` shifted by `by`: a select result as if its column's
+/// head started at `by`.
+std::vector<Oid> ShiftedOids(const BatPtr& b, Oid by) {
+  std::vector<Oid> out(b->Count());
+  for (size_t i = 0; i < out.size(); ++i) out[i] = OidAt(b, i) + by;
+  return out;
+}
+
 TEST(CompressedKernelTest, DictStrSelectBitIdenticalAcrossOpsAndProbes) {
   const size_t n = 50000;
-  BatPtr plain = WordsBat(n, 30, 55);
-  auto dict_r = StrDict::Encode(plain);
-  ASSERT_TRUE(dict_r.ok()) << dict_r.status().ToString();
-  const StrDict dict = *dict_r;
-  EXPECT_LT(dict.CompressedBytes(), dict.LogicalBytes());
-
   const std::vector<CmpOp> ops = {CmpOp::kEq, CmpOp::kNe, CmpOp::kLt,
                                   CmpOp::kLe, CmpOp::kGe, CmpOp::kGt};
   // Present, absent-in-range, below-all, above-all.
   const std::vector<std::string> probes = {"w12", "w12x", "a", "zzz", "w0",
                                            "w9"};
+  // The chunk cut lies off byte boundaries for every odd code width and
+  // off the kernel's 4096-code batch boundaries; the head is nonzero.
   const size_t cut = n / 2 + 13;
-  for (const CmpOp op : ops) {
-    for (const std::string& s : probes) {
-      const Value v = Value::Str(s);
-      // `=` is left to the plain kernel; the code-space kernel must still
-      // answer it bit-identically.
-      EXPECT_EQ(compress::StrSelectableOnDict(v, op), op != CmpOp::kEq);
-      const std::string what =
-          "op " + std::to_string(static_cast<int>(op)) + " '" + s + "'";
-      auto want = algebra::ThetaSelect(plain, nullptr, v, op,
-                                       parallel::ExecContext::Serial());
-      ASSERT_TRUE(want.ok()) << what;
-      auto got = compress::DictStrSelectRange(dict, v, op, 0, n, /*hseq=*/0);
-      ASSERT_TRUE(got.ok()) << what << ": " << got.status().ToString();
-      ExpectSameOids(*got, *want, what);
+  const Oid hseq = 1000003;
+  // 30 words pack at 5 bits, one word at 0 bits (every code is 0),
+  // 2^6+1 words at 7 bits, and 200 words at 8 bits (the byte-aligned
+  // unpack path).
+  for (const size_t vocab :
+       {size_t{30}, size_t{1}, size_t{65}, size_t{200}}) {
+    BatPtr plain = WordsBat(n, vocab, 55);
+    auto dict_r = StrDict::Encode(plain);
+    ASSERT_TRUE(dict_r.ok()) << dict_r.status().ToString();
+    const StrDict dict = *dict_r;
+    ASSERT_EQ(dict.dsize(), vocab);
+    EXPECT_LT(dict.CompressedBytes(), dict.LogicalBytes());
+    for (const CmpOp op : ops) {
+      for (const std::string& s : probes) {
+        const Value v = Value::Str(s);
+        // `=` is left to the plain kernel; the code-space kernel must still
+        // answer it bit-identically.
+        EXPECT_EQ(compress::StrSelectableOnDict(v, op), op != CmpOp::kEq);
+        const std::string what = "vocab " + std::to_string(vocab) + " op " +
+                                 std::to_string(static_cast<int>(op)) +
+                                 " '" + s + "'";
+        auto want = algebra::ThetaSelect(plain, nullptr, v, op,
+                                         parallel::ExecContext::Serial());
+        ASSERT_TRUE(want.ok()) << what;
+        auto got =
+            compress::DictStrSelectRange(dict, v, op, 0, n, /*hseq=*/0);
+        ASSERT_TRUE(got.ok()) << what << ": " << got.status().ToString();
+        ExpectSameOids(*got, *want, what);
 
-      auto lo = compress::DictStrSelectRange(dict, v, op, 0, cut, 0);
-      auto hi = compress::DictStrSelectRange(dict, v, op, cut, n, 0);
-      ASSERT_TRUE(lo.ok() && hi.ok()) << what;
-      ASSERT_EQ((*lo)->Count() + (*hi)->Count(), (*want)->Count()) << what;
+        // Chunked evaluation under a nonzero head concatenates to the
+        // whole-column answer shifted by that head.
+        auto lo = compress::DictStrSelectRange(dict, v, op, 0, cut, hseq);
+        auto hi = compress::DictStrSelectRange(dict, v, op, cut, n, hseq);
+        ASSERT_TRUE(lo.ok() && hi.ok()) << what;
+        std::vector<Oid> chunked = ShiftedOids(*lo, 0);
+        const std::vector<Oid> tail = ShiftedOids(*hi, 0);
+        chunked.insert(chunked.end(), tail.begin(), tail.end());
+        EXPECT_EQ(chunked, ShiftedOids(*want, hseq)) << what;
+      }
     }
   }
 }
