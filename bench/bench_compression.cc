@@ -19,12 +19,14 @@
 #include "common/rng.h"
 #include "common/timer.h"
 #include "compress/compressed_bat.h"
+#include "compress/compressed_exec.h"
 #include "compress/compressed_kernels.h"
 #include "compress/dict_str.h"
 #include "compress/pdict.h"
 #include "compress/pfor.h"
 #include "compress/rle.h"
 #include "core/group.h"
+#include "core/project.h"
 #include "core/select.h"
 #include "core/table.h"
 #include "parallel/exec_context.h"
@@ -317,14 +319,16 @@ BENCHMARK(BM_SelectEqPdictDecodeThenKernel)->Unit(benchmark::kMillisecond);
 
 // Dictionary string predicates vs the stock string kernel on the plain
 // column (already materialized — the dict variant wins on code width, not
-// on skipped decode).
+// on skipped decode). The plain names draw 200 words (8-bit codes, the
+// byte-aligned unpack); the *1000 variants draw 1000 (10-bit codes, the
+// width of perfbench's facts.tag).
 void DictStrSelect(benchmark::State& state, CmpOp op, const char* pattern,
-                   bool dict_path) {
+                   bool dict_path, uint64_t words = 200) {
   constexpr size_t kStrRows = 1 << 20;
   BatPtr plain = Bat::NewString(nullptr);
   Rng rng(48);
   for (size_t i = 0; i < kStrRows; ++i) {
-    plain->AppendString("tag_" + std::to_string(rng.Uniform(200)));
+    plain->AppendString("tag_" + std::to_string(rng.Uniform(words)));
   }
   auto dict = compress::StrDict::Encode(plain);
   if (!dict.ok()) {
@@ -382,6 +386,113 @@ BENCHMARK(BM_StrSelectNeDict)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_StrSelectNePlainKernel)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_StrSelectLikeInfixDict)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_StrSelectLikeInfixPlainKernel)->Unit(benchmark::kMillisecond);
+
+void BM_StrSelectEqDict1000(benchmark::State& state) {
+  DictStrSelect(state, CmpOp::kEq, "tag_42", true, 1000);
+}
+void BM_StrSelectEqPlainKernel1000(benchmark::State& state) {
+  DictStrSelect(state, CmpOp::kEq, "tag_42", false, 1000);
+}
+void BM_StrSelectLikePrefixDict1000(benchmark::State& state) {
+  DictStrSelect(state, CmpOp::kLike, "tag_1%", true, 1000);
+}
+void BM_StrSelectNeDict1000(benchmark::State& state) {
+  DictStrSelect(state, CmpOp::kNe, "tag_42", true, 1000);
+}
+void BM_StrSelectLikeInfixDict1000(benchmark::State& state) {
+  DictStrSelect(state, CmpOp::kLike, "%42%", true, 1000);
+}
+BENCHMARK(BM_StrSelectEqDict1000)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_StrSelectEqPlainKernel1000)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_StrSelectLikePrefixDict1000)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_StrSelectNeDict1000)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_StrSelectLikeInfixDict1000)->Unit(benchmark::kMillisecond);
+
+// Projection of a scattered candidate list (sorted, ~10% of 1Mi rows, the
+// shape of a LIKE-prefix select result) over each codec's home data: the
+// gather reads only the candidates' rows from the codec stream. The Plain
+// twin gathers from the decoded column, the cost floor of a column kept
+// decoded in memory.
+constexpr size_t kProjectRows = size_t{1} << 20;
+
+BatPtr ScatteredCandidates() {
+  BatPtr oids = Bat::New(PhysType::kOid);
+  Rng rng(49);
+  for (size_t i = 0; i < kProjectRows; ++i) {
+    if (rng.Uniform(10) == 0) oids->Append<Oid>(i);
+  }
+  oids->mutable_props().sorted = true;
+  oids->mutable_props().key = true;
+  return oids;
+}
+
+BatPtr ProjectColumn(compress::Codec codec) {
+  switch (codec) {
+    case compress::Codec::kPfor: {  // uniform over every int32: facts.rnd
+      BatPtr b = Bat::New(PhysType::kInt32);
+      b->Resize(kProjectRows);
+      Rng rng(50);
+      int32_t* p = b->MutableTailData<int32_t>();
+      for (size_t i = 0; i < kProjectRows; ++i) {
+        p[i] = static_cast<int32_t>(rng.Next());
+      }
+      return b;
+    }
+    case compress::Codec::kPforDelta:
+      return bench::SortedInt32(kProjectRows, 51);
+    case compress::Codec::kPdict:
+      return bench::UniformInt32(kProjectRows, 256, 52);
+    case compress::Codec::kRle:
+      break;
+  }
+  BatPtr b = Bat::New(PhysType::kInt32);
+  b->Resize(kProjectRows);
+  int32_t* p = b->MutableTailData<int32_t>();
+  for (size_t i = 0; i < kProjectRows; ++i) {
+    p[i] = static_cast<int32_t>((i / 1000) % 100);
+  }
+  return b;
+}
+
+void ScatteredProject(benchmark::State& state, compress::Codec codec,
+                      bool plain) {
+  BatPtr column = ProjectColumn(codec);
+  auto comp_r = compress::CompressedBat::Compress(column, codec);
+  if (!comp_r.ok()) {
+    state.SkipWithError("compress failed");
+    return;
+  }
+  auto comp =
+      std::make_shared<const compress::CompressedBat>(*std::move(comp_r));
+  const BatPtr oids = ScatteredCandidates();
+  for (auto _ : state) {
+    auto r = plain ? algebra::Project(oids, column,
+                                      parallel::ExecContext::Serial())
+                   : compress::CompressedProject(oids, comp);
+    benchmark::DoNotOptimize(r->get());
+  }
+  state.SetItemsProcessed(state.iterations() * oids->Count());
+}
+void BM_ProjectScatteredPfor(benchmark::State& state) {
+  ScatteredProject(state, compress::Codec::kPfor, false);
+}
+void BM_ProjectScatteredPforDelta(benchmark::State& state) {
+  ScatteredProject(state, compress::Codec::kPforDelta, false);
+}
+void BM_ProjectScatteredPdict(benchmark::State& state) {
+  ScatteredProject(state, compress::Codec::kPdict, false);
+}
+void BM_ProjectScatteredRle(benchmark::State& state) {
+  ScatteredProject(state, compress::Codec::kRle, false);
+}
+void BM_ProjectScatteredPlain(benchmark::State& state) {
+  ScatteredProject(state, compress::Codec::kPfor, true);
+}
+BENCHMARK(BM_ProjectScatteredPfor)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ProjectScatteredPforDelta)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ProjectScatteredPdict)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ProjectScatteredRle)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ProjectScatteredPlain)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------- end-to-end --
 // Compression as an execution path, measured through the whole engine:

@@ -5,6 +5,7 @@
 #include <type_traits>
 
 #include "compress/bitpack.h"
+#include "compress/compressed_kernels.h"
 #include "compress/pdict.h"
 #include "compress/pfor.h"
 #include "compress/rle.h"
@@ -95,7 +96,7 @@ const char* CodecName(Codec c) {
   return "?";
 }
 
-Result<CompressedBat> CompressedBat::Compress(const BatPtr& b, Codec codec) {
+Result<CompressedBat> CompressedBat::Encode(const BatPtr& b, Codec codec) {
   if (b == nullptr) {
     return Status::InvalidArgument("compress: null input BAT");
   }
@@ -116,12 +117,9 @@ Result<CompressedBat> CompressedBat::Compress(const BatPtr& b, Codec codec) {
     using T = decltype(zero);
     const T* v = b->TailData<T>();
     switch (codec) {
-      case Codec::kPfor: {
+      case Codec::kPfor:
         MAMMOTH_RETURN_IF_ERROR(PforEncode(v, out.count_, &out.bytes_));
-        MAMMOTH_ASSIGN_OR_RETURN(out.block_index_,
-                                 PforBuildBlockIndex<T>(out.bytes_));
         break;
-      }
       case Codec::kPforDelta:
         MAMMOTH_RETURN_IF_ERROR(PforDeltaEncode(v, out.count_, &out.bytes_));
         break;
@@ -141,11 +139,17 @@ Result<CompressedBat> CompressedBat::Compress(const BatPtr& b, Codec codec) {
   return out;
 }
 
+Result<CompressedBat> CompressedBat::Compress(const BatPtr& b, Codec codec) {
+  MAMMOTH_ASSIGN_OR_RETURN(CompressedBat out, Encode(b, codec));
+  MAMMOTH_RETURN_IF_ERROR(out.CheckStream());
+  return out;
+}
+
 Result<CompressedBat> CompressedBat::CompressBest(const BatPtr& b) {
   Result<CompressedBat> best = Status::Internal("no codec succeeded");
   for (Codec c : {Codec::kPfor, Codec::kPforDelta, Codec::kPdict,
                   Codec::kRle}) {
-    Result<CompressedBat> attempt = Compress(b, c);
+    Result<CompressedBat> attempt = Encode(b, c);
     if (!attempt.ok()) {
       // Unsupported *types* fail every codec identically — surface that
       // instead of "no codec succeeded".
@@ -160,10 +164,13 @@ Result<CompressedBat> CompressedBat::CompressBest(const BatPtr& b) {
       best = std::move(attempt);
     }
   }
+  // Only the winner pays for its indexes.
+  if (best.ok()) MAMMOTH_RETURN_IF_ERROR(best->CheckStream());
   return best;
 }
 
 Result<BatPtr> CompressedBat::Decode() const {
+  stats::ProjectFull();
   BatPtr b = Bat::New(type_);
   MAMMOTH_RETURN_IF_ERROR(VisitWidth(type_, [&](auto zero) -> Status {
     using T = decltype(zero);
@@ -195,40 +202,18 @@ Result<BatPtr> CompressedBat::Decode() const {
   return b;
 }
 
-Status CompressedBat::FillCache() const {
-  std::call_once(cache_->once, [this] {
-    Result<BatPtr> full = Decode();
-    if (full.ok()) {
-      cache_->bat = *std::move(full);
-      cache_->bytes.store(count_ * width(), std::memory_order_relaxed);
-    } else {
-      cache_->status = full.status();
-    }
-  });
-  return cache_->status;
-}
-
 Result<const CompressedBat::RleRuns*> CompressedBat::RunsView() const {
   if (codec_ != Codec::kRle) {
     return Status::Unsupported("runs view: column is not RLE");
   }
-  std::call_once(runs_cache_->once, [this] {
-    // Walk the (value, run) pairs once; the view replaces O(rows) decodes
-    // with O(runs) folds in the compressed kernels.
-    RleRuns& runs = runs_cache_->runs;
-    uint64_t row = 0;
-    runs_cache_->status = VisitWidth(type_, [&](auto zero) {
-      using T = decltype(zero);
-      return RleForEachRun<T>(bytes_, [&](T v, uint32_t run) {
-        runs.values.push_back(v);
-        runs.starts.push_back(row);
-        row += run;
-      });
-    });
-    runs.starts.push_back(row);
-  });
-  MAMMOTH_RETURN_IF_ERROR(runs_cache_->status);
-  return &runs_cache_->runs;
+  return &runs_;
+}
+
+size_t CompressedBat::IndexBytes() const {
+  return block_index_.size() * sizeof(uint32_t) +
+         delta_bases_.size() * sizeof(int64_t) +
+         runs_.values.size() * sizeof(int64_t) +
+         runs_.starts.size() * sizeof(uint64_t);
 }
 
 Result<CompressedBat::DictView> CompressedBat::PdictView() const {
@@ -255,11 +240,6 @@ Result<CompressedBat::DictView> CompressedBat::PdictView() const {
   view.codes = bytes_.data() + dict_end;
   view.sorted = std::is_sorted(view.dict, view.dict + view.dsize);
   return view;
-}
-
-Result<BatPtr> CompressedBat::DecodedBat() const {
-  MAMMOTH_RETURN_IF_ERROR(FillCache());
-  return cache_->bat;
 }
 
 Status CompressedBat::DecodeRange(size_t start, size_t n,
@@ -291,18 +271,78 @@ Status CompressedBat::DecodeRangeRaw(size_t start, size_t n,
         return PforDecodeRangeIndexed(bytes_, block_index_, start, n,
                                       static_cast<T*>(out));
       });
+    case Codec::kPforDelta:
+      return VisitWidth(type_, [&](auto zero) {
+        using T = decltype(zero);
+        return PforDeltaDecodeRangeIndexed(bytes_, block_index_, delta_bases_,
+                                           start, n, static_cast<T*>(out));
+      });
     case Codec::kPdict:  // int32 only: Compress and Deserialize refuse int64
       return PdictDecodeRange(bytes_, start, n, static_cast<int32_t*>(out));
+    case Codec::kRle:
+      return VisitWidth(type_, [&](auto zero) {
+        using T = decltype(zero);
+        T* dst = static_cast<T*>(out);
+        const std::vector<uint64_t>& starts = runs_.starts;
+        // The run holding `start`: the last whose first row is <= start.
+        size_t r = static_cast<size_t>(
+            std::upper_bound(starts.begin(), starts.end(), start) -
+            starts.begin() - 1);
+        for (size_t row = start; row < start + n; ++r) {
+          const size_t end = std::min<size_t>(starts[r + 1], start + n);
+          std::fill(dst + (row - start), dst + (end - start),
+                    static_cast<T>(runs_.values[r]));
+          row = end;
+        }
+        return Status::OK();
+      });
+  }
+  return Status::Internal("unreachable");
+}
+
+Status CompressedBat::Gather(const Oid* rows, size_t n, void* out) const {
+  switch (codec_) {
+    case Codec::kPfor:
+      return VisitWidth(type_, [&](auto zero) {
+        using T = decltype(zero);
+        return PforGather(bytes_, block_index_, rows, n, static_cast<T*>(out));
+      });
     case Codec::kPforDelta:
-    case Codec::kRle: {
-      // No random access (running prefix / variable-length runs): decode
-      // once into the shared cache and serve ranges from it.
-      MAMMOTH_RETURN_IF_ERROR(FillCache());
-      const auto* base =
-          static_cast<const uint8_t*>(cache_->bat->tail().raw_data());
-      std::memcpy(out, base + start * width(), n * width());
-      return Status::OK();
-    }
+      return VisitWidth(type_, [&](auto zero) {
+        using T = decltype(zero);
+        return PforDeltaGather(bytes_, block_index_, delta_bases_, rows, n,
+                               static_cast<T*>(out));
+      });
+    case Codec::kPdict:
+      return PdictGather(bytes_, rows, n, static_cast<int32_t*>(out));
+    case Codec::kRle:
+      return VisitWidth(type_, [&](auto zero) -> Status {
+        using T = decltype(zero);
+        T* dst = static_cast<T*>(out);
+        const std::vector<uint64_t>& starts = runs_.starts;
+        // Walk forward from the previous row's run; a row outside the
+        // run or the next one binary-searches, so sorted rows cost
+        // O(n + runs) and unsorted ones O(n log runs).
+        size_t r = 0;
+        for (size_t i = 0; i < n; ++i) {
+          const Oid row = rows[i];
+          if (row >= count_) {
+            return Status::OutOfRange("rle: row beyond column");
+          }
+          if (row < starts[r] || row >= starts[r + 1]) {
+            if (row >= starts[r + 1] && r + 2 < starts.size() &&
+                row < starts[r + 2]) {
+              ++r;
+            } else {
+              r = static_cast<size_t>(
+                  std::upper_bound(starts.begin(), starts.end(), row) -
+                  starts.begin() - 1);
+            }
+          }
+          dst[i] = static_cast<T>(runs_.values[r]);
+        }
+        return Status::OK();
+      });
   }
   return Status::Internal("unreachable");
 }
@@ -395,8 +435,13 @@ Status CompressedBat::CheckStream() {
       case Codec::kPforDelta: {
         Result<std::vector<uint32_t>> index = PforBuildBlockIndex<T>(bytes_);
         st = index.status();
-        if (index.ok() && codec_ == Codec::kPfor) {
-          block_index_ = *std::move(index);
+        if (!index.ok()) break;
+        block_index_ = *std::move(index);
+        if (codec_ == Codec::kPforDelta) {
+          Result<std::vector<int64_t>> bases =
+              PforDeltaBuildBases<T>(bytes_, block_index_);
+          st = bases.status();
+          if (bases.ok()) delta_bases_ = *std::move(bases);
         }
         break;
       }
@@ -410,9 +455,19 @@ Status CompressedBat::CheckStream() {
         }
         break;
       }
-      case Codec::kRle:
-        st = RleForEachRun<T>(bytes_, [](T, uint32_t) {});
+      case Codec::kRle: {
+        // Parse the run list once; it replaces O(rows) decodes with
+        // O(runs) folds and walks in the kernels and range decodes.
+        runs_ = RleRuns{};
+        uint64_t row = 0;
+        st = RleForEachRun<T>(bytes_, [&](T v, uint32_t run) {
+          runs_.values.push_back(v);
+          runs_.starts.push_back(row);
+          row += run;
+        });
+        runs_.starts.push_back(row);
         break;
+      }
     }
     if (st.ok()) return st;
     return Status::Corruption("compressed bat: " + st.message());

@@ -1,10 +1,7 @@
 #ifndef MAMMOTH_COMPRESS_COMPRESSED_BAT_H_
 #define MAMMOTH_COMPRESS_COMPRESSED_BAT_H_
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -19,11 +16,13 @@ enum class Codec : uint8_t { kPfor, kPforDelta, kPdict, kRle };
 
 const char* CodecName(Codec c);
 
-/// A compressed integer column in the X100 storage style (§5): the column
-/// is held in its compressed form and decompressed on demand — either
-/// wholly (operator-at-a-time consumers) or vector-at-a-time via
-/// DecodeRange (pipelined consumers decompress into a cache-resident
-/// vector right before use, keeping scans CPU- rather than bandwidth-bound).
+/// A compressed integer column in the X100 storage style (§5): the codec
+/// stream is the column's only image. Nothing decodes the column and
+/// keeps the result: every read decodes just the rows it touches into
+/// memory that lives for one call — a row range (DecodeRange, the
+/// vector-at-a-time entry point that shared scans and dense projections
+/// use), a list of rows (Gather, for scattered candidates), or, on cold
+/// paths, the whole column into a fresh BAT (Decode).
 ///
 /// Supported tail types: kInt32 (all codecs) and kInt64 (PFOR,
 /// PFOR-DELTA, RLE). Anything else yields a typed kUnsupported error.
@@ -31,12 +30,14 @@ const char* CodecName(Codec c);
 /// Alongside the byte stream the column keeps per-block min/max statistics
 /// (blocks of kStatBlockRows rows, aligned with the shared-scan morsel
 /// grain) that double as a zone map: block skipping over a compressed
-/// column never needs to decompress the skipped blocks.
+/// column never needs to decompress the skipped blocks. It also keeps the
+/// small derived indexes that give each codec random access, built once
+/// when the column is compressed or loaded: the byte offset of every PFOR
+/// and PFOR-DELTA block, the running value in front of every PFOR-DELTA
+/// block, and the run list of an RLE column (IndexBytes counts them).
 ///
-/// Instances are cheaply copyable; copies share the compressed bytes and
-/// the lazily-decoded cache (both immutable after construction, the cache
-/// filled exactly once under std::call_once — safe for concurrent
-/// DecodeRange callers).
+/// Instances are immutable after construction, so concurrent readers need
+/// no synchronization.
 class CompressedBat {
  public:
   /// Rows per statistics block. Matches TaskPool::kDefaultGrain so a
@@ -49,23 +50,29 @@ class CompressedBat {
   static Result<CompressedBat> CompressBest(const BatPtr& b);
 
   /// Decompresses the whole column into a fresh BAT (tail properties are
-  /// the ones captured at compression time).
+  /// the ones captured at compression time) that the caller owns; nothing
+  /// is kept. Counted as a `project_full` in the kernel stats: only cold
+  /// paths (Table::ScanColumn, leaving the compression policy, operators
+  /// that need a plain BAT) take it.
   Result<BatPtr> Decode() const;
 
-  /// Whole-column decode backed by the shared cache: the first caller
-  /// decodes, every later caller gets the same immutable BAT. This is the
-  /// operator-at-a-time entry point (ScanColumn, fallback kernels).
-  Result<BatPtr> DecodedBat() const;
-
   /// Decompresses values [start, start+n) into `out` (vector-at-a-time
-  /// consumption). PFOR and PDICT decode only the touched blocks; the
-  /// stream codecs without random access (PFOR-DELTA's running prefix,
-  /// RLE's variable-length runs) serve ranges from the shared decoded
-  /// cache. The overload must match the column type.
+  /// consumption), touching only what the range covers: the PFOR and
+  /// PDICT blocks or codes, the PFOR-DELTA blocks (each decoded from its
+  /// indexed running value), or the RLE runs (found by binary search over
+  /// the run list). The overload must match the column type.
   Status DecodeRange(size_t start, size_t n, int32_t* out) const;
   Status DecodeRange(size_t start, size_t n, int64_t* out) const;
   /// Type-erased range decode into a buffer of `width()`-sized slots.
   Status DecodeRangeRaw(size_t start, size_t n, void* out) const;
+
+  /// Values at rows rows[0..n), in any order, into the `width()`-sized
+  /// slots of `out`: out[i] is the value of row rows[i]. Costs O(n +
+  /// touched blocks) on every codec — PFOR reads single slots (decoding a
+  /// block whole only where the rows are dense), PDICT unpacks single
+  /// codes, RLE walks its run list, PFOR-DELTA decodes the touched blocks.
+  /// A row at or beyond Count() is kOutOfRange.
+  Status Gather(const Oid* rows, size_t n, void* out) const;
 
   size_t Count() const { return count_; }
   PhysType type() const { return type_; }
@@ -87,18 +94,17 @@ class CompressedBat {
   int64_t StatMin(size_t block) const { return stat_min_[block]; }
   int64_t StatMax(size_t block) const { return stat_max_[block]; }
 
-  /// Bytes currently pinned by the shared whole-column decode cache (0
-  /// until some caller forces a full decode). Feeds the engine's
-  /// compression stats so the "hidden" decoded footprint is visible.
-  size_t DecodedCacheBytes() const {
-    return cache_->bytes.load(std::memory_order_relaxed);
-  }
+  /// Bytes of the derived indexes the column holds next to its stream
+  /// (block offsets, PFOR-DELTA block bases, the RLE run list). Feeds the
+  /// engine's compression stats, so everything a compressed column holds
+  /// is counted.
+  size_t IndexBytes() const;
 
   /// --- Compressed-direct kernel views ---------------------------------
   /// Parsed run list of an RLE column: values[r] repeats over rows
   /// [starts[r], starts[r+1]); starts has nruns+1 entries, the last equal
   /// to Count(). Values are widened to int64 regardless of column type.
-  /// Lazily parsed once and shared by copies; error on non-RLE columns.
+  /// Parsed when the column is built; error on non-RLE columns.
   struct RleRuns {
     std::vector<int64_t> values;
     std::vector<uint64_t> starts;
@@ -133,39 +139,22 @@ class CompressedBat {
   static Result<CompressedBat> Deserialize(std::string_view in);
 
  private:
-  /// Fill-once decode cache shared by copies; call_once makes concurrent
-  /// lazy fills race-free (the fix for the old mutable vector).
-  struct DecodedCache {
-    std::once_flag once;
-    Status status = Status::OK();
-    BatPtr bat;
-    std::atomic<size_t> bytes{0};  ///< logical bytes held once filled
-  };
-
-  /// Fill-once parsed run list for RLE columns (same sharing rules as
-  /// DecodedCache; the vectors own their storage so sharing across copies
-  /// never dangles).
-  struct RunsCache {
-    std::once_flag once;
-    Status status = Status::OK();
-    RleRuns runs;
-  };
-
-  Status FillCache() const;
+  /// Compress without the derived indexes (CheckStream builds them).
+  static Result<CompressedBat> Encode(const BatPtr& b, Codec codec);
   /// Load-time check that the stream is one the kernels can run on (see
-  /// Deserialize); also rebuilds the PFOR block index.
+  /// Deserialize); also builds the derived indexes. Compress runs it too.
   Status CheckStream();
 
   Codec codec_ = Codec::kPfor;
   PhysType type_ = PhysType::kInt32;
   size_t count_ = 0;
   std::vector<uint8_t> bytes_;
-  std::vector<uint32_t> block_index_;  // kPfor: byte offset per codec block
+  std::vector<uint32_t> block_index_;  // PFOR codecs: byte offset per block
+  std::vector<int64_t> delta_bases_;   // kPforDelta: value before each block
+  RleRuns runs_;                       // kRle
   std::vector<int64_t> stat_min_;      // per kStatBlockRows block
   std::vector<int64_t> stat_max_;
   BatProperties props_;
-  std::shared_ptr<DecodedCache> cache_ = std::make_shared<DecodedCache>();
-  std::shared_ptr<RunsCache> runs_cache_ = std::make_shared<RunsCache>();
 };
 
 }  // namespace mammoth::compress

@@ -1,7 +1,5 @@
 #include "compress/compressed_exec.h"
 
-#include <algorithm>
-#include <cstring>
 #include <vector>
 
 #include "compress/compressed_kernels.h"
@@ -10,9 +8,57 @@
 
 namespace mammoth::compress {
 
+namespace {
+
+/// CompressedBat::Gather, reporting a row beyond the column with the
+/// message algebra::Project uses.
+Status GatherOrOutOfRange(const CompressedBat& values, const Oid* rows,
+                          size_t n, void* out) {
+  Status st = values.Gather(rows, n, out);
+  if (st.code() == StatusCode::kOutOfRange) {
+    return Status::OutOfRange("project: oid beyond value BAT");
+  }
+  return st;
+}
+
+/// Projection of an unsorted OID list over (compressed main, delta): the
+/// main rows gather from the codec stream in one call, the delta rows
+/// straight from the delta, each into its slot of the result.
+template <typename T>
+Result<BatPtr> ProjectUnsorted(const BatPtr& oids, const CompressedBat& comp,
+                               const BatPtr& delta) {
+  const size_t n = oids->Count();
+  const Oid* os = oids->TailData<Oid>();
+  const Oid boundary = delta->hseqbase();
+  const T* dvals = delta->TailData<T>();
+  BatPtr r = Bat::New(comp.type());
+  r->Resize(n);
+  T* out = r->MutableTailData<T>();
+  std::vector<Oid> rows;
+  std::vector<size_t> slots;
+  for (size_t i = 0; i < n; ++i) {
+    if (os[i] < boundary) {
+      rows.push_back(os[i]);
+      slots.push_back(i);
+    } else if (os[i] - boundary < delta->Count()) {
+      out[i] = dvals[os[i] - boundary];
+    } else {
+      return Status::OutOfRange("project: oid beyond value BAT");
+    }
+  }
+  std::vector<T> main_vals(rows.size());
+  MAMMOTH_RETURN_IF_ERROR(
+      GatherOrOutOfRange(comp, rows.data(), rows.size(), main_vals.data()));
+  for (size_t k = 0; k < rows.size(); ++k) out[slots[k]] = main_vals[k];
+  if (!rows.empty()) stats::ProjectBounded(rows.size() * sizeof(T));
+  r->set_hseqbase(oids->hseqbase());
+  return r;
+}
+
+}  // namespace
+
 Result<BatPtr> CompressedProject(
-    const BatPtr& oids, const std::shared_ptr<const CompressedBat>& values,
-    const parallel::ExecContext& ctx) {
+    const BatPtr& oids, const std::shared_ptr<const CompressedBat>& values) {
   if (oids == nullptr || values == nullptr) {
     return Status::InvalidArgument("project: null input");
   }
@@ -35,49 +81,16 @@ Result<BatPtr> CompressedProject(
     if (n < values->Count()) stats::ProjectBounded(n * values->width());
     return r;
   }
-  if (n == 0) {
-    BatPtr r = Bat::New(values->type());
-    r->set_hseqbase(oids->hseqbase());
-    return r;
-  }
-  // Arbitrary OID list. When the list is narrow and the codec has random
-  // access, decode only the touched row span into a transient buffer
-  // instead of materializing (and permanently caching) the whole column.
-  const Oid* os = oids->TailData<Oid>();
-  if (values->codec() == Codec::kPfor || values->codec() == Codec::kPdict) {
-    Oid lo = os[0], hi = os[0];
-    for (size_t i = 1; i < n; ++i) {
-      lo = std::min(lo, os[i]);
-      hi = std::max(hi, os[i]);
-    }
-    if (hi >= values->Count()) {
-      return Status::OutOfRange("project: oid beyond value BAT");
-    }
-    const size_t span = static_cast<size_t>(hi - lo) + 1;
-    if (span <= values->Count() / 2) {
-      const size_t w = values->width();
-      std::vector<uint8_t> tmp(span * w);
-      MAMMOTH_RETURN_IF_ERROR(values->DecodeRangeRaw(lo, span, tmp.data()));
-      BatPtr r = Bat::New(values->type());
-      r->Resize(n);
-      if (values->type() == PhysType::kInt32) {
-        const int32_t* in = reinterpret_cast<const int32_t*>(tmp.data());
-        int32_t* out = r->MutableTailData<int32_t>();
-        for (size_t i = 0; i < n; ++i) out[i] = in[os[i] - lo];
-      } else {
-        const int64_t* in = reinterpret_cast<const int64_t*>(tmp.data());
-        int64_t* out = r->MutableTailData<int64_t>();
-        for (size_t i = 0; i < n; ++i) out[i] = in[os[i] - lo];
-      }
-      r->set_hseqbase(oids->hseqbase());
-      stats::ProjectBounded(span * w);
-      return r;
-    }
-  }
-  // Wide or stream-coded: gather from the shared whole-column decode.
-  stats::ProjectFull();
-  MAMMOTH_ASSIGN_OR_RETURN(BatPtr full, values->DecodedBat());
-  return algebra::Project(oids, full, ctx);
+  // Any other OID list gathers just the listed rows from the codec
+  // stream, sorted or not.
+  BatPtr r = Bat::New(values->type());
+  r->Resize(n);
+  MAMMOTH_RETURN_IF_ERROR(
+      GatherOrOutOfRange(*values, oids->TailData<Oid>(), n,
+                         r->tail().raw_data()));
+  r->set_hseqbase(oids->hseqbase());
+  if (n > 0) stats::ProjectBounded(n * values->width());
+  return r;
 }
 
 Result<BatPtr> ProjectMainDelta(
@@ -89,16 +102,16 @@ Result<BatPtr> ProjectMainDelta(
   }
   auto project_main = [&](const BatPtr& o) {
     return main != nullptr ? algebra::Project(o, main, ctx)
-                           : CompressedProject(o, comp, ctx);
+                           : CompressedProject(o, comp);
   };
   if (delta == nullptr || delta->empty()) return project_main(oids);
   if (!KnownSorted(oids)) {
-    BatPtr plain = main;
-    if (plain == nullptr) {
-      stats::ProjectFull();
-      MAMMOTH_ASSIGN_OR_RETURN(plain, comp->DecodedBat());
+    if (main != nullptr) {
+      return algebra::Project(oids, ConcatColumn(main, delta), ctx);
     }
-    return algebra::Project(oids, ConcatColumn(plain, delta), ctx);
+    return comp->type() == PhysType::kInt32
+               ? ProjectUnsorted<int32_t>(oids, *comp, delta)
+               : ProjectUnsorted<int64_t>(oids, *comp, delta);
   }
   const OidSplit split = SplitSortedOids(oids, delta->hseqbase());
   if (split.high->empty()) return project_main(oids);

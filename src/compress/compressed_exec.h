@@ -15,12 +15,11 @@ namespace mammoth::compress {
 /// bit-for-bit (result hseqbase = oids->hseqbase(), same bounds error).
 ///
 /// Dense OID lists (the common shape: a contiguous select result) decode
-/// exactly the touched range; arbitrary OID lists fall back to the shared
-/// whole-column decode (cached — at most one decompression per column
-/// lifetime) and the stock gather kernel.
+/// exactly the touched range; any other list, sorted or not, gathers only
+/// its rows (CompressedBat::Gather). The column is never decoded whole,
+/// and every projection counts as `project_bounded`.
 Result<BatPtr> CompressedProject(
-    const BatPtr& oids, const std::shared_ptr<const CompressedBat>& values,
-    const parallel::ExecContext& ctx);
+    const BatPtr& oids, const std::shared_ptr<const CompressedBat>& values);
 
 /// Projection over a column held as (main image, pending delta): the main
 /// image is `main` when set, else `comp`; `delta` (null or empty when
@@ -28,7 +27,8 @@ Result<BatPtr> CompressedProject(
 /// at that boundary: the low half gathers from the main image — through
 /// CompressedProject for `comp`, so dense and narrow lists stay bounded —
 /// the high half from the delta, and only the gathered values are
-/// concatenated. Unsorted `oids` gather from main ++ delta materialized.
+/// concatenated. Unsorted `oids` gather each row from its own side into
+/// its result slot (a plain `main` is concatenated with the delta first).
 /// Bit-identical to algebra::Project over Table::ScanColumn.
 Result<BatPtr> ProjectMainDelta(
     const BatPtr& oids, const BatPtr& main,

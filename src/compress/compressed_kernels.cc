@@ -33,7 +33,7 @@ bool NumericOperand(const Value& v) { return v.is_numeric(); }
 
 bool CodecSelectable(const CompressedBat& comp) {
   // PFOR and PFOR-DELTA carry no exploitable structure — their only play
-  // is decoding, which the fallback already does (into the shared cache).
+  // is decoding, which the fallback does a chunk at a time.
   return comp.codec() == Codec::kRle || comp.codec() == Codec::kPdict;
 }
 
@@ -135,6 +135,42 @@ auto ThetaKeep(const Value& v, CmpOp op) {
   return [tv, op](int64_t x) { return ApplyCmp(op, static_cast<T>(x), tv); };
 }
 
+/// First row of the sorted column whose value is not before x: >= x, or
+/// > x when `after`. A lower_bound / upper_bound over the block maxima,
+/// then single-row probes, then one decoded stretch of at most 128 rows.
+template <typename T>
+Result<size_t> SortedBound(const CompressedBat& comp, T x, bool after) {
+  const auto before = [x, after](T v) { return after ? !(x < v) : v < x; };
+  size_t lo_blk = 0, hi_blk = comp.NumStatBlocks();
+  while (lo_blk < hi_blk) {
+    const size_t mid = lo_blk + (hi_blk - lo_blk) / 2;
+    if (before(static_cast<T>(comp.StatMax(mid)))) {
+      lo_blk = mid + 1;
+    } else {
+      hi_blk = mid;
+    }
+  }
+  constexpr size_t kStretch = 128;
+  size_t lo = lo_blk * CompressedBat::kStatBlockRows;
+  size_t hi = std::min(comp.Count(), lo + CompressedBat::kStatBlockRows);
+  if (lo >= hi) return comp.Count();
+  while (hi - lo > kStretch) {
+    const size_t mid = lo + (hi - lo) / 2;
+    T v{};
+    MAMMOTH_RETURN_IF_ERROR(comp.DecodeRangeRaw(mid, 1, &v));
+    if (before(v)) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  T stretch[kStretch];
+  MAMMOTH_RETURN_IF_ERROR(comp.DecodeRangeRaw(lo, hi - lo, stretch));
+  return lo + static_cast<size_t>(
+                  std::partition_point(stretch, stretch + (hi - lo), before) -
+                  stretch);
+}
+
 template <typename T>
 auto RangeKeep(const Value& lo, const Value& hi, bool lo_incl, bool hi_incl,
                bool anti) {
@@ -208,6 +244,44 @@ Result<BatPtr> CompressedRangeSelectRange(const CompressedBat& comp,
   }
   return SelectDispatch(comp, begin, end, hseq,
                         RangeKeep<int64_t>(lo, hi, lo_incl, hi_incl, anti));
+}
+
+Result<BatPtr> CompressedSortedSelect(const CompressedBat& comp,
+                                      const Value& lo, const Value& hi,
+                                      bool lo_incl, bool hi_incl, bool anti,
+                                      Oid hseq) {
+  if ((!lo.is_nil() && !lo.is_numeric()) ||
+      (!hi.is_nil() && !hi.is_numeric())) {
+    return Status::TypeMismatch("range select: non-numeric bound");
+  }
+  if (!comp.props().sorted) {
+    return Status::Unsupported("sorted select: column is not sorted");
+  }
+  const size_t n = comp.Count();
+  size_t first = 0, last = n;
+  const auto bound = [&](const Value& v, bool after) -> Result<size_t> {
+    if (comp.type() == PhysType::kInt32) {
+      return SortedBound<int32_t>(comp, v.As<int32_t>(), after);
+    }
+    return SortedBound<int64_t>(comp, v.As<int64_t>(), after);
+  };
+  if (!lo.is_nil()) {
+    MAMMOTH_ASSIGN_OR_RETURN(first, bound(lo, !lo_incl));
+  }
+  if (!hi.is_nil()) {
+    MAMMOTH_ASSIGN_OR_RETURN(last, bound(hi, hi_incl));
+  }
+  last = std::max(last, first);
+  if (!anti) return Bat::NewDense(hseq + first, last - first);
+  // The rows outside [first, last), materialized as the scan kernel
+  // emits them.
+  BatPtr r = Bat::New(PhysType::kOid);
+  r->Resize(first + (n - last));
+  Oid* out = r->MutableTailData<Oid>();
+  for (size_t i = 0; i < first; ++i) out[i] = hseq + i;
+  for (size_t i = last; i < n; ++i) out[first + (i - last)] = hseq + i;
+  StampSelectResult(r);
+  return r;
 }
 
 Result<BatPtr> DictStrSelectRange(const StrDict& dict, const Value& v,

@@ -28,8 +28,8 @@ namespace mammoth::compress {
 /// --- Eligibility -------------------------------------------------------
 /// Sorted columns are excluded on purpose: the plain path answers them
 /// with a binary search returning *dense* (payload-free) results, which a
-/// materializing kernel cannot reproduce bit-identically, and which is
-/// already faster than any run walk.
+/// materializing kernel cannot reproduce bit-identically. They take
+/// CompressedSortedSelect instead.
 bool ThetaSelectableOnCompressed(const CompressedBat& comp, const Value& v,
                                  CmpOp op);
 bool RangeSelectableOnCompressed(const CompressedBat& comp, const Value& lo,
@@ -54,6 +54,18 @@ Result<BatPtr> CompressedRangeSelectRange(const CompressedBat& comp,
                                           bool lo_incl, bool hi_incl,
                                           bool anti, size_t begin, size_t end,
                                           Oid hseq);
+/// Range select over a column compressed sorted (props().sorted), by
+/// binary search: the per-block maxima find the statistics block each
+/// bound falls in, probes at single rows narrow it to one 128-row stretch,
+/// and only that stretch is decoded. Returns exactly what
+/// algebra::RangeSelect returns on the decoded column headed at `hseq`
+/// with no candidates: a dense OID list, or for `anti` the materialized
+/// rows outside the range. Theta predicates map onto it (`<>` is the anti
+/// `=` range). kUnsupported on an unsorted column.
+Result<BatPtr> CompressedSortedSelect(const CompressedBat& comp,
+                                      const Value& lo, const Value& hi,
+                                      bool lo_incl, bool hi_incl, bool anti,
+                                      Oid hseq);
 /// String select on a dictionary-compressed column, same contract; it
 /// answers `=` too, bit-identically, though the router does not send it.
 Result<BatPtr> DictStrSelectRange(const StrDict& dict, const Value& v,
@@ -80,7 +92,7 @@ struct KernelStats {
   uint64_t aggrs_fallback = 0;
   uint64_t project_bounded = 0;        ///< bounded partial decodes
   uint64_t project_bounded_bytes = 0;  ///< bytes those decodes produced
-  uint64_t project_full = 0;           ///< whole-column cache decodes
+  uint64_t project_full = 0;           ///< whole-column decodes (Decode)
 };
 KernelStats GetKernelStats();
 void ResetKernelStats();

@@ -131,6 +131,22 @@ Status PdictDecodeRange(const std::vector<uint8_t>& in, size_t start,
   return GatherRows(s, start, n, out);
 }
 
+Status PdictGather(const std::vector<uint8_t>& in, const uint64_t* rows,
+                   size_t n, int32_t* out) {
+  PdictStream s;
+  MAMMOTH_RETURN_IF_ERROR(ParsePdict(in, &s));
+  const int bits = static_cast<int>(s.bits);
+  for (size_t i = 0; i < n; ++i) {
+    if (rows[i] >= s.count) {
+      return Status::OutOfRange("pdict: row beyond column");
+    }
+    const uint32_t code = UnpackOne<uint32_t>(s.codes, rows[i], bits);
+    if (code >= s.dsize) return Status::IOError("pdict: bad code");
+    out[i] = s.dict[code];
+  }
+  return Status::OK();
+}
+
 Status PdictDecode(const std::vector<uint8_t>& in,
                    std::vector<int32_t>* out) {
   PdictStream s;

@@ -28,6 +28,11 @@ Status PdictDecode(const std::vector<uint8_t>& in, std::vector<int32_t>* out);
 Status PdictDecodeRange(const std::vector<uint8_t>& in, size_t start,
                         size_t n, int32_t* out);
 
+/// Values at rows rows[0..n) in any order (each below the count): each
+/// row unpacks its one code and maps it through the dictionary.
+Status PdictGather(const std::vector<uint8_t>& in, const uint64_t* rows,
+                   size_t n, int32_t* out);
+
 }  // namespace mammoth::compress
 
 #endif  // MAMMOTH_COMPRESS_PDICT_H_

@@ -183,19 +183,12 @@ Status WalkBlocks(const std::vector<uint8_t>& in, uint32_t count, Fn&& fn) {
   return Status::OK();
 }
 
-/// The block decoder: decodes the checked block `hdr` at byte `off` (rows
-/// [block_start, block_start+bn)) and stores its overlap with rows
-/// [start, start+n) at out[row - start]. A block wholly inside the range
-/// is decoded straight into `out`; a partly covered one goes through a
-/// block-sized scratch. Returns nullptr, or what is wrong.
+/// The block decoder: decodes the `bn` values of the checked block `hdr`
+/// at byte `off` into dst. Returns nullptr, or what is wrong.
 template <typename T>
 const char* DecodeBlock(const std::vector<uint8_t>& in, size_t off,
-                        const Header<T>& hdr, size_t block_start, size_t bn,
-                        size_t start, size_t n, T* out) {
+                        const Header<T>& hdr, size_t bn, T* dst) {
   using U = Unsigned<T>;
-  const bool whole = block_start >= start && block_start + bn <= start + n;
-  T scratch[kPforBlock];
-  T* dst = whole ? out + (block_start - start) : scratch;
   // Hot path: unpack + add base (modular, mirroring the encoder's delta).
   U unpacked[kPforBlock];
   UnpackBits(in.data() + off + sizeof(hdr), 0, bn, hdr.bits, unpacked);
@@ -207,12 +200,6 @@ const char* DecodeBlock(const std::vector<uint8_t>& in, size_t off,
        ++e, ex += PforTraits<T>::kExceptionBytes) {
     if (ex[0] >= bn) return "pfor: bad exception slot";
     std::memcpy(&dst[ex[0]], ex + 1, sizeof(T));
-  }
-  if (!whole) {
-    const size_t lo = std::max(start, block_start);
-    const size_t hi = std::min(start + n, block_start + bn);
-    std::copy(scratch + (lo - block_start), scratch + (hi - block_start),
-              out + (lo - start));
   }
   return nullptr;
 }
@@ -228,8 +215,8 @@ Status DecodeStream(uint32_t magic, const std::vector<uint8_t>& in,
   return WalkBlocks<T>(in, count,
                        [&](size_t block_start, size_t bn, size_t off,
                            const Header<T>& hdr) {
-                         return DecodeBlock(in, off, hdr, block_start, bn, 0,
-                                            count, dst);
+                         return DecodeBlock(in, off, hdr, bn,
+                                            dst + block_start);
                        });
 }
 
@@ -242,6 +229,144 @@ Unsigned<T> ZigZag(T v) {
 template <typename T>
 T UnZigZag(Unsigned<T> z) {
   return static_cast<T>((z >> 1) ^ (~(z & 1) + 1));
+}
+
+/// Decodes block `b` of a `count`-row stream whole into dst (up to
+/// kPforBlock values), found through the block index. With `bases` the
+/// stream is PFOR-DELTA: the block's zig-zag deltas are summed onto the
+/// running value in front of it. Returns nullptr, or what is wrong.
+template <typename T>
+const char* DecodeIndexedBlock(const std::vector<uint8_t>& in,
+                               const std::vector<uint32_t>& block_index,
+                               const std::vector<int64_t>* bases,
+                               uint32_t count, size_t b, T* dst) {
+  using U = Unsigned<T>;
+  if (b >= block_index.size() || (bases != nullptr && b >= bases->size())) {
+    return "pfor: block index too short";
+  }
+  const size_t block_start = b * kPforBlock;
+  const size_t bn = std::min(kPforBlock, count - block_start);
+  Header<T> hdr{};
+  const char* err = ReadBlockHeader<T>(in, block_index[b], bn, &hdr);
+  if (err == nullptr) err = DecodeBlock(in, block_index[b], hdr, bn, dst);
+  if (err == nullptr && bases != nullptr) {
+    U prev = static_cast<U>(static_cast<T>((*bases)[b]));
+    for (size_t i = 0; i < bn; ++i) {
+      prev += static_cast<U>(UnZigZag<T>(static_cast<U>(dst[i])));
+      dst[i] = static_cast<T>(prev);
+    }
+  }
+  return err;
+}
+
+/// Consecutive PFOR rows of one block at or above which a gather decodes
+/// the block whole instead of extracting row by row.
+constexpr size_t kDenseGatherRows = 24;
+
+/// Reads the values at rows [i, j) — all inside block `b` of a PforEncode
+/// stream — one at a time: each is the block's base plus its packed slot,
+/// unless an exception patches that slot. A 128-bit mask of the patched
+/// slots keeps the exception list out of the per-row path.
+template <typename T>
+const char* ExtractRows(const std::vector<uint8_t>& in,
+                        const std::vector<uint32_t>& block_index,
+                        uint32_t count, size_t b, const uint64_t* rows,
+                        size_t i, size_t j, T* out) {
+  using U = Unsigned<T>;
+  if (b >= block_index.size()) return "pfor: block index too short";
+  const size_t block_start = b * kPforBlock;
+  const size_t bn = std::min(kPforBlock, count - block_start);
+  Header<T> hdr{};
+  const char* err = ReadBlockHeader<T>(in, block_index[b], bn, &hdr);
+  if (err != nullptr) return err;
+  const uint8_t* payload = in.data() + block_index[b] + sizeof(hdr);
+  const uint8_t* ex = payload + hdr.payload_bytes;
+  constexpr size_t kEx = PforTraits<T>::kExceptionBytes;
+  uint64_t patched[2] = {0, 0};
+  for (size_t e = 0; e < hdr.n_exceptions; ++e) {
+    const uint8_t slot = ex[e * kEx];
+    if (slot >= bn) return "pfor: bad exception slot";
+    patched[slot / 64] |= uint64_t{1} << (slot % 64);
+  }
+  const U base = static_cast<U>(hdr.base);
+  const int bits = hdr.bits;
+  for (size_t k = i; k < j; ++k) {
+    const size_t slot = rows[k] - block_start;
+    T v = static_cast<T>(base + UnpackOne<U>(payload, slot, bits));
+    if ((patched[slot / 64] >> (slot % 64)) & 1) {
+      // The block decoder applies patches in order: the last one wins.
+      for (size_t e = 0; e < hdr.n_exceptions; ++e) {
+        if (ex[e * kEx] == slot) std::memcpy(&v, ex + e * kEx + 1, sizeof(T));
+      }
+    }
+    out[k] = v;
+  }
+  return nullptr;
+}
+
+/// The gather behind PforGather and PforDeltaGather: walks the rows in
+/// runs that stay inside one block. PFOR-DELTA (`bases` set) and dense
+/// runs decode their block once; sparse PFOR runs extract row by row.
+template <typename T>
+Status GatherStream(uint32_t magic, const std::vector<uint8_t>& in,
+                    const std::vector<uint32_t>& block_index,
+                    const std::vector<int64_t>* bases, const uint64_t* rows,
+                    size_t n, T* out) {
+  uint32_t got_magic = 0, count = 0;
+  MAMMOTH_RETURN_IF_ERROR(ReadStreamHeader<T>(in, &got_magic, &count));
+  if (got_magic != magic) return Status::IOError("pfor: bad magic");
+  for (size_t i = 0; i < n;) {
+    if (rows[i] >= count) return Status::OutOfRange("pfor: row beyond column");
+    const size_t b = rows[i] / kPforBlock;
+    size_t j = i + 1;
+    while (j < n && rows[j] / kPforBlock == b && rows[j] < count) ++j;
+    const char* err = nullptr;
+    if (bases != nullptr || j - i >= kDenseGatherRows) {
+      T block[kPforBlock];
+      err = DecodeIndexedBlock(in, block_index, bases, count, b, block);
+      for (size_t k = i; err == nullptr && k < j; ++k) {
+        out[k] = block[rows[k] - b * kPforBlock];
+      }
+    } else {
+      err = ExtractRows(in, block_index, count, b, rows, i, j, out);
+    }
+    if (err != nullptr) return Status::IOError(err);
+    i = j;
+  }
+  return Status::OK();
+}
+
+/// The range decoder behind PforDecodeRangeIndexed and
+/// PforDeltaDecodeRangeIndexed: decodes every block the range touches,
+/// straight into `out` when the range covers it, else through a scratch
+/// block whose overlap is copied.
+template <typename T>
+Status DecodeRangeStream(uint32_t magic, const std::vector<uint8_t>& in,
+                         const std::vector<uint32_t>& block_index,
+                         const std::vector<int64_t>* bases, size_t start,
+                         size_t n, T* out) {
+  uint32_t got_magic = 0, count = 0;
+  MAMMOTH_RETURN_IF_ERROR(ReadStreamHeader<T>(in, &got_magic, &count));
+  if (got_magic != magic) return Status::IOError("pfor: bad magic");
+  if (start + n > count) return Status::OutOfRange("pfor: range beyond column");
+  if (n == 0) return Status::OK();
+  for (size_t b = start / kPforBlock; b * kPforBlock < start + n; ++b) {
+    const size_t block_start = b * kPforBlock;
+    const size_t bn = std::min(kPforBlock, size_t{count} - block_start);
+    const bool whole = block_start >= start && block_start + bn <= start + n;
+    T scratch[kPforBlock];
+    T* dst = whole ? out + (block_start - start) : scratch;
+    const char* err =
+        DecodeIndexedBlock(in, block_index, bases, count, b, dst);
+    if (err != nullptr) return Status::IOError(err);
+    if (!whole) {
+      const size_t lo = std::max(start, block_start);
+      const size_t hi = std::min(start + n, block_start + bn);
+      std::copy(scratch + (lo - block_start), scratch + (hi - block_start),
+                out + (lo - start));
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -276,27 +401,60 @@ template <typename T>
 Status PforDecodeRangeIndexed(const std::vector<uint8_t>& in,
                               const std::vector<uint32_t>& block_index,
                               size_t start, size_t n, T* out) {
+  return DecodeRangeStream(PforTraits<T>::kMagic, in, block_index, nullptr,
+                           start, n, out);
+}
+
+template <typename T>
+Status PforGather(const std::vector<uint8_t>& in,
+                  const std::vector<uint32_t>& block_index,
+                  const uint64_t* rows, size_t n, T* out) {
+  return GatherStream(PforTraits<T>::kMagic, in, block_index, nullptr, rows,
+                      n, out);
+}
+
+template <typename T>
+Result<std::vector<int64_t>> PforDeltaBuildBases(
+    const std::vector<uint8_t>& in, const std::vector<uint32_t>& block_index) {
+  using U = Unsigned<T>;
   uint32_t magic = 0, count = 0;
   MAMMOTH_RETURN_IF_ERROR(ReadStreamHeader<T>(in, &magic, &count));
-  if (magic != PforTraits<T>::kMagic) return Status::IOError("pfor: bad magic");
-  if (start + n > count) return Status::OutOfRange("pfor: range beyond column");
-  if (n == 0) return Status::OK();
-  const size_t last_block = (start + n - 1) / kPforBlock;
-  if (last_block >= block_index.size()) {
-    return Status::IOError("pfor: block index too short");
+  if (magic != PforTraits<T>::kDeltaMagic) {
+    return Status::IOError("pfor: bad magic");
   }
-  for (size_t b = start / kPforBlock; b <= last_block; ++b) {
-    const size_t block_start = b * kPforBlock;
-    const size_t bn = std::min(kPforBlock, count - block_start);
-    Header<T> hdr{};
-    const char* err = ReadBlockHeader<T>(in, block_index[b], bn, &hdr);
-    if (err == nullptr) {
-      err = DecodeBlock(in, block_index[b], hdr, block_start, bn, start, n,
-                        out);
-    }
+  std::vector<int64_t> bases;
+  bases.reserve(block_index.size());
+  U prev = 0;
+  for (size_t b = 0; b * kPforBlock < count; ++b) {
+    bases.push_back(static_cast<int64_t>(static_cast<T>(prev)));
+    T block[kPforBlock];
+    const char* err =
+        DecodeIndexedBlock<T>(in, block_index, nullptr, count, b, block);
     if (err != nullptr) return Status::IOError(err);
+    const size_t bn = std::min(kPforBlock, count - b * kPforBlock);
+    for (size_t i = 0; i < bn; ++i) {
+      prev += static_cast<U>(UnZigZag<T>(static_cast<U>(block[i])));
+    }
   }
-  return Status::OK();
+  return bases;
+}
+
+template <typename T>
+Status PforDeltaDecodeRangeIndexed(const std::vector<uint8_t>& in,
+                                   const std::vector<uint32_t>& block_index,
+                                   const std::vector<int64_t>& bases,
+                                   size_t start, size_t n, T* out) {
+  return DecodeRangeStream(PforTraits<T>::kDeltaMagic, in, block_index,
+                           &bases, start, n, out);
+}
+
+template <typename T>
+Status PforDeltaGather(const std::vector<uint8_t>& in,
+                       const std::vector<uint32_t>& block_index,
+                       const std::vector<int64_t>& bases, const uint64_t* rows,
+                       size_t n, T* out) {
+  return GatherStream(PforTraits<T>::kDeltaMagic, in, block_index, &bases,
+                      rows, n, out);
 }
 
 template <typename T>
@@ -333,9 +491,20 @@ Status PforDeltaDecode(const std::vector<uint8_t>& in, std::vector<T>* out) {
   template Status PforDecodeRangeIndexed(const std::vector<uint8_t>&,       \
                                          const std::vector<uint32_t>&,      \
                                          size_t, size_t, T*);               \
+  template Status PforGather(const std::vector<uint8_t>&,                   \
+                             const std::vector<uint32_t>&, const uint64_t*, \
+                             size_t, T*);                                   \
   template Status PforDeltaEncode(const T*, size_t, std::vector<uint8_t>*); \
   template Status PforDeltaDecode(const std::vector<uint8_t>&,              \
-                                  std::vector<T>*);
+                                  std::vector<T>*);                         \
+  template Result<std::vector<int64_t>> PforDeltaBuildBases<T>(             \
+      const std::vector<uint8_t>&, const std::vector<uint32_t>&);           \
+  template Status PforDeltaDecodeRangeIndexed(                              \
+      const std::vector<uint8_t>&, const std::vector<uint32_t>&,            \
+      const std::vector<int64_t>&, size_t, size_t, T*);                     \
+  template Status PforDeltaGather(                                          \
+      const std::vector<uint8_t>&, const std::vector<uint32_t>&,            \
+      const std::vector<int64_t>&, const uint64_t*, size_t, T*);
 
 MAMMOTH_PFOR_INSTANTIATE(int32_t)
 MAMMOTH_PFOR_INSTANTIATE(int64_t)

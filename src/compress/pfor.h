@@ -41,12 +41,46 @@ Status PforDecodeRangeIndexed(const std::vector<uint8_t>& in,
                               const std::vector<uint32_t>& block_index,
                               size_t start, size_t n, T* out);
 
+/// Values at rows rows[0..n) of a PforEncode stream, in any order (each
+/// row below the stream's count), into out[i]. Cost is O(n + touched
+/// blocks): a row reads its block's header, its packed slot and the
+/// block's exception patches; a block that many consecutive rows hit is
+/// decoded once instead.
+template <typename T>
+Status PforGather(const std::vector<uint8_t>& in,
+                  const std::vector<uint32_t>& block_index,
+                  const uint64_t* rows, size_t n, T* out);
+
 /// PFOR-DELTA: zig-zag delta encoding chained into PFOR — the variant for
 /// sorted or slowly-varying columns ([44]).
 template <typename T>
 Status PforDeltaEncode(const T* values, size_t n, std::vector<uint8_t>* out);
 template <typename T>
 Status PforDeltaDecode(const std::vector<uint8_t>& in, std::vector<T>* out);
+
+/// The running value in front of every block of a PforDeltaEncode stream
+/// (bases[b] is the value of row b*kPforBlock - 1, 0 for block 0), so that
+/// any block decodes on its own: one O(rows) walk, done when a column is
+/// loaded. Values are widened to int64.
+template <typename T>
+Result<std::vector<int64_t>> PforDeltaBuildBases(
+    const std::vector<uint8_t>& in, const std::vector<uint32_t>& block_index);
+
+/// Decodes values [start, start+n) of a PforDeltaEncode stream, touching
+/// only the blocks the range covers.
+template <typename T>
+Status PforDeltaDecodeRangeIndexed(const std::vector<uint8_t>& in,
+                                   const std::vector<uint32_t>& block_index,
+                                   const std::vector<int64_t>& bases,
+                                   size_t start, size_t n, T* out);
+
+/// PforGather over a PforDeltaEncode stream: every block the rows touch
+/// is decoded once per run of consecutive rows inside it.
+template <typename T>
+Status PforDeltaGather(const std::vector<uint8_t>& in,
+                       const std::vector<uint32_t>& block_index,
+                       const std::vector<int64_t>& bases, const uint64_t* rows,
+                       size_t n, T* out);
 
 /// Values per PFOR block.
 inline constexpr size_t kPforBlock = 128;

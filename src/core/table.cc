@@ -195,9 +195,10 @@ Result<BatPtr> Table::ScanColumn(size_t idx) const {
   if (idx >= schema_.size()) return Status::OutOfRange("no such column");
   BatPtr main = mains_[idx];
   if (compressed_[idx] != nullptr) {
-    // Transparent read path: the shared decode cache makes repeated scans
-    // pay for at most one decompression per compressed image.
-    MAMMOTH_ASSIGN_OR_RETURN(main, compressed_[idx]->DecodedBat());
+    // Transparent read path: a compressed image decodes whole on every
+    // call, into a BAT the caller owns (the MAL interpreter's reads go
+    // through the main image and delta instead).
+    MAMMOTH_ASSIGN_OR_RETURN(main, compressed_[idx]->Decode());
   }
   return ConcatColumn(main, inserts_[idx]);
 }
@@ -357,7 +358,7 @@ Status Table::SetCompression(bool on) {
   }
   for (size_t i = 0; i < schema_.size(); ++i) {
     if (compressed_[i] != nullptr) {
-      MAMMOTH_ASSIGN_OR_RETURN(mains_[i], compressed_[i]->DecodedBat());
+      MAMMOTH_ASSIGN_OR_RETURN(mains_[i], compressed_[i]->Decode());
       compressed_[i] = nullptr;
     }
     str_dicts_[i] = nullptr;  // the plain BAT is already resident
@@ -573,7 +574,7 @@ size_t Table::CompressedLogicalBytesTotal() const {
 size_t Table::CompressedCacheBytesTotal() const {
   size_t n = 0;
   for (const auto& c : compressed_) {
-    if (c != nullptr) n += c->DecodedCacheBytes();
+    if (c != nullptr) n += c->IndexBytes();
   }
   return n;
 }

@@ -84,7 +84,8 @@ class Table {
   /// Cold-path materializer: main ++ inserts as one plain BAT (the main
   /// BAT itself when no inserts are pending). Queries never call it —
   /// they read the main image and DeltaColumn side by side — only
-  /// MergeDeltas, catalog comparison and the Volcano oracle do.
+  /// MergeDeltas, catalog comparison and the Volcano oracle do. A
+  /// compressed main decodes whole on every call; nothing keeps it.
   Result<BatPtr> ScanColumn(size_t idx) const;
   Result<BatPtr> ScanColumn(std::string_view column_name) const;
 
@@ -222,7 +223,9 @@ class Table {
   /// bytes those columns stand for.
   size_t CompressedBytesTotal() const;
   size_t CompressedLogicalBytesTotal() const;
-  /// Bytes pinned by whole-column decode caches of compressed int columns.
+  /// Bytes of the derived indexes compressed int columns hold next to
+  /// their streams (CompressedBat::IndexBytes): block offsets, PFOR-DELTA
+  /// block bases, RLE run lists. No column keeps a decoded copy.
   size_t CompressedCacheBytesTotal() const;
 
   /// Monotone write-progress counter, bumped by every

@@ -27,8 +27,8 @@ struct Rt {
   BatPtr bat;
   /// Compressed main image of a bound column. `bat` stays null then:
   /// select, project and aggregate route the compressed image directly
-  /// (code-space kernels or chunk-at-a-time decompression); any other
-  /// consumer materializes the shared whole-column decode via NeedBat.
+  /// (code-space kernels, binary search, range decodes and gathers); any
+  /// other consumer decodes the whole column into the slot via NeedBat.
   std::shared_ptr<const compress::CompressedBat> cbat;
   /// Dictionary image of a bound string column's main image. Unlike cbat,
   /// `bat` is set alongside it — the plain heap image stays resident — so
@@ -116,15 +116,15 @@ Status MissingOperand(const char* what) {
 }
 
 /// Validates the BAT operand and makes it one plain BAT: a compressed
-/// main image decodes through the shared cache (so repeated
-/// materializations pay once), and pending inserts append to a copy
+/// main image decodes whole into the slot (the decode lives as long as
+/// the query's slot does), and pending inserts append to a copy
 /// (ConcatColumn). A slot merged with its delta is no longer a base-column
 /// bind: its image is not the one the main epoch names.
 Status NeedBat(std::vector<Rt>& vars, int id, const char* what) {
   if (!HasImage(vars, id)) return MissingOperand(what);
   Rt& v = vars[id];
   if (v.bat == nullptr) {
-    MAMMOTH_ASSIGN_OR_RETURN(v.bat, v.cbat->DecodedBat());
+    MAMMOTH_ASSIGN_OR_RETURN(v.bat, v.cbat->Decode());
   }
   if (v.delta != nullptr) {
     v.bat = ConcatColumn(v.bat, v.delta);
@@ -160,9 +160,10 @@ scan::ColumnSource SourceOf(const Rt& in) {
 /// nothing (and `whole` allows it) it reads every row: through the
 /// scheduler's shared pass when one is attached and the slot is a
 /// base-table bind, else the scan layer's direct entry point; either one
-/// picks code space or decode-then-kernel for the image. Otherwise the
-/// kernel runs over the candidates, decoding a compressed-only slot first
-/// (counted as a fallback; the decode stays in the slot).
+/// picks code space, binary search or chunk-wise decode-then-kernel for
+/// the image. Otherwise the kernel runs over the candidates, decoding a
+/// compressed-only slot whole first (counted as a fallback; the decode
+/// stays in the slot for the rest of the query).
 Result<BatPtr> SelectMain(Rt& in, const BatPtr& cands,
                           const scan::ScanPredicate& pred, bool whole,
                           const parallel::ExecContext& ctx) {
@@ -176,7 +177,7 @@ Result<BatPtr> SelectMain(Rt& in, const BatPtr& cands,
   }
   if (in.bat == nullptr) {
     compress::stats::SelectFallback();
-    MAMMOTH_ASSIGN_OR_RETURN(in.bat, in.cbat->DecodedBat());
+    MAMMOTH_ASSIGN_OR_RETURN(in.bat, in.cbat->Decode());
   }
   return scan::RunKernel(in.bat, cands, pred, ctx);
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
 
 #include "common/logging.h"
 #include "compress/compressed_kernels.h"
@@ -46,6 +47,46 @@ Result<BatPtr> EvalCodeSpace(const ColumnSource& source,
   return compress::CompressedRangeSelectRange(*source.comp, pred.lo, pred.hi,
                                               true, true, pred.anti, begin,
                                               end, col_hseq);
+}
+
+/// Whether a compressed source answers the predicate by binary search: a
+/// sorted column, under every numeric predicate but LIKE.
+bool SortedPredicate(const ColumnSource& source, const ScanPredicate& pred) {
+  if (source.comp == nullptr || !source.comp->props().sorted) return false;
+  if (pred.kind == ScanPredicate::Kind::kTheta) {
+    return pred.v.is_numeric() && pred.op != CmpOp::kLike;
+  }
+  return (pred.lo.is_nil() || pred.lo.is_numeric()) &&
+         (pred.hi.is_nil() || pred.hi.is_numeric());
+}
+
+/// The binary-search select over a sorted compressed source. A theta
+/// predicate maps onto the range it selects in a sorted column; `<>` is
+/// the rows outside the `=` range.
+Result<BatPtr> EvalSorted(const ColumnSource& source,
+                          const ScanPredicate& pred) {
+  const compress::CompressedBat& comp = *source.comp;
+  if (pred.kind == ScanPredicate::Kind::kRange) {
+    return compress::CompressedSortedSelect(comp, pred.lo, pred.hi, true, true,
+                                            pred.anti, source.hseqbase);
+  }
+  const Value none;
+  switch (pred.op) {
+    case CmpOp::kLt:
+    case CmpOp::kLe:
+      return compress::CompressedSortedSelect(comp, none, pred.v, true,
+                                              pred.op == CmpOp::kLe, false,
+                                              source.hseqbase);
+    case CmpOp::kGe:
+    case CmpOp::kGt:
+      return compress::CompressedSortedSelect(comp, pred.v, none,
+                                              pred.op == CmpOp::kGe, true,
+                                              false, source.hseqbase);
+    default:  // kEq, kNe
+      return compress::CompressedSortedSelect(comp, pred.v, pred.v, true, true,
+                                              pred.op == CmpOp::kNe,
+                                              source.hseqbase);
+  }
 }
 
 /// A zero-copy view BAT over a chunk's delivered bytes (rows [begin, end)
@@ -110,6 +151,57 @@ bool BlockMaySatisfy(const ScanPredicate& pred, int64_t bmin, int64_t bmax,
   return true;
 }
 
+/// Concatenates per-chunk select results in chunk order (null parts are
+/// skipped chunks) into one stamped OID list.
+BatPtr ConcatParts(const std::vector<BatPtr>& parts) {
+  size_t total = 0;
+  for (const BatPtr& p : parts) {
+    if (p != nullptr) total += p->Count();
+  }
+  BatPtr out = Bat::New(PhysType::kOid);
+  out->Resize(total);
+  Oid* dst = out->MutableTailData<Oid>();
+  for (const BatPtr& p : parts) {
+    if (p == nullptr || p->Count() == 0) continue;
+    std::memcpy(dst, p->TailData<Oid>(), p->Count() * sizeof(Oid));
+    dst += p->Count();
+  }
+  algebra::StampSelectResult(out);
+  return out;
+}
+
+/// Decode-then-kernel over a compressed source without a code-space or
+/// sorted route: each statistics block decodes into a scratch buffer and
+/// the stock kernel runs over it, block-parallel under `ctx`, so the
+/// column is never decoded whole. Chunk results concatenate in order,
+/// which is the whole-column kernel's output.
+Result<BatPtr> EvalDecodedChunks(const ColumnSource& source,
+                                 const ScanPredicate& pred,
+                                 const parallel::ExecContext& ctx) {
+  const compress::CompressedBat& comp = *source.comp;
+  constexpr size_t kRows = compress::CompressedBat::kStatBlockRows;
+  const size_t n = comp.Count();
+  std::vector<BatPtr> parts((n + kRows - 1) / kRows);
+  MAMMOTH_RETURN_IF_ERROR(ctx.ParallelFor(
+      parts.size(), 1, [&](size_t b, size_t e, int) -> Status {
+        // Slots of the widest type; every row is written before use.
+        auto buf = std::make_unique_for_overwrite<int64_t[]>(kRows);
+        for (size_t c = b; c < e; ++c) {
+          const size_t begin = c * kRows;
+          const size_t end = std::min(n, begin + kRows);
+          MAMMOTH_RETURN_IF_ERROR(
+              comp.DecodeRangeRaw(begin, end - begin, buf.get()));
+          const ChunkBuffer chunk{buf.get(), comp.type()};
+          MAMMOTH_ASSIGN_OR_RETURN(
+              parts[c],
+              RunKernel(ChunkView(chunk, source.hseqbase, begin, end), nullptr,
+                        pred, parallel::ExecContext::Serial()));
+        }
+        return Status::OK();
+      }));
+  return ConcatParts(parts);
+}
+
 }  // namespace
 
 Result<BatPtr> RunKernel(const BatPtr& column, const BatPtr& cands,
@@ -129,12 +221,15 @@ Result<BatPtr> RunKernelSource(const ColumnSource& source,
     compress::stats::SelectDirect();
     return EvalCodeSpace(source, pred, 0, source.Count(), source.hseqbase);
   }
-  BatPtr column = source.bat;
+  if (SortedPredicate(source, pred)) {
+    compress::stats::SelectDirect();
+    return EvalSorted(source, pred);
+  }
   if (source.compressed()) {
     compress::stats::SelectFallback();
-    MAMMOTH_ASSIGN_OR_RETURN(column, source.comp->DecodedBat());
+    return EvalDecodedChunks(source, pred, ctx);
   }
-  return RunKernel(column, nullptr, pred, ctx);
+  return RunKernel(source.bat, nullptr, pred, ctx);
 }
 
 /// One consumer of a shared pass. All fields except `fn`'s captured
@@ -524,8 +619,8 @@ Result<BatPtr> SharedScanScheduler::Select(const ColumnSource& source,
   // Ineligible shapes go straight to the kernels: sorted columns select
   // in O(log n), dense tails and strings have their own specialized
   // paths, and short columns cost more to coordinate than to rescan.
-  // (Compressed sources are integer by construction; a sorted one still
-  // prefers the decoded O(log n) path.) A code-space-rewritable predicate
+  // (Compressed sources are integer by construction; a sorted one binary
+  // searches its compressed image.) A code-space-rewritable predicate
   // rides the pass without decoding: its per-chunk evaluation reads the
   // compressed image in place.
   const bool code_space = CodeSpacePredicate(source, pred);
@@ -662,21 +757,7 @@ Result<BatPtr> SharedScanScheduler::Select(const ColumnSource& source,
     }
   }
   MAMMOTH_RETURN_IF_ERROR(Drain(consumer, ctx));
-
-  size_t total = 0;
-  for (const BatPtr& p : parts) {
-    if (p != nullptr) total += p->Count();
-  }
-  BatPtr out = Bat::New(PhysType::kOid);
-  out->Resize(total);
-  Oid* dst = out->MutableTailData<Oid>();
-  for (const BatPtr& p : parts) {
-    if (p == nullptr || p->Count() == 0) continue;
-    std::memcpy(dst, p->TailData<Oid>(), p->Count() * sizeof(Oid));
-    dst += p->Count();
-  }
-  algebra::StampSelectResult(out);
-  return out;
+  return ConcatParts(parts);
 }
 
 SharedScanStats SharedScanScheduler::stats() const {

@@ -138,10 +138,11 @@ Result<BatPtr> RunKernel(const BatPtr& column, const BatPtr& cands,
 
 /// A whole-column select outside any shared pass. A predicate the source's
 /// compressed or dictionary image answers in code space reads that image
-/// in place (counted as a direct select); anything else runs RunKernel
-/// over the plain image, decoding a compressed source through its shared
-/// whole-column cache first (counted as a fallback). Bit-identical to
-/// decode-then-kernel.
+/// in place, and a sorted compressed source binary-searches its stream
+/// (both counted as direct selects); any other compressed source decodes
+/// one statistics block at a time into scratch and runs RunKernel over
+/// each (counted as a fallback), and a plain one runs RunKernel over its
+/// image. Bit-identical to decode-then-kernel.
 Result<BatPtr> RunKernelSource(const ColumnSource& source,
                                const ScanPredicate& pred,
                                const parallel::ExecContext& ctx);

@@ -251,7 +251,7 @@ class Engine {
     uint64_t compressed_columns = 0;
     uint64_t compressed_bytes = 0;  ///< codec stream bytes held
     uint64_t logical_bytes = 0;     ///< uncompressed bytes they stand for
-    uint64_t cache_bytes = 0;       ///< whole-column decode caches pinned
+    uint64_t cache_bytes = 0;       ///< derived indexes those columns hold
   };
   CompressionStats compression_stats() const;
 

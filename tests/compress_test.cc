@@ -17,7 +17,9 @@ namespace {
 
 /// Packs random `bits`-bit values, then unpacks the whole stream and
 /// windows starting at rows off byte boundaries (for odd widths) that run
-/// to the end of the stream, where the slack reads happen.
+/// to the end of the stream, where the slack reads happen, plus short
+/// windows that end before, on and after the next 8-row group. Every row
+/// also reads back alone through UnpackOne.
 template <typename U>
 void CheckRoundTrip(int bits, Rng* rng) {
   const size_t n = 333;
@@ -34,6 +36,17 @@ void CheckRoundTrip(int bits, Rng* rng) {
     UnpackBits(packed.data(), from, back.size(), bits, back.data());
     ASSERT_TRUE(std::equal(back.begin(), back.end(), values.begin() + from))
         << "bits=" << bits << " from=" << from;
+    for (size_t len = 1; len <= 17 && from + len <= n; ++len) {
+      std::vector<U> window(len);
+      UnpackBits(packed.data(), from, len, bits, window.data());
+      ASSERT_TRUE(
+          std::equal(window.begin(), window.end(), values.begin() + from))
+          << "bits=" << bits << " from=" << from << " len=" << len;
+    }
+  }
+  for (size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(UnpackOne<U>(packed.data(), i, bits), values[i])
+        << "bits=" << bits << " row=" << i;
   }
 }
 

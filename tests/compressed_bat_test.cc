@@ -378,12 +378,13 @@ TEST(CompressedBatLoadTest, StreamCountOtherThanHeaderIsCorruption) {
 
 // ----------------------------------------------------- concurrency (a) --
 
-/// Satellite a: the lazily-filled decode cache is race-free. PFOR-DELTA
-/// and RLE serve DecodeRange from the shared cache, so concurrent first
-/// touches exercise the call_once fill; run under TSan this is the proof
-/// for the old mutable-vector data race.
+/// Concurrent readers of one column are race-free: range decodes, row
+/// gathers and whole decodes all read the immutable stream and the
+/// indexes built at construction. Run under TSan this is the proof that
+/// no read path writes shared state.
 TEST(CompressedBatTest, ConcurrentDecodeRangeIsRaceFree) {
-  for (Codec codec : {Codec::kPforDelta, Codec::kRle, Codec::kPfor}) {
+  for (Codec codec :
+       {Codec::kPforDelta, Codec::kRle, Codec::kPfor, Codec::kPdict}) {
     const size_t n = CompressedBat::kStatBlockRows + 4321;
     BatPtr b = SortedColumn(n, 41);
     auto cb = CompressedBat::Compress(b, codec);
@@ -401,8 +402,14 @@ TEST(CompressedBatTest, ConcurrentDecodeRangeIsRaceFree) {
             ASSERT_EQ(out[k], b->ValueAt<int32_t>(start + k));
           }
         }
-        // Mix in whole-column consumers sharing the same cache.
-        auto whole = cb->DecodedBat();
+        std::vector<Oid> rows(64);
+        for (Oid& r : rows) r = rng.Uniform(n);
+        ASSERT_TRUE(cb->Gather(rows.data(), rows.size(), out.data()).ok());
+        for (size_t k = 0; k < rows.size(); ++k) {
+          ASSERT_EQ(out[k], b->ValueAt<int32_t>(rows[k]));
+        }
+        // Mix in whole-column consumers.
+        auto whole = cb->Decode();
         ASSERT_TRUE(whole.ok());
         ASSERT_EQ((*whole)->Count(), n);
       });

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 #include <map>
 #include <memory>
@@ -20,6 +21,7 @@
 #include "compress/compressed_exec.h"
 #include "compress/compressed_kernels.h"
 #include "compress/dict_str.h"
+#include "core/candidates.h"
 #include "core/group.h"
 #include "core/persist.h"
 #include "core/project.h"
@@ -127,6 +129,42 @@ std::vector<Shape> SelectShapes() {
           {"allequal", AllEqualI32(kShapeRows)}};
 }
 
+/// Heads the code-space selects run at: 0, as every engine bind has it,
+/// and an arbitrary nonzero head, so a kernel that drops `hseq` fails.
+constexpr Oid kHeads[] = {0, 1000003};
+
+/// Chunk cuts for the shared-scan delivery contract: a third of the way
+/// in (off every grid), on and just past a 4096-row code batch, and on a
+/// 128-row PFOR block.
+std::vector<size_t> ChunkCuts(size_t n) {
+  return {n / 3 + 7, 4096, 4096 * 5 + 1, 128 * 7};
+}
+
+/// The decoded column headed at `hseq`: the oracle's input.
+BatPtr DecodedAt(const CompressedBat& comp, Oid hseq) {
+  auto decoded = comp.Decode();
+  EXPECT_TRUE(decoded.ok());
+  (*decoded)->set_hseqbase(hseq);
+  return *decoded;
+}
+
+/// A whole-column result split at `cut` ([0,cut) ++ [cut,n)) concatenates
+/// to `want` — the shared-scan delivery contract.
+template <typename SelectFn>
+void ExpectChunksConcatenate(const SelectFn& select, size_t n, size_t cut,
+                             const BatPtr& want, const std::string& what) {
+  auto lo = select(0, cut);
+  auto hi = select(cut, n);
+  ASSERT_TRUE(lo.ok() && hi.ok()) << what;
+  ASSERT_EQ((*lo)->Count() + (*hi)->Count(), want->Count()) << what;
+  for (size_t i = 0; i < (*lo)->Count(); ++i) {
+    ASSERT_EQ(OidAt(*lo, i), OidAt(want, i)) << what;
+  }
+  for (size_t i = 0; i < (*hi)->Count(); ++i) {
+    ASSERT_EQ(OidAt(*hi, i), OidAt(want, (*lo)->Count() + i)) << what;
+  }
+}
+
 TEST(CompressedKernelTest, ThetaSelectBitIdenticalAcrossShapesOpsAndChunks) {
   const std::vector<CmpOp> ops = {CmpOp::kLt, CmpOp::kLe, CmpOp::kEq,
                                   CmpOp::kNe, CmpOp::kGe, CmpOp::kGt};
@@ -136,47 +174,40 @@ TEST(CompressedKernelTest, ThetaSelectBitIdenticalAcrossShapesOpsAndChunks) {
     for (const Codec codec : {Codec::kRle, Codec::kPdict}) {
       auto comp = CompressedBat::Compress(shape.bat, codec);
       if (!comp.ok()) continue;  // codec not applicable to this shape
-      auto decoded = comp->DecodedBat();
-      ASSERT_TRUE(decoded.ok());
       const size_t n = comp->Count();
-      const size_t cut = n / 3 + 7;
-      for (const CmpOp op : ops) {
-        for (const int64_t pv : probes) {
-          const Value v = Value::Int(pv);
-          const std::string what = std::string(shape.name) + "/" +
-                                   compress::CodecName(codec) + " op " +
-                                   std::to_string(static_cast<int>(op)) +
-                                   " v=" + std::to_string(pv);
-          if (!compress::ThetaSelectableOnCompressed(*comp, v, op)) continue;
-          ++eligible;
-          auto want = algebra::ThetaSelect(*decoded, nullptr, v, op,
-                                           parallel::ExecContext::Serial());
-          ASSERT_TRUE(want.ok()) << what;
-          auto got = compress::CompressedThetaSelectRange(*comp, v, op, 0, n,
-                                                          /*hseq=*/0);
-          ASSERT_TRUE(got.ok()) << what << ": " << got.status().ToString();
-          ExpectSameOids(*got, *want, what);
-
-          // Chunked evaluation ([0,cut) ++ [cut,n)) concatenates to the
-          // whole-column answer — the shared-scan delivery contract.
-          auto lo = compress::CompressedThetaSelectRange(*comp, v, op, 0, cut,
-                                                         /*hseq=*/0);
-          auto hi = compress::CompressedThetaSelectRange(*comp, v, op, cut, n,
-                                                         /*hseq=*/0);
-          ASSERT_TRUE(lo.ok() && hi.ok()) << what;
-          ASSERT_EQ((*lo)->Count() + (*hi)->Count(), (*want)->Count()) << what;
-          for (size_t i = 0; i < (*lo)->Count(); ++i) {
-            ASSERT_EQ(OidAt(*lo, i), OidAt(*want, i)) << what;
-          }
-          for (size_t i = 0; i < (*hi)->Count(); ++i) {
-            ASSERT_EQ(OidAt(*hi, i), OidAt(*want, (*lo)->Count() + i)) << what;
+      for (const Oid hseq : kHeads) {
+        const BatPtr decoded = DecodedAt(*comp, hseq);
+        for (const CmpOp op : ops) {
+          for (const int64_t pv : probes) {
+            const Value v = Value::Int(pv);
+            const std::string what =
+                std::string(shape.name) + "/" + compress::CodecName(codec) +
+                " op " + std::to_string(static_cast<int>(op)) +
+                " v=" + std::to_string(pv) + " head " + std::to_string(hseq);
+            if (!compress::ThetaSelectableOnCompressed(*comp, v, op)) continue;
+            ++eligible;
+            auto want = algebra::ThetaSelect(decoded, nullptr, v, op,
+                                             parallel::ExecContext::Serial());
+            ASSERT_TRUE(want.ok()) << what;
+            auto got =
+                compress::CompressedThetaSelectRange(*comp, v, op, 0, n, hseq);
+            ASSERT_TRUE(got.ok()) << what << ": " << got.status().ToString();
+            ExpectSameOids(*got, *want, what);
+            const auto select = [&](size_t b, size_t e) {
+              return compress::CompressedThetaSelectRange(*comp, v, op, b, e,
+                                                          hseq);
+            };
+            for (const size_t cut : ChunkCuts(n)) {
+              ExpectChunksConcatenate(select, n, cut, *want,
+                                      what + " cut " + std::to_string(cut));
+            }
           }
         }
       }
     }
   }
   // The matrix must actually exercise the direct path, not skip it all.
-  EXPECT_GT(eligible, 50u);
+  EXPECT_GT(eligible, 100u);
 }
 
 TEST(CompressedKernelTest, RangeSelectBitIdenticalIncludingAntiAndOpenEnds) {
@@ -195,31 +226,39 @@ TEST(CompressedKernelTest, RangeSelectBitIdenticalIncludingAntiAndOpenEnds) {
     for (const Codec codec : {Codec::kRle, Codec::kPdict}) {
       auto comp = CompressedBat::Compress(shape.bat, codec);
       if (!comp.ok()) continue;
-      auto decoded = comp->DecodedBat();
-      ASSERT_TRUE(decoded.ok());
       const size_t n = comp->Count();
-      for (const RangeCase& c : cases) {
-        const Value lo = Value::Int(c.lo);
-        const Value hi = Value::Int(c.hi);
-        if (!compress::RangeSelectableOnCompressed(*comp, lo, hi)) continue;
-        ++eligible;
-        const std::string what = std::string(shape.name) + "/" +
-                                 compress::CodecName(codec) + " [" +
-                                 std::to_string(c.lo) + "," +
-                                 std::to_string(c.hi) + "] anti=" +
-                                 std::to_string(c.anti);
-        auto want = algebra::RangeSelect(*decoded, nullptr, lo, hi, c.lo_incl,
-                                         c.hi_incl, c.anti,
-                                         parallel::ExecContext::Serial());
-        ASSERT_TRUE(want.ok()) << what;
-        auto got = compress::CompressedRangeSelectRange(
-            *comp, lo, hi, c.lo_incl, c.hi_incl, c.anti, 0, n, /*hseq=*/0);
-        ASSERT_TRUE(got.ok()) << what << ": " << got.status().ToString();
-        ExpectSameOids(*got, *want, what);
+      for (const Oid hseq : kHeads) {
+        const BatPtr decoded = DecodedAt(*comp, hseq);
+        for (const RangeCase& c : cases) {
+          const Value lo = Value::Int(c.lo);
+          const Value hi = Value::Int(c.hi);
+          if (!compress::RangeSelectableOnCompressed(*comp, lo, hi)) continue;
+          ++eligible;
+          const std::string what =
+              std::string(shape.name) + "/" + compress::CodecName(codec) +
+              " [" + std::to_string(c.lo) + "," + std::to_string(c.hi) +
+              "] anti=" + std::to_string(c.anti) + " head " +
+              std::to_string(hseq);
+          auto want = algebra::RangeSelect(decoded, nullptr, lo, hi, c.lo_incl,
+                                           c.hi_incl, c.anti,
+                                           parallel::ExecContext::Serial());
+          ASSERT_TRUE(want.ok()) << what;
+          const auto select = [&](size_t b, size_t e) {
+            return compress::CompressedRangeSelectRange(
+                *comp, lo, hi, c.lo_incl, c.hi_incl, c.anti, b, e, hseq);
+          };
+          auto got = select(0, n);
+          ASSERT_TRUE(got.ok()) << what << ": " << got.status().ToString();
+          ExpectSameOids(*got, *want, what);
+          for (const size_t cut : ChunkCuts(n)) {
+            ExpectChunksConcatenate(select, n, cut, *want,
+                                    what + " cut " + std::to_string(cut));
+          }
+        }
       }
     }
   }
-  EXPECT_GT(eligible, 20u);
+  EXPECT_GT(eligible, 40u);
 }
 
 TEST(CompressedKernelTest, SortedColumnsAreNotEligible) {
@@ -239,6 +278,266 @@ TEST(CompressedKernelTest, SortedColumnsAreNotEligible) {
                                                      CmpOp::kEq));
   EXPECT_FALSE(compress::RangeSelectableOnCompressed(*comp, Value::Int(2),
                                                      Value::Int(7)));
+}
+
+/// A sorted column of `type` with duplicates: value i/7*2 (so odd probes
+/// are absent), a run of 300 equal rows across 128-row blocks near the
+/// third 4096-row batch, and a jump of 1000 just past the first
+/// statistics block. int64 values sit above 2^40.
+BatPtr SortedDupsColumn(PhysType type, size_t n) {
+  std::vector<int64_t> v(n);
+  for (size_t i = 0; i < n; ++i) {
+    v[i] = static_cast<int64_t>(i / 7 * 2) + (i >= 65540 ? 1000 : 0);
+    if (i >= 12200 && i < 12500) v[i] = v[12200];
+  }
+  BatPtr b = Bat::New(type);
+  for (int64_t x : v) {
+    if (type == PhysType::kInt32) {
+      b->Append<int32_t>(static_cast<int32_t>(x));
+    } else {
+      b->Append<int64_t>(x + (int64_t{1} << 40));
+    }
+  }
+  b->mutable_props().sorted = true;
+  return b;
+}
+
+/// A sorted compressed column selects by binary search on every codec and
+/// width: the same dense result (or, for `<>` and anti ranges, the same
+/// materialized rows) as the plain binary search over the decoded column,
+/// with the same head, and no whole-column decode.
+TEST(CompressedKernelTest, SortedSelectBinarySearchesTheCodecStream) {
+  const size_t n = 2 * CompressedBat::kStatBlockRows + 3001;
+  const std::vector<CmpOp> ops = {CmpOp::kLt, CmpOp::kLe, CmpOp::kEq,
+                                  CmpOp::kNe, CmpOp::kGe, CmpOp::kGt};
+  size_t checked = 0;
+  for (const PhysType type : {PhysType::kInt32, PhysType::kInt64}) {
+    const BatPtr col = SortedDupsColumn(type, n);
+    const int64_t off = type == PhysType::kInt32 ? 0 : int64_t{1} << 40;
+    auto at = [&](size_t row) {
+      return type == PhysType::kInt32 ? col->ValueAt<int32_t>(row)
+                                      : col->ValueAt<int64_t>(row);
+    };
+    // Below and above every value, the two ends, an absent odd value, the
+    // duplicate run, values at 128-block, 4096-batch and stat-block edges.
+    const std::vector<int64_t> probes = {
+        off - 5,    at(0),     at(0) + 1,   at(127),   at(128),
+        at(12300),  at(4096),  at(65535),   at(65536), at(65541),
+        at(n - 1),  at(n - 1) + 1};
+    for (const Codec codec :
+         {Codec::kPfor, Codec::kPforDelta, Codec::kRle, Codec::kPdict}) {
+      auto comp_r = CompressedBat::Compress(col, codec);
+      if (!comp_r.ok()) continue;  // PDICT has no int64 variant
+      auto comp = std::make_shared<const CompressedBat>(*std::move(comp_r));
+      ASSERT_TRUE(comp->props().sorted);
+      for (const Oid hseq : kHeads) {
+        const BatPtr decoded = DecodedAt(*comp, hseq);
+        const scan::ColumnSource source =
+            scan::ColumnSource::Compressed(comp, hseq);
+        std::vector<std::pair<scan::ScanPredicate, std::string>> preds;
+        for (const int64_t p : probes) {
+          for (const CmpOp op : ops) {
+            preds.push_back({scan::ScanPredicate::Theta(Value::Int(p), op),
+                             "op " + std::to_string(static_cast<int>(op)) +
+                                 " " + std::to_string(p)});
+          }
+          for (const int64_t q : {probes[3], probes[5], probes[9]}) {
+            for (const bool anti : {false, true}) {
+              preds.push_back(
+                  {scan::ScanPredicate::Range(Value::Int(p), Value::Int(q),
+                                              anti),
+                   "range " + std::to_string(p) + ".." + std::to_string(q) +
+                       (anti ? " anti" : "")});
+            }
+          }
+          preds.push_back({scan::ScanPredicate::Range(Value(), Value::Int(p),
+                                                      false),
+                           "range ..=" + std::to_string(p)});
+          preds.push_back({scan::ScanPredicate::Range(Value::Int(p), Value(),
+                                                      true),
+                           "anti range " + std::to_string(p) + "=.."});
+        }
+        for (const auto& [pred, desc] : preds) {
+          const std::string what = std::string(compress::CodecName(codec)) +
+                                   "/" + TypeName(type) + " head " +
+                                   std::to_string(hseq) + " " + desc;
+          auto want = scan::RunKernel(decoded, nullptr, pred,
+                                      parallel::ExecContext::Serial());
+          ASSERT_TRUE(want.ok()) << what;
+          const compress::KernelStats before = compress::GetKernelStats();
+          auto got = scan::RunKernelSource(source, pred,
+                                           parallel::ExecContext::Serial());
+          ASSERT_TRUE(got.ok()) << what << ": " << got.status().ToString();
+          const compress::KernelStats after = compress::GetKernelStats();
+          EXPECT_EQ(after.selects_direct, before.selects_direct + 1) << what;
+          EXPECT_EQ(after.project_full, before.project_full) << what;
+          EXPECT_EQ((*got)->IsDenseTail(), (*want)->IsDenseTail()) << what;
+          EXPECT_EQ((*got)->hseqbase(), (*want)->hseqbase()) << what;
+          EXPECT_EQ((*got)->props().revsorted, (*want)->props().revsorted)
+              << what;
+          ExpectSameOids(*got, *want, what);
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 1000u);
+}
+
+/// Every codec's range decode and row gather equal the whole decode, at
+/// starts and rows on both sides of 128-row blocks, 4096-row batches and
+/// statistics blocks, for sorted, unsorted and repeating row lists; the
+/// projections over them keep the OID list's (nonzero) head.
+TEST(CompressedKernelTest, RangeDecodesAndGathersMatchDecodeAcrossBoundaries) {
+  const size_t n = CompressedBat::kStatBlockRows + 5003;
+  std::vector<Shape> shapes = {
+      {"runs", RunHeavyI32(n)},
+      {"lowcard", LowCardI32(n)},
+      {"adversarial", AdversarialI32(n)},
+      {"sorted", SortedDupsColumn(PhysType::kInt32, n)},
+      {"sorted64", SortedDupsColumn(PhysType::kInt64, n)}};
+  // Small values with far outliers: PFOR blocks carry exceptions.
+  BatPtr spiky = Bat::New(PhysType::kInt64);
+  Rng rng(91);
+  for (size_t i = 0; i < n; ++i) {
+    spiky->Append<int64_t>(rng.Uniform(20) == 0
+                               ? static_cast<int64_t>(rng.Next())
+                               : static_cast<int64_t>(rng.Uniform(50)));
+  }
+  shapes.push_back({"spiky64", spiky});
+  const std::vector<size_t> starts = {0,    1,    127,   128,   129,  4095,
+                                      4096, 4097, 65535, 65536, 65537, n - 1};
+  const std::vector<size_t> lens = {1, 2, 127, 128, 129, 300, 4097};
+  size_t checked = 0;
+  for (const Shape& shape : shapes) {
+    for (const Codec codec :
+         {Codec::kPfor, Codec::kPforDelta, Codec::kPdict, Codec::kRle}) {
+      auto comp_r = CompressedBat::Compress(shape.bat, codec);
+      if (!comp_r.ok()) continue;
+      auto comp = std::make_shared<const CompressedBat>(*std::move(comp_r));
+      const std::string what =
+          std::string(shape.name) + "/" + compress::CodecName(codec);
+      auto whole_r = comp->Decode();
+      ASSERT_TRUE(whole_r.ok()) << what;
+      const BatPtr whole = *whole_r;
+      const size_t w = comp->width();
+      const auto* ref = static_cast<const uint8_t*>(whole->tail().raw_data());
+      std::vector<uint8_t> buf((n + 8) * w);
+      for (const size_t start : starts) {
+        for (const size_t len : lens) {
+          const size_t m = std::min(len, n - start);
+          ASSERT_TRUE(comp->DecodeRangeRaw(start, m, buf.data()).ok())
+              << what << " range " << start << "+" << m;
+          ASSERT_EQ(std::memcmp(buf.data(), ref + start * w, m * w), 0)
+              << what << " range " << start << "+" << m;
+          ++checked;
+        }
+      }
+      // Row lists: boundary rows, a sorted ~5% sample, the same shuffled,
+      // and repeats.
+      std::vector<Oid> sorted_rows;
+      for (size_t i = 0; i < n; ++i) {
+        if (rng.Uniform(20) == 0) sorted_rows.push_back(i);
+      }
+      std::vector<Oid> shuffled = sorted_rows;
+      for (size_t i = shuffled.size(); i > 1; --i) {
+        std::swap(shuffled[i - 1], shuffled[rng.Uniform(i)]);
+      }
+      std::vector<Oid> edges;
+      for (const size_t start : starts) {
+        edges.push_back(start);
+        edges.push_back(start);
+        edges.push_back(n - 1 - start);
+      }
+      for (const std::vector<Oid>* rows : {&sorted_rows, &shuffled, &edges}) {
+        ASSERT_TRUE(comp->Gather(rows->data(), rows->size(), buf.data()).ok())
+            << what;
+        for (size_t i = 0; i < rows->size(); ++i) {
+          ASSERT_EQ(std::memcmp(buf.data() + i * w, ref + (*rows)[i] * w, w), 0)
+              << what << " gather row " << (*rows)[i];
+        }
+        BatPtr oids = Bat::New(PhysType::kOid);
+        oids->AppendRaw(rows->data(), rows->size());
+        oids->set_hseqbase(77);
+        auto got = compress::CompressedProject(oids, comp);
+        auto want =
+            algebra::Project(oids, whole, parallel::ExecContext::Serial());
+        ASSERT_TRUE(got.ok() && want.ok()) << what;
+        EXPECT_EQ((*got)->hseqbase(), 77u) << what;
+        ASSERT_EQ((*got)->Count(), (*want)->Count()) << what;
+        EXPECT_EQ(std::memcmp((*got)->tail().raw_data(),
+                              (*want)->tail().raw_data(), rows->size() * w),
+                  0)
+            << what;
+        ++checked;
+      }
+      const Oid beyond = n;
+      EXPECT_EQ(comp->Gather(&beyond, 1, buf.data()).code(),
+                StatusCode::kOutOfRange)
+          << what;
+    }
+  }
+  EXPECT_GT(checked, 1500u);
+}
+
+/// An unsorted OID list over (compressed main, pending delta) gathers each
+/// row from its own side: equal to the plain projection over main ++
+/// delta, with no whole-column decode; an OID past the delta is the plain
+/// kernel's OutOfRange.
+TEST(CompressedKernelTest, UnsortedProjectionOverMainAndDeltaGathersEachSide) {
+  const size_t n = 20000;
+  for (const PhysType type : {PhysType::kInt32, PhysType::kInt64}) {
+    BatPtr main = type == PhysType::kInt32
+                      ? LowCardI32(n)
+                      : SortedDupsColumn(PhysType::kInt64, n);
+    BatPtr delta = Bat::New(type);
+    for (int i = 0; i < 50; ++i) {
+      if (type == PhysType::kInt32) {
+        delta->Append<int32_t>(1000 + i);
+      } else {
+        delta->Append<int64_t>(-int64_t{1} - i);
+      }
+    }
+    delta->set_hseqbase(n);
+    for (const Codec codec :
+         {Codec::kPfor, Codec::kPforDelta, Codec::kPdict, Codec::kRle}) {
+      auto comp_r = CompressedBat::Compress(main, codec);
+      if (!comp_r.ok()) continue;
+      auto comp = std::make_shared<const CompressedBat>(*std::move(comp_r));
+      const std::string what =
+          std::string(TypeName(type)) + "/" + compress::CodecName(codec);
+      BatPtr oids = Bat::New(PhysType::kOid);
+      Rng rng(92);
+      for (int i = 0; i < 500; ++i) {
+        oids->Append<Oid>(rng.Uniform(4) == 0 ? n + rng.Uniform(50)
+                                              : rng.Uniform(n));
+      }
+      oids->set_hseqbase(9);
+      ASSERT_FALSE(KnownSorted(oids));
+      auto decoded = comp->Decode();
+      ASSERT_TRUE(decoded.ok());
+      auto want = algebra::Project(oids, ConcatColumn(*decoded, delta),
+                                   parallel::ExecContext::Serial());
+      const compress::KernelStats before = compress::GetKernelStats();
+      auto got = compress::ProjectMainDelta(oids, nullptr, comp, delta,
+                                            parallel::ExecContext::Serial());
+      ASSERT_TRUE(want.ok() && got.ok()) << what;
+      EXPECT_EQ(compress::GetKernelStats().project_full, before.project_full)
+          << what;
+      EXPECT_EQ((*got)->hseqbase(), (*want)->hseqbase()) << what;
+      ASSERT_EQ((*got)->Count(), (*want)->Count()) << what;
+      EXPECT_EQ(std::memcmp((*got)->tail().raw_data(),
+                            (*want)->tail().raw_data(),
+                            oids->Count() * comp->width()),
+                0)
+          << what;
+      oids->Append<Oid>(n + 50);
+      auto beyond = compress::ProjectMainDelta(oids, nullptr, comp, delta,
+                                               parallel::ExecContext::Serial());
+      ASSERT_FALSE(beyond.ok()) << what;
+      EXPECT_EQ(beyond.status().code(), StatusCode::kOutOfRange) << what;
+    }
+  }
 }
 
 // ----------------------------------------------------- aggregate kernels --
@@ -262,7 +561,7 @@ TEST(CompressedKernelTest, AggregateFoldsBitIdentical) {
       if (!comp.ok()) continue;
       if (!compress::AggregatableOnCompressed(*comp)) continue;
       ++eligible;
-      auto decoded = comp->DecodedBat();
+      auto decoded = comp->Decode();
       ASSERT_TRUE(decoded.ok());
       const std::string what =
           std::string(shape.name) + "/" + compress::CodecName(codec);
@@ -558,8 +857,9 @@ TEST(CompressedKernelTest, StringQueriesSharedScansBitIdenticalAcrossPools) {
 
 /// Column shapes of the route-equivalence table. Under ALTER ... COMPRESS
 /// they reach every select route: RLE and PDICT (int32 only) code space,
-/// PFOR and PFOR-DELTA (the sorted shape) decode and, via `tag`, the
-/// string dictionary.
+/// PFOR chunk-wise decode, PFOR-DELTA (the sorted shape, stamped sorted
+/// like a key column) binary search, chunk-wise decode once a merge has
+/// dropped the stamp and, via `tag`, the string dictionary.
 enum class RouteShape { kRuns, kLowCard, kRandom, kSorted };
 
 struct RouteColumn {
@@ -640,6 +940,7 @@ TablePtr RouteTable(uint64_t seed) {
         b->MutableTailData<int64_t>()[i] = vals[i];
       }
     }
+    b->mutable_props().sorted = c.shape == RouteShape::kSorted;
     schema.push_back({c.name, c.type});
     bats.push_back(b);
   }
@@ -933,9 +1234,10 @@ TEST(CompressedKernelTest, SeededSelectRoutesAgreeAcrossEngines) {
   EXPECT_GT(total[1], 0u) << "no select decoded";
 }
 
-/// A select that decodes leaves its slot compressed on every route, so a
-/// later projection of the same slot counts the same project stats with
-/// and without a scheduler.
+/// A select leaves its slot compressed on every route, so a later
+/// projection of the same slot counts the same project stats with and
+/// without a scheduler — whether the select binary-searched a sorted
+/// column or decoded an unsorted one chunk by chunk.
 TEST(CompressedKernelTest, ProjectAfterDecodingSelectCountsAlikeOnEveryRoute) {
   scan::SharedScanConfig config;
   config.chunk_bytes = kChunk;
@@ -958,7 +1260,12 @@ TEST(CompressedKernelTest, ProjectAfterDecodingSelectCountsAlikeOnEveryRoute) {
         comp.catalog(), q, parallel::ExecContext::Serial(),
         RouteOut::kWithSelected);
     const std::vector<uint64_t> unrouted = KernelStatsSince(before);
-    EXPECT_EQ(unrouted[1], 1u) << q.column << ": the select decoded";
+    const bool sorted = q.column == sorted_range.column;
+    EXPECT_EQ(unrouted[0], sorted ? 1u : 0u)
+        << q.column << ": the sorted select binary-searched";
+    EXPECT_EQ(unrouted[1], sorted ? 0u : 1u)
+        << q.column << ": the unsorted select decoded";
+    EXPECT_EQ(unrouted[6], 0u) << q.column << ": nothing decoded whole";
     scan::SharedScanScheduler sched(config);
     before = compress::GetKernelStats();
     EXPECT_EQ(RunRoute(comp.catalog(), q,
@@ -1021,43 +1328,60 @@ TEST(CompressedKernelTest, WireStringResultsBitIdenticalWithKernelCounters) {
 
 TEST(CompressedKernelTest, ProjectDecodesOnlyTheTouchedRangeWhenDense) {
   BatPtr col = LowCardI32(200000);
-  auto comp_r = CompressedBat::Compress(col, Codec::kPfor);
-  ASSERT_TRUE(comp_r.ok());
-  auto comp = std::make_shared<const CompressedBat>(*std::move(comp_r));
+  for (const Codec codec :
+       {Codec::kPfor, Codec::kPforDelta, Codec::kPdict, Codec::kRle}) {
+    const std::string what = compress::CodecName(codec);
+    auto comp_r = CompressedBat::Compress(col, codec);
+    ASSERT_TRUE(comp_r.ok()) << what;
+    auto comp = std::make_shared<const CompressedBat>(*std::move(comp_r));
+    const size_t held = comp->IndexBytes();
 
-  const auto before = compress::GetKernelStats();
-  BatPtr dense = Bat::NewDense(/*tseqbase=*/70000, /*count=*/600);
-  auto got = compress::CompressedProject(dense, comp,
-                                         parallel::ExecContext::Serial());
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  auto want = algebra::Project(dense, col, parallel::ExecContext::Serial());
-  ASSERT_TRUE(want.ok());
-  ASSERT_EQ((*got)->Count(), (*want)->Count());
-  for (size_t i = 0; i < (*want)->Count(); ++i) {
-    ASSERT_EQ((*got)->ValueAt<int32_t>(i), (*want)->ValueAt<int32_t>(i)) << i;
-  }
-  const auto mid = compress::GetKernelStats();
-  EXPECT_GT(mid.project_bounded, before.project_bounded);
-  EXPECT_GT(mid.project_bounded_bytes, before.project_bounded_bytes);
-  // A narrow dense projection must not have pinned the whole-column cache.
-  EXPECT_EQ(comp->DecodedCacheBytes(), 0u);
+    const auto before = compress::GetKernelStats();
+    BatPtr dense = Bat::NewDense(/*tseqbase=*/70000, /*count=*/600);
+    auto got = compress::CompressedProject(dense, comp);
+    ASSERT_TRUE(got.ok()) << what << ": " << got.status().ToString();
+    auto want = algebra::Project(dense, col, parallel::ExecContext::Serial());
+    ASSERT_TRUE(want.ok());
+    ASSERT_EQ((*got)->Count(), (*want)->Count()) << what;
+    for (size_t i = 0; i < (*want)->Count(); ++i) {
+      ASSERT_EQ((*got)->ValueAt<int32_t>(i), (*want)->ValueAt<int32_t>(i))
+          << what << " at " << i;
+    }
+    const auto mid = compress::GetKernelStats();
+    EXPECT_GT(mid.project_bounded, before.project_bounded) << what;
+    EXPECT_GT(mid.project_bounded_bytes, before.project_bounded_bytes)
+        << what;
 
-  // An arbitrary (non-dense) OID list falls back to the cached full decode.
-  BatPtr scattered = Bat::New(PhysType::kOid);
-  for (Oid o : {Oid{3}, Oid{100000}, Oid{199999}, Oid{7}}) {
-    scattered->Append<Oid>(o);
+    // An arbitrary (unsorted, scattered) OID list gathers its rows too:
+    // no whole-column decode, and nothing new is held by the column.
+    BatPtr scattered = Bat::New(PhysType::kOid);
+    for (Oid o : {Oid{3}, Oid{100000}, Oid{199999}, Oid{7}, Oid{128},
+                  Oid{127}, Oid{4096}}) {
+      scattered->Append<Oid>(o);
+    }
+    scattered->set_hseqbase(5);
+    auto got2 = compress::CompressedProject(scattered, comp);
+    ASSERT_TRUE(got2.ok()) << what;
+    auto want2 =
+        algebra::Project(scattered, col, parallel::ExecContext::Serial());
+    ASSERT_TRUE(want2.ok());
+    ASSERT_EQ((*got2)->Count(), (*want2)->Count()) << what;
+    EXPECT_EQ((*got2)->hseqbase(), (*want2)->hseqbase()) << what;
+    for (size_t i = 0; i < (*want2)->Count(); ++i) {
+      ASSERT_EQ((*got2)->ValueAt<int32_t>(i), (*want2)->ValueAt<int32_t>(i))
+          << what << " at " << i;
+    }
+    const auto after = compress::GetKernelStats();
+    EXPECT_EQ(after.project_full, before.project_full) << what;
+    EXPECT_GT(after.project_bounded, mid.project_bounded) << what;
+    EXPECT_EQ(comp->IndexBytes(), held) << what;
+
+    // A row beyond the column is the plain kernel's OutOfRange.
+    scattered->Append<Oid>(Oid{200000});
+    auto beyond = compress::CompressedProject(scattered, comp);
+    ASSERT_FALSE(beyond.ok()) << what;
+    EXPECT_EQ(beyond.status().code(), StatusCode::kOutOfRange) << what;
   }
-  auto got2 = compress::CompressedProject(scattered, comp,
-                                          parallel::ExecContext::Serial());
-  ASSERT_TRUE(got2.ok());
-  auto want2 = algebra::Project(scattered, col, parallel::ExecContext::Serial());
-  ASSERT_TRUE(want2.ok());
-  for (size_t i = 0; i < (*want2)->Count(); ++i) {
-    ASSERT_EQ((*got2)->ValueAt<int32_t>(i), (*want2)->ValueAt<int32_t>(i));
-  }
-  const auto after = compress::GetKernelStats();
-  EXPECT_GT(after.project_full, mid.project_full);
-  EXPECT_GT(comp->DecodedCacheBytes(), 0u);
 }
 
 // -------------------------------------------------- recycler economics --

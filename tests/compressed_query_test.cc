@@ -205,9 +205,6 @@ TEST(CompressedQueryTest, UpdateFetchesOnlyTargetRows) {
   ASSERT_TRUE(comp.Execute(update).ok());
   EXPECT_EQ(compress::GetKernelStats().project_full, before.project_full)
       << "the UPDATE decoded a whole column";
-  // `v` is only fetched, never selected on: its decode cache stays cold.
-  EXPECT_EQ((*table)->CompressedColumn(1)->DecodedCacheBytes(), 0u)
-      << "the UPDATE decoded all of v";
 
   for (const std::string q :
        {"SELECT k, v, s FROM u", "SELECT k, v, s FROM u WHERE k = 77",

@@ -6,9 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "compress/compressed_bat.h"
@@ -115,7 +117,22 @@ void ExerciseLoaded(const compress::CompressedBat& cb, Rng* rng) {
     std::vector<T> out(n);
     const size_t start = rng->Uniform(n);
     const size_t len = 1 + rng->Uniform(n - start);
-    ExpectTyped(cb.DecodeRange(start, len, out.data()));
+    const Status range = cb.DecodeRange(start, len, out.data());
+    ExpectTyped(range);
+    if (whole.ok() && range.ok()) {
+      for (size_t i = 0; i < len; ++i) {
+        ASSERT_EQ(out[i], (*whole)->ValueAt<T>(start + i)) << start + i;
+      }
+    }
+    std::vector<Oid> rows(1 + rng->Uniform(64));
+    for (Oid& r : rows) r = rng->Uniform(n + 2);  // a few beyond the end
+    const Status gather = cb.Gather(rows.data(), rows.size(), out.data());
+    ExpectTyped(gather);
+    if (whole.ok() && gather.ok()) {
+      for (size_t i = 0; i < rows.size(); ++i) {
+        ASSERT_EQ(out[i], (*whole)->ValueAt<T>(rows[i])) << rows[i];
+      }
+    }
   }
   const Value v = Value::Int(static_cast<int64_t>(rng->Uniform(64)));
   ExpectTyped(
@@ -209,6 +226,66 @@ TEST(CompressFuzzTest, CorruptedImagesLoadOrFailTyped) {
   // Payload flips keep the framing intact, so plenty of images still load
   // and reach the decoders and kernels.
   EXPECT_GT(loaded, 700u);
+}
+
+/// Random range decodes and random sorted and unsorted row gathers over
+/// every codec and width agree with the whole Decode(). Columns draw
+/// values at random widths (including full 64-bit and negative ones), in
+/// runs, sorted or not, so PFOR blocks mix packed widths and exceptions.
+TEST(CompressFuzzTest, RandomRangesAndGathersMatchDecode) {
+  Rng rng(46);
+  size_t compared = 0;
+  for (int round = 0; round < 60; ++round) {
+    const bool wide = rng.Uniform(2) == 0;
+    const size_t n = 1 + rng.Uniform(rng.Uniform(4) == 0 ? 70000 : 3000);
+    const int bits = 1 + static_cast<int>(rng.Uniform(wide ? 64 : 32));
+    const bool sorted = rng.Uniform(3) == 0;
+    BatPtr col = Bat::New(wide ? PhysType::kInt64 : PhysType::kInt32);
+    int64_t acc = 0;
+    for (size_t i = 0; i < n;) {
+      uint64_t draw = rng.Next();
+      if (bits < 64) draw &= (uint64_t{1} << bits) - 1;
+      const int64_t v = sorted ? (acc += static_cast<int64_t>(draw % 7))
+                               : static_cast<int64_t>(draw);
+      for (size_t r = 1 + rng.Uniform(sorted ? 1 : 6); r > 0 && i < n;
+           --r, ++i) {
+        if (wide) {
+          col->Append<int64_t>(v);
+        } else {
+          col->Append<int32_t>(static_cast<int32_t>(v));
+        }
+      }
+    }
+    col->mutable_props().sorted = sorted;
+    for (auto codec : {compress::Codec::kPfor, compress::Codec::kPforDelta,
+                       compress::Codec::kPdict, compress::Codec::kRle}) {
+      auto cb = compress::CompressedBat::Compress(col, codec);
+      if (!cb.ok()) continue;  // PDICT: int64 or too many distinct values
+      auto whole = cb->Decode();
+      ASSERT_TRUE(whole.ok());
+      const size_t w = cb->width();
+      const auto* ref =
+          static_cast<const uint8_t*>((*whole)->tail().raw_data());
+      std::vector<uint8_t> out((n + 1) * w);
+      for (int k = 0; k < 20; ++k) {
+        const size_t start = rng.Uniform(n);
+        const size_t len = 1 + rng.Uniform(std::min<size_t>(n - start, 5000));
+        ASSERT_TRUE(cb->DecodeRangeRaw(start, len, out.data()).ok());
+        ASSERT_EQ(std::memcmp(out.data(), ref + start * w, len * w), 0)
+            << compress::CodecName(codec) << " range " << start << "+" << len;
+        std::vector<Oid> rows(rng.Uniform(std::min<size_t>(n, 2000)) + 1);
+        for (Oid& r : rows) r = rng.Uniform(n);
+        if (rng.Uniform(2) == 0) std::sort(rows.begin(), rows.end());
+        ASSERT_TRUE(cb->Gather(rows.data(), rows.size(), out.data()).ok());
+        for (size_t i = 0; i < rows.size(); ++i) {
+          ASSERT_EQ(std::memcmp(out.data() + i * w, ref + rows[i] * w, w), 0)
+              << compress::CodecName(codec) << " gather row " << rows[i];
+        }
+        compared += 2;
+      }
+    }
+  }
+  EXPECT_GT(compared, 4000u);
 }
 
 TEST(PersistFuzzTest, RandomBatsRoundTripAllTypes) {
