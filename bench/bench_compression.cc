@@ -494,6 +494,41 @@ BENCHMARK(BM_ProjectScatteredPdict)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ProjectScatteredRle)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ProjectScatteredPlain)->Unit(benchmark::kMillisecond);
 
+// The same scattered list over a 1000-word string column (perfbench's
+// facts.tag width): the dictionary gathers 10-bit codes and maps each to
+// its heap offset, against the plain kernel gathering offsets from the
+// 8-byte-per-row tail a dictionary column no longer keeps.
+void StrScatteredProject(benchmark::State& state, bool dict_path) {
+  BatPtr plain = Bat::NewString(nullptr);
+  Rng rng(53);
+  for (size_t i = 0; i < kProjectRows; ++i) {
+    plain->AppendString("tag_" + std::to_string(rng.Uniform(1000)));
+  }
+  auto dict_r = compress::StrDict::Encode(plain);
+  if (!dict_r.ok()) {
+    state.SkipWithError("encode failed");
+    return;
+  }
+  auto dict = std::make_shared<const compress::StrDict>(*std::move(dict_r));
+  const BatPtr oids = ScatteredCandidates();
+  for (auto _ : state) {
+    auto r = dict_path ? compress::DictProject(oids, dict)
+                       : algebra::Project(oids, plain,
+                                          parallel::ExecContext::Serial());
+    benchmark::DoNotOptimize(r->get());
+  }
+  state.SetItemsProcessed(state.iterations() * oids->Count());
+}
+void BM_StrProjectScatteredDict1000(benchmark::State& state) {
+  StrScatteredProject(state, true);
+}
+void BM_StrProjectScatteredPlainKernel1000(benchmark::State& state) {
+  StrScatteredProject(state, false);
+}
+BENCHMARK(BM_StrProjectScatteredDict1000)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_StrProjectScatteredPlainKernel1000)
+    ->Unit(benchmark::kMillisecond);
+
 // ---------------------------------------------------------- end-to-end --
 // Compression as an execution path, measured through the whole engine:
 // 8 closed-loop sessions each run 4 queries (a 32-scan mix over four

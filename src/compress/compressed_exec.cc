@@ -21,17 +21,19 @@ Status GatherOrOutOfRange(const CompressedBat& values, const Oid* rows,
   return st;
 }
 
-/// Projection of an unsorted OID list over (compressed main, delta): the
-/// main rows gather from the codec stream in one call, the delta rows
-/// straight from the delta, each into its slot of the result.
-template <typename T>
-Result<BatPtr> ProjectUnsorted(const BatPtr& oids, const CompressedBat& comp,
-                               const BatPtr& delta) {
+/// Projection of an unsorted OID list over (encoded main, delta): the
+/// main rows gather from the encoded image in one `gather_main(rows, n,
+/// out)` call, the delta rows straight from the delta's tail, each into
+/// its slot of `r` (an empty BAT of the result type; T is the tail slot
+/// type, the heap offset for strings).
+template <typename T, typename GatherFn>
+Result<BatPtr> ProjectUnsorted(const BatPtr& oids, BatPtr r,
+                               const BatPtr& delta,
+                               const GatherFn& gather_main) {
   const size_t n = oids->Count();
   const Oid* os = oids->TailData<Oid>();
   const Oid boundary = delta->hseqbase();
   const T* dvals = delta->TailData<T>();
-  BatPtr r = Bat::New(comp.type());
   r->Resize(n);
   T* out = r->MutableTailData<T>();
   std::vector<Oid> rows;
@@ -48,11 +50,18 @@ Result<BatPtr> ProjectUnsorted(const BatPtr& oids, const CompressedBat& comp,
   }
   std::vector<T> main_vals(rows.size());
   MAMMOTH_RETURN_IF_ERROR(
-      GatherOrOutOfRange(comp, rows.data(), rows.size(), main_vals.data()));
+      gather_main(rows.data(), rows.size(), main_vals.data()));
   for (size_t k = 0; k < rows.size(); ++k) out[slots[k]] = main_vals[k];
   if (!rows.empty()) stats::ProjectBounded(rows.size() * sizeof(T));
   r->set_hseqbase(oids->hseqbase());
   return r;
+}
+
+Status CheckOids(const BatPtr& oids) {
+  if (oids->type() != PhysType::kOid) {
+    return Status::TypeMismatch("project: oid list must be bat[:oid]");
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -62,9 +71,7 @@ Result<BatPtr> CompressedProject(
   if (oids == nullptr || values == nullptr) {
     return Status::InvalidArgument("project: null input");
   }
-  if (oids->type() != PhysType::kOid) {
-    return Status::TypeMismatch("project: oid list must be bat[:oid]");
-  }
+  MAMMOTH_RETURN_IF_ERROR(CheckOids(oids));
   const size_t n = oids->Count();
   if (oids->IsDenseTail()) {
     // Contiguous positions: decode exactly [tseqbase, tseqbase + n).
@@ -93,25 +100,69 @@ Result<BatPtr> CompressedProject(
   return r;
 }
 
+Result<BatPtr> DictProject(const BatPtr& oids,
+                           const std::shared_ptr<const StrDict>& values) {
+  if (oids == nullptr || values == nullptr) {
+    return Status::InvalidArgument("project: null input");
+  }
+  MAMMOTH_RETURN_IF_ERROR(CheckOids(oids));
+  const size_t n = oids->Count();
+  BatPtr r = Bat::NewString(values->heap());
+  r->Resize(n);
+  uint64_t* out = r->MutableTailData<uint64_t>();
+  if (oids->IsDenseTail()) {
+    const size_t start = oids->tseqbase();
+    if (start + n > values->Count()) {
+      return Status::OutOfRange("project: oid beyond value BAT");
+    }
+    values->RangeOffsets(start, n, out);
+    if (n < values->Count()) stats::ProjectBounded(n * sizeof(uint64_t));
+  } else {
+    MAMMOTH_RETURN_IF_ERROR(
+        values->GatherOffsets(oids->TailData<Oid>(), n, out));
+    if (n > 0) stats::ProjectBounded(n * sizeof(uint64_t));
+  }
+  r->set_hseqbase(oids->hseqbase());
+  return r;
+}
+
 Result<BatPtr> ProjectMainDelta(
     const BatPtr& oids, const BatPtr& main,
-    const std::shared_ptr<const CompressedBat>& comp, const BatPtr& delta,
+    const std::shared_ptr<const CompressedBat>& comp,
+    const std::shared_ptr<const StrDict>& sdict, const BatPtr& delta,
     const parallel::ExecContext& ctx) {
-  if (oids == nullptr || (main == nullptr && comp == nullptr)) {
+  if (oids == nullptr || (main == nullptr && comp == nullptr &&
+                          sdict == nullptr)) {
     return Status::InvalidArgument("project: null input");
   }
   auto project_main = [&](const BatPtr& o) {
-    return main != nullptr ? algebra::Project(o, main, ctx)
-                           : CompressedProject(o, comp);
+    if (main != nullptr) return algebra::Project(o, main, ctx);
+    return comp != nullptr ? CompressedProject(o, comp) : DictProject(o, sdict);
   };
   if (delta == nullptr || delta->empty()) return project_main(oids);
+  if (main == nullptr && comp == nullptr && delta->heap() != sdict->heap()) {
+    return Status::Internal("project: string delta off the dictionary heap");
+  }
   if (!KnownSorted(oids)) {
     if (main != nullptr) {
       return algebra::Project(oids, ConcatColumn(main, delta), ctx);
     }
+    MAMMOTH_RETURN_IF_ERROR(CheckOids(oids));
+    if (comp == nullptr) {
+      return ProjectUnsorted<uint64_t>(
+          oids, Bat::NewString(sdict->heap()), delta,
+          [&](const Oid* rows, size_t n, uint64_t* out) {
+            return sdict->GatherOffsets(rows, n, out);
+          });
+    }
+    auto gather = [&](const Oid* rows, size_t n, void* out) {
+      return GatherOrOutOfRange(*comp, rows, n, out);
+    };
     return comp->type() == PhysType::kInt32
-               ? ProjectUnsorted<int32_t>(oids, *comp, delta)
-               : ProjectUnsorted<int64_t>(oids, *comp, delta);
+               ? ProjectUnsorted<int32_t>(oids, Bat::New(comp->type()), delta,
+                                          gather)
+               : ProjectUnsorted<int64_t>(oids, Bat::New(comp->type()), delta,
+                                          gather);
   }
   const OidSplit split = SplitSortedOids(oids, delta->hseqbase());
   if (split.high->empty()) return project_main(oids);

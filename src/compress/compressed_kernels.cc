@@ -206,13 +206,6 @@ bool AggregatableOnCompressed(const CompressedBat& comp) {
   return comp.codec() == Codec::kRle || comp.codec() == Codec::kPdict;
 }
 
-bool StrSelectableOnDict(const Value& v, CmpOp op) {
-  // `=` stays on the plain kernel: heap interning makes it one offset
-  // compare per row, which beats unpacking a code per row at widths that
-  // are not byte-aligned (DESIGN.md §13).
-  return v.is_str() && op != CmpOp::kEq;
-}
-
 Result<BatPtr> CompressedThetaSelectRange(const CompressedBat& comp,
                                           const Value& v, CmpOp op,
                                           size_t begin, size_t end,
@@ -284,14 +277,10 @@ Result<BatPtr> CompressedSortedSelect(const CompressedBat& comp,
   return r;
 }
 
-Result<BatPtr> DictStrSelectRange(const StrDict& dict, const Value& v,
-                                  CmpOp op, size_t begin, size_t end,
-                                  Oid hseq) {
+Result<std::vector<uint8_t>> DictStrThetaLut(const StrDict& dict,
+                                             const Value& v, CmpOp op) {
   if (!v.is_str()) {
     return Status::TypeMismatch("select: string column vs non-string value");
-  }
-  if (end > dict.Count() || begin > end) {
-    return Status::OutOfRange("compressed select: range beyond column");
   }
   const std::string& pat = v.AsStr();
   const uint32_t dsize = dict.dsize();
@@ -335,7 +324,79 @@ Result<BatPtr> DictStrSelectRange(const StrDict& dict, const Value& v,
       }
       break;
   }
+  return lut;
+}
+
+Result<std::vector<uint8_t>> DictStrRangeLut(const StrDict& dict,
+                                             const Value& lo, const Value& hi,
+                                             bool lo_incl, bool hi_incl,
+                                             bool anti) {
+  if ((!lo.is_nil() && !lo.is_str()) || (!hi.is_nil() && !hi.is_str())) {
+    return Status::TypeMismatch("range select: non-string bound");
+  }
+  // The words inside the range are one code interval of the sorted
+  // dictionary; `anti` keeps its complement.
+  const uint32_t first =
+      lo.is_nil() ? 0
+                  : (lo_incl ? dict.LowerBound(lo.AsStr())
+                             : dict.UpperBound(lo.AsStr()));
+  const uint32_t last =
+      hi.is_nil() ? dict.dsize()
+                  : (hi_incl ? dict.UpperBound(hi.AsStr())
+                             : dict.LowerBound(hi.AsStr()));
+  std::vector<uint8_t> lut(dict.dsize(), anti ? 1 : 0);
+  if (first < last) {
+    std::fill(lut.begin() + first, lut.begin() + last, anti ? 0 : 1);
+  }
+  return lut;
+}
+
+Result<BatPtr> DictStrSelectRange(const StrDict& dict,
+                                  const std::vector<uint8_t>& lut,
+                                  size_t begin, size_t end, Oid hseq) {
+  if (end > dict.Count() || begin > end) {
+    return Status::OutOfRange("compressed select: range beyond column");
+  }
   return SelectCodes(dict.code_data(), dict.bits(), lut, begin, end, hseq);
+}
+
+Result<BatPtr> DictStrSelectCands(const StrDict& dict,
+                                  const std::vector<uint8_t>& lut,
+                                  const BatPtr& cands, Oid hseq) {
+  const size_t n = cands->Count();
+  if (cands->IsDenseTail()) {
+    const Oid first = cands->tseqbase();
+    if (first < hseq) {
+      return Status::OutOfRange("compressed select: range beyond column");
+    }
+    return DictStrSelectRange(dict, lut, first - hseq, first - hseq + n,
+                              hseq);
+  }
+  // One code per candidate, emitted branch-free like SelectCodes.
+  const Oid* oids = cands->TailData<Oid>();
+  BatPtr r = Bat::New(PhysType::kOid);
+  r->Resize(n);
+  Oid* out = r->MutableTailData<Oid>();
+  size_t k = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const Oid o = oids[i];
+    if (o < hseq || o - hseq >= dict.Count()) {
+      return Status::OutOfRange("compressed select: candidate beyond column");
+    }
+    out[k] = o;
+    k += lut[dict.CodeAt(o - hseq)];
+  }
+  r->Resize(k);
+  StampSelectResult(r);
+  return r;
+}
+
+Result<BatPtr> DictStrSelectRange(const StrDict& dict, const Value& v,
+                                  CmpOp op, size_t begin, size_t end,
+                                  Oid hseq) {
+  MAMMOTH_ASSIGN_OR_RETURN(std::vector<uint8_t> lut,
+                           DictStrThetaLut(dict, v, op));
+  return DictStrSelectRange(dict, lut, begin, end, hseq);
 }
 
 Result<BatPtr> CompressedAggrSum(const CompressedBat& comp) {

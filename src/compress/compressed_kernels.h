@@ -2,6 +2,7 @@
 #define MAMMOTH_COMPRESS_COMPRESSED_KERNELS_H_
 
 #include <cstdint>
+#include <vector>
 
 #include "common/result.h"
 #include "compress/compressed_bat.h"
@@ -36,10 +37,6 @@ bool RangeSelectableOnCompressed(const CompressedBat& comp, const Value& lo,
                                  const Value& hi);
 /// Global SUM/MIN/MAX folds: RLE (both widths) and PDICT.
 bool AggregatableOnCompressed(const CompressedBat& comp);
-/// String predicate shapes the scan layer routes to the dictionary:
-/// everything ThetaSelect accepts on strings (LIKE included) except `=`,
-/// which the plain kernel answers faster (DESIGN.md §13).
-bool StrSelectableOnDict(const Value& v, CmpOp op);
 
 /// --- Selects -----------------------------------------------------------
 /// Evaluates the predicate over rows [begin, end) of the column and
@@ -66,8 +63,34 @@ Result<BatPtr> CompressedSortedSelect(const CompressedBat& comp,
                                       const Value& lo, const Value& hi,
                                       bool lo_incl, bool hi_incl, bool anti,
                                       Oid hseq);
-/// String select on a dictionary-compressed column, same contract; it
-/// answers `=` too, bit-identically, though the router does not send it.
+/// String selects on a dictionary-compressed column run in two steps: the
+/// predicate becomes a per-code keep LUT over the sorted dictionary, then
+/// one loop over the packed codes emits the kept rows. The LUT builders
+/// reject operands the plain string kernels reject, with the same status.
+///
+/// The keep LUT of a theta predicate (=, <>, <, <=, >, >=, LIKE).
+Result<std::vector<uint8_t>> DictStrThetaLut(const StrDict& dict,
+                                             const Value& v, CmpOp op);
+/// The keep LUT of a range predicate: string bounds, nil for an open end,
+/// `anti` keeps the words outside the range (algebra::RangeSelect).
+Result<std::vector<uint8_t>> DictStrRangeLut(const StrDict& dict,
+                                             const Value& lo, const Value& hi,
+                                             bool lo_incl, bool hi_incl,
+                                             bool anti);
+/// Rows [begin, end) whose code `lut` keeps, as OIDs `hseq` + row,
+/// stamped like a scan select result.
+Result<BatPtr> DictStrSelectRange(const StrDict& dict,
+                                  const std::vector<uint8_t>& lut,
+                                  size_t begin, size_t end, Oid hseq);
+/// The candidates whose code `lut` keeps, in candidate order — exactly
+/// what the plain string kernels return over the decoded column headed at
+/// `hseq`. Unpacks only the candidates' codes; a dense list is a row
+/// range. OutOfRange for a candidate outside the column.
+Result<BatPtr> DictStrSelectCands(const StrDict& dict,
+                                  const std::vector<uint8_t>& lut,
+                                  const BatPtr& cands, Oid hseq);
+/// Theta select over rows [begin, end): DictStrThetaLut, then the code
+/// loop.
 Result<BatPtr> DictStrSelectRange(const StrDict& dict, const Value& v,
                                   CmpOp op, size_t begin, size_t end,
                                   Oid hseq);

@@ -6,6 +6,7 @@
 
 #include "common/bitutil.h"
 #include "compress/bitpack.h"
+#include "compress/compressed_kernels.h"
 
 namespace mammoth::compress {
 
@@ -63,7 +64,35 @@ Result<StrDict> StrDict::Encode(const BatPtr& b) {
                   : static_cast<uint32_t>(CeilLog2(words.size()));
   PackBits(codes.data(), n, static_cast<int>(out.bits_), &out.codes_);
   out.codes_.resize(out.codes_.size() + 8, 0);  // unpack slack
+  out.BuildHeap();
   return out;
+}
+
+void StrDict::BuildHeap() {
+  heap_ = std::make_shared<StringHeap>();
+  heap_offsets_.resize(dsize());
+  for (uint32_t c = 0; c < dsize(); ++c) heap_offsets_[c] = heap_->Put(Word(c));
+}
+
+void StrDict::RangeOffsets(size_t start, size_t n, uint64_t* out) const {
+  constexpr size_t kBatch = 4096;
+  uint32_t codes[kBatch];
+  for (size_t done = 0; done < n; done += kBatch) {
+    const size_t m = std::min(kBatch, n - done);
+    UnpackBits(codes_.data(), start + done, m, static_cast<int>(bits_),
+               codes);
+    for (size_t i = 0; i < m; ++i) out[done + i] = heap_offsets_[codes[i]];
+  }
+}
+
+Status StrDict::GatherOffsets(const Oid* rows, size_t n, uint64_t* out) const {
+  for (size_t i = 0; i < n; ++i) {
+    if (rows[i] >= count_) {
+      return Status::OutOfRange("project: oid beyond value BAT");
+    }
+    out[i] = heap_offsets_[CodeAt(rows[i])];
+  }
+  return Status::OK();
 }
 
 bool StrDict::FindCode(std::string_view s, uint32_t* code) const {
@@ -121,22 +150,10 @@ void StrDict::PrefixCodeRange(std::string_view prefix, uint32_t* lo,
 }
 
 Result<BatPtr> StrDict::Decode() const {
-  BatPtr b = Bat::NewString(nullptr);
-  // Intern each distinct word once, then append raw offsets per row — the
-  // per-row cost is a shift-mask plus an 8-byte store, no hashing.
-  std::vector<uint64_t> word_off(dsize());
-  for (uint32_t c = 0; c < dsize(); ++c) {
-    word_off[c] = b->heap()->Put(Word(c));
-  }
-  std::vector<uint64_t> offs(count_);
-  constexpr size_t kBatch = 4096;
-  uint32_t codes[kBatch];
-  for (size_t base = 0; base < count_; base += kBatch) {
-    const size_t m = std::min(kBatch, count_ - base);
-    UnpackBits(codes_.data(), base, m, static_cast<int>(bits_), codes);
-    for (size_t i = 0; i < m; ++i) offs[base + i] = word_off[codes[i]];
-  }
-  b->AppendRaw(offs.data(), offs.size());
+  stats::ProjectFull();
+  BatPtr b = Bat::NewString(heap_);
+  b->Resize(count_);
+  RangeOffsets(0, count_, b->MutableTailData<uint64_t>());
   b->mutable_props() = props_;
   return b;
 }
@@ -221,6 +238,7 @@ Result<StrDict> StrDict::Deserialize(std::string_view in) {
                   static_cast<int>(out.bits_), dsz)) {
     return Status::Corruption("strdict: bad code");
   }
+  out.BuildHeap();
   return out;
 }
 

@@ -179,6 +179,33 @@ BatPtr StringThetaSelect(const Bat& b, const Bat* cands,
   return r;
 }
 
+/// String range select: lexicographic bounds, a nil bound leaves its end
+/// open, `anti` keeps the rows outside the range — the numeric range
+/// semantics over heap strings.
+BatPtr StringRangeSelect(const Bat& b, const Bat* cands, const Value& lo,
+                         const Value& hi, bool lo_incl, bool hi_incl,
+                         bool anti) {
+  CandidateReader cr(cands, &b);
+  const uint64_t* offs = b.TailData<uint64_t>();
+  const Oid hseq = b.hseqbase();
+  const StringHeap& heap = *b.heap();
+  const bool has_lo = !lo.is_nil();
+  const bool has_hi = !hi.is_nil();
+  const std::string_view vlo = has_lo ? std::string_view(lo.AsStr()) : "";
+  const std::string_view vhi = has_hi ? std::string_view(hi.AsStr()) : "";
+  BatPtr r = Bat::New(PhysType::kOid);
+  for (size_t i = 0; i < cr.size(); ++i) {
+    const size_t pos = cr.PositionAt(i);
+    const std::string_view s = heap.Get(offs[pos]);
+    bool in = true;
+    if (has_lo) in = lo_incl ? (s >= vlo) : (s > vlo);
+    if (in && has_hi) in = hi_incl ? (s <= vhi) : (s < vhi);
+    if (in != anti) r->Append<Oid>(hseq + pos);
+  }
+  StampSelectResult(r);
+  return r;
+}
+
 }  // namespace
 
 void StampSelectResult(const BatPtr& r) {
@@ -242,11 +269,14 @@ Result<BatPtr> RangeSelect(const BatPtr& b, const BatPtr& cands,
                            bool hi_incl, bool anti,
                            const parallel::ExecContext& ctx) {
   if (b == nullptr) return Status::InvalidArgument("select: null input");
-  if (b->type() == PhysType::kStr) {
-    return Status::Unimplemented("range select on strings");
-  }
   const bool has_lo = !lo.is_nil();
   const bool has_hi = !hi.is_nil();
+  if (b->type() == PhysType::kStr) {
+    if ((has_lo && !lo.is_str()) || (has_hi && !hi.is_str())) {
+      return Status::TypeMismatch("range select: non-string bound");
+    }
+    return StringRangeSelect(*b, cands.get(), lo, hi, lo_incl, hi_incl, anti);
+  }
   if ((has_lo && !lo.is_numeric()) || (has_hi && !hi.is_numeric())) {
     return Status::TypeMismatch("range select: non-numeric bound");
   }

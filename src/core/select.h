@@ -24,6 +24,7 @@ Result<BatPtr> ThetaSelect(
 
 /// Range select: lo <= x <= hi with configurable inclusiveness. `anti`
 /// inverts the predicate (x outside the range). Nil bounds mean unbounded.
+/// String columns take string bounds and compare lexicographically.
 Result<BatPtr> RangeSelect(
     const BatPtr& b, const BatPtr& cands, const Value& lo, const Value& hi,
     bool lo_incl = true, bool hi_incl = true, bool anti = false,

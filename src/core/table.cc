@@ -194,11 +194,14 @@ Status Table::Delete(const BatPtr& oids, uint64_t stamp,
 Result<BatPtr> Table::ScanColumn(size_t idx) const {
   if (idx >= schema_.size()) return Status::OutOfRange("no such column");
   BatPtr main = mains_[idx];
+  // Transparent read path: an encoded image decodes whole on every call,
+  // into a BAT the caller owns (the MAL interpreter's reads go through
+  // the main image and delta instead). A dictionary decodes onto its own
+  // heap, which the string delta shares.
   if (compressed_[idx] != nullptr) {
-    // Transparent read path: a compressed image decodes whole on every
-    // call, into a BAT the caller owns (the MAL interpreter's reads go
-    // through the main image and delta instead).
     MAMMOTH_ASSIGN_OR_RETURN(main, compressed_[idx]->Decode());
+  } else if (str_dicts_[idx] != nullptr) {
+    MAMMOTH_ASSIGN_OR_RETURN(main, str_dicts_[idx]->Decode());
   }
   return ConcatColumn(main, inserts_[idx]);
 }
@@ -280,13 +283,14 @@ Status Table::MergeDeltas() {
     }
     str_dicts_[i] = nullptr;
     if (compress_policy_ && schema_[i].type == PhysType::kStr) {
-      // String columns keep the plain BAT (offset identity anchors deltas
-      // and joins); the dictionary rides alongside as the execution and
-      // persistence image. High cardinality simply leaves it off.
+      // The dictionary becomes the column's only image: the main keeps no
+      // offsets, just the dictionary's heap for the delta to intern into.
+      // High cardinality leaves the plain BAT in place.
       Result<compress::StrDict> dict = compress::StrDict::Encode(mains_[i]);
       if (dict.ok()) {
         str_dicts_[i] =
             std::make_shared<const compress::StrDict>(*std::move(dict));
+        mains_[i] = Bat::NewString(str_dicts_[i]->heap());
       }
     }
   }
@@ -361,7 +365,11 @@ Status Table::SetCompression(bool on) {
       MAMMOTH_ASSIGN_OR_RETURN(mains_[i], compressed_[i]->Decode());
       compressed_[i] = nullptr;
     }
-    str_dicts_[i] = nullptr;  // the plain BAT is already resident
+    if (str_dicts_[i] != nullptr) {
+      // Decoded onto the dictionary's heap, which the delta shares.
+      MAMMOTH_ASSIGN_OR_RETURN(mains_[i], str_dicts_[i]->Decode());
+      str_dicts_[i] = nullptr;
+    }
   }
   // Contents are unchanged, but cached plans/results key on the version
   // and the representation they bound to; be conservative.
@@ -527,10 +535,9 @@ Result<TablePtr> Table::FromStorage(
     if (comps[i] != nullptr) {
       t->compressed_[i] = std::move(comps[i]);
     } else if (sdicts[i] != nullptr) {
-      // Rebuild the plain execution image once, at (exclusive) load time;
-      // the dictionary stays alongside for code-space scans and the next
-      // snapshot.
-      MAMMOTH_ASSIGN_OR_RETURN(t->mains_[i], sdicts[i]->Decode());
+      // The dictionary is the column's image; the main is an empty BAT
+      // over the dictionary's heap, where the delta interns.
+      t->mains_[i] = Bat::NewString(sdicts[i]->heap());
       t->str_dicts_[i] = std::move(sdicts[i]);
     } else {
       t->mains_[i] = std::move(mains[i]);
@@ -575,6 +582,9 @@ size_t Table::CompressedCacheBytesTotal() const {
   size_t n = 0;
   for (const auto& c : compressed_) {
     if (c != nullptr) n += c->IndexBytes();
+  }
+  for (const auto& d : str_dicts_) {
+    if (d != nullptr) n += d->IndexBytes();
   }
   return n;
 }

@@ -42,9 +42,9 @@ class Table {
 
   /// Persistence entry point for mixed representations: per column exactly
   /// one of `mains[i]` (uncompressed), `comps[i]` (compressed int), or
-  /// `sdicts[i]` (dictionary-compressed string; the plain BAT is rebuilt at
-  /// load) is set. All representations must agree on the row count;
-  /// `policy` restores the table's compression policy flag.
+  /// `sdicts[i]` (dictionary-compressed string, kept as loaded) is set.
+  /// All representations must agree on the row count; `policy` restores
+  /// the table's compression policy flag.
   static Result<TablePtr> FromStorage(
       std::string name, std::vector<ColumnDef> schema,
       std::vector<BatPtr> mains,
@@ -85,7 +85,8 @@ class Table {
   /// BAT itself when no inserts are pending). Queries never call it —
   /// they read the main image and DeltaColumn side by side — only
   /// MergeDeltas, catalog comparison and the Volcano oracle do. A
-  /// compressed main decodes whole on every call; nothing keeps it.
+  /// compressed or dictionary main decodes whole on every call (counted
+  /// as `project_full`); nothing keeps it.
   Result<BatPtr> ScanColumn(size_t idx) const;
   Result<BatPtr> ScanColumn(std::string_view column_name) const;
 
@@ -177,20 +178,23 @@ class Table {
   size_t DeletedCount() const { return deleted_->Count(); }
 
   /// Direct access to the main BAT of a column (bypasses deltas). Empty
-  /// stub when the column's main image is compressed.
+  /// stub when the column's main image is compressed; for a dictionary
+  /// column, an empty BAT over the dictionary's heap.
   const BatPtr& MainColumn(size_t idx) const { return mains_[idx]; }
 
   /// The pending-insert delta of a column: a plain BAT headed at the main
   /// row count, so kernels run over it emit table-wide OIDs. String
-  /// deltas share the main column's heap. Mutated by Insert/Rollback and
+  /// deltas share the main column's heap (a dictionary's heap for a
+  /// dictionary column). Mutated by Insert/Rollback and
   /// replaced by MergeDeltas (callers hold the engine lock to read it).
   const BatPtr& DeltaColumn(size_t idx) const { return inserts_[idx]; }
 
   /// --- Compression (§5: compressed columns as first-class storage) ----
 
   /// Turns the compression policy on or off and converts the main image
-  /// of every eligible column (int/bigint) right away: on compresses via
-  /// CompressBest, off decodes back to plain BATs. Pending deltas are
+  /// of every eligible column right away: on compresses int/bigint via
+  /// CompressBest and dictionary-encodes strings, off decodes back to
+  /// plain BATs. Pending deltas are
   /// untouched (they sit on top of either representation and fold in at
   /// the next MergeDeltas). Bumps the version.
   Status SetCompression(bool on);
@@ -207,10 +211,10 @@ class Table {
 
   /// The dictionary image of a string column, or nullptr when the column
   /// has none (policy off, or cardinality above StrDict::kMaxDistinct).
-  /// Unlike int columns the plain BAT stays resident — offset identity
-  /// anchors deltas, joins, and group-by — so the dictionary is the
-  /// *execution and persistence* image: code-space predicates scan it, and
-  /// snapshots write it instead of the heap.
+  /// Like a compressed int column's stream it is the only image of the
+  /// main rows: MainColumn keeps no offsets, just the dictionary's heap.
+  /// Selects run in code space, projections gather codes, cold paths
+  /// decode it whole, and snapshots write it as `col_<i>.sdict`.
   const std::shared_ptr<const compress::StrDict>& StringDictColumn(
       size_t idx) const {
     return str_dicts_[idx];
@@ -223,9 +227,10 @@ class Table {
   /// bytes those columns stand for.
   size_t CompressedBytesTotal() const;
   size_t CompressedLogicalBytesTotal() const;
-  /// Bytes of the derived indexes compressed int columns hold next to
-  /// their streams (CompressedBat::IndexBytes): block offsets, PFOR-DELTA
-  /// block bases, RLE run lists. No column keeps a decoded copy.
+  /// Bytes of the derived indexes encoded columns hold next to their
+  /// streams (CompressedBat::IndexBytes, StrDict::IndexBytes): block
+  /// offsets, PFOR-DELTA block bases, RLE run lists, dictionary code to
+  /// heap offset tables. No column keeps a decoded copy.
   size_t CompressedCacheBytesTotal() const;
 
   /// Monotone write-progress counter, bumped by every
@@ -251,8 +256,9 @@ class Table {
 
   /// Rows in the main image, whatever its representation.
   size_t MainRowCount() const {
-    return compressed_[0] != nullptr ? compressed_[0]->Count()
-                                     : mains_[0]->Count();
+    if (compressed_[0] != nullptr) return compressed_[0]->Count();
+    if (str_dicts_[0] != nullptr) return str_dicts_[0]->Count();
+    return mains_[0]->Count();
   }
 
   /// True when the column type has a codec.
@@ -267,7 +273,7 @@ class Table {
   /// compressed form (mains_[i] is then an empty stub).
   std::vector<std::shared_ptr<const compress::CompressedBat>> compressed_;
   /// Parallel to mains_: the dictionary image of a string column under the
-  /// compression policy (mains_[i] stays the plain execution image).
+  /// compression policy (mains_[i] is then an empty BAT over its heap).
   std::vector<std::shared_ptr<const compress::StrDict>> str_dicts_;
   std::vector<BatPtr> inserts_;
   /// One commit stamp per pending insert row (parallel to inserts_[i]).

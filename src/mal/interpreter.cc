@@ -22,18 +22,18 @@ namespace {
 /// Runtime slot for one MAL variable.
 struct Rt {
   /// The slot's BAT. For a kBind slot this is the column's *main* image
-  /// when it is plain or dictionary-backed, and null when it is
-  /// compressed (until a consumer decodes it); `delta` holds the rest.
+  /// when it is plain, and null when it is compressed or a dictionary
+  /// (until a consumer decodes it); `delta` holds the rest.
   BatPtr bat;
   /// Compressed main image of a bound column. `bat` stays null then:
   /// select, project and aggregate route the compressed image directly
   /// (code-space kernels, binary search, range decodes and gathers); any
   /// other consumer decodes the whole column into the slot via NeedBat.
   std::shared_ptr<const compress::CompressedBat> cbat;
-  /// Dictionary image of a bound string column's main image. Unlike cbat,
-  /// `bat` is set alongside it — the plain heap image stays resident — so
-  /// only code-space-rewritable string predicates route through the
-  /// dictionary; everything else reads `bat` unchanged.
+  /// Dictionary main image of a bound string column, its only image:
+  /// `bat` stays null as for cbat. Every select runs in code space (over
+  /// the whole column or just the candidates' codes), projections gather
+  /// codes as heap offsets, and other consumers decode via NeedBat.
   std::shared_ptr<const compress::StrDict> sdict;
   /// Pending inserts of a bound column (null when none): the table's
   /// plain delta BAT, headed at the main row count so kernels over it
@@ -105,9 +105,10 @@ uint64_t RangeBase(const Instr& ins, const std::vector<Rt>& vars) {
                                                   : vars[ins.inputs[1]].sig);
 }
 
-/// Whether slot `id` holds a BAT image (plain or compressed).
+/// Whether slot `id` holds a BAT image (plain, compressed or dictionary).
 bool HasImage(const std::vector<Rt>& vars, int id) {
-  return id >= 0 && (vars[id].bat != nullptr || vars[id].cbat != nullptr);
+  return id >= 0 && (vars[id].bat != nullptr || vars[id].cbat != nullptr ||
+                     vars[id].sdict != nullptr);
 }
 
 Status MissingOperand(const char* what) {
@@ -115,16 +116,17 @@ Status MissingOperand(const char* what) {
                           what);
 }
 
-/// Validates the BAT operand and makes it one plain BAT: a compressed
-/// main image decodes whole into the slot (the decode lives as long as
-/// the query's slot does), and pending inserts append to a copy
+/// Validates the BAT operand and makes it one plain BAT: a compressed or
+/// dictionary main image decodes whole into the slot (the decode lives as
+/// long as the query's slot does), and pending inserts append to a copy
 /// (ConcatColumn). A slot merged with its delta is no longer a base-column
 /// bind: its image is not the one the main epoch names.
 Status NeedBat(std::vector<Rt>& vars, int id, const char* what) {
   if (!HasImage(vars, id)) return MissingOperand(what);
   Rt& v = vars[id];
   if (v.bat == nullptr) {
-    MAMMOTH_ASSIGN_OR_RETURN(v.bat, v.cbat->Decode());
+    MAMMOTH_ASSIGN_OR_RETURN(
+        v.bat, v.cbat != nullptr ? v.cbat->Decode() : v.sdict->Decode());
   }
   if (v.delta != nullptr) {
     v.bat = ConcatColumn(v.bat, v.delta);
@@ -147,12 +149,11 @@ bool CoversWholeColumn(const BatPtr& cands, size_t count, Oid hseq) {
           cands->tseqbase() == hseq);
 }
 
-/// The scan source of a slot's main image: the compressed image when the
-/// bind left one, the dictionary-backed string image when one exists, the
-/// plain BAT otherwise.
+/// The scan source of a slot's main image: the compressed image or the
+/// dictionary when the bind left one, the plain BAT otherwise.
 scan::ColumnSource SourceOf(const Rt& in) {
   if (in.cbat != nullptr) return scan::ColumnSource::Compressed(in.cbat);
-  if (in.sdict != nullptr) return scan::ColumnSource::Dict(in.bat, in.sdict);
+  if (in.sdict != nullptr) return scan::ColumnSource::Dict(in.sdict);
   return scan::ColumnSource::Plain(in.bat);
 }
 
@@ -161,9 +162,10 @@ scan::ColumnSource SourceOf(const Rt& in) {
 /// scheduler's shared pass when one is attached and the slot is a
 /// base-table bind, else the scan layer's direct entry point; either one
 /// picks code space, binary search or chunk-wise decode-then-kernel for
-/// the image. Otherwise the kernel runs over the candidates, decoding a
-/// compressed-only slot whole first (counted as a fallback; the decode
-/// stays in the slot for the rest of the query).
+/// the image. Otherwise the kernel runs over the candidates: a dictionary
+/// slot unpacks just their codes, and a compressed-only slot decodes whole
+/// first (counted as a fallback; the decode stays in the slot for the
+/// rest of the query).
 Result<BatPtr> SelectMain(Rt& in, const BatPtr& cands,
                           const scan::ScanPredicate& pred, bool whole,
                           const parallel::ExecContext& ctx) {
@@ -174,6 +176,9 @@ Result<BatPtr> SelectMain(Rt& in, const BatPtr& cands,
                                         in.main_epoch, pred, ctx);
     }
     return scan::RunKernelSource(src, pred, ctx);
+  }
+  if (src.sdict != nullptr) {
+    return scan::RunKernelDict(src, cands, pred, ctx);
   }
   if (in.bat == nullptr) {
     compress::stats::SelectFallback();
@@ -293,6 +298,7 @@ Result<QueryResult> Interpreter::Run(const Program& program, RunStats* stats) {
         for (size_t o = 0; o < ins.outputs.size(); ++o) {
           vars[ins.outputs[o]].bat = cached[o].bat;
           vars[ins.outputs[o]].cbat = cached[o].cbat;
+          vars[ins.outputs[o]].sdict = cached[o].sdict;
           vars[ins.outputs[o]].scalar = cached[o].scalar;
           vars[ins.outputs[o]].sig = HashCombine(sig, o);
         }
@@ -308,13 +314,15 @@ Result<QueryResult> Interpreter::Run(const Program& program, RunStats* stats) {
         MAMMOTH_ASSIGN_OR_RETURN(TablePtr t, catalog_->Get(ins.table));
         MAMMOTH_ASSIGN_OR_RETURN(size_t idx, t->ColumnIndex(ins.column));
         Rt& out = vars[ins.outputs[0]];
-        // The main image binds as stored — compressed (decoded lazily, or
-        // chunk-at-a-time by the scan path), or plain with the dictionary
-        // alongside for code-space predicates — and pending inserts ride
-        // next to it as the delta. Nothing is copied.
+        // The main image binds as stored — compressed or a dictionary
+        // (read in code space, decoded lazily or chunk-at-a-time by the
+        // scan path), or plain — and pending inserts ride next to it as
+        // the delta. Nothing is copied.
         out.cbat = t->CompressedColumn(idx);
-        out.bat = out.cbat != nullptr ? nullptr : t->MainColumn(idx);
         out.sdict = t->StringDictColumn(idx);
+        out.bat = out.cbat != nullptr || out.sdict != nullptr
+                      ? nullptr
+                      : t->MainColumn(idx);
         const BatPtr& delta = t->DeltaColumn(idx);
         out.delta = delta->empty() ? nullptr : delta;
         out.bind = &ins;
@@ -368,21 +376,23 @@ Result<QueryResult> Interpreter::Run(const Program& program, RunStats* stats) {
         }
         const Rt& in = vars[ins.inputs[1]];
         // An identity projection (dense OID list covering every row — what
-        // a WHERE-less query's candidate list looks like) passes a
-        // compressed image through untouched, so a downstream aggregate
-        // can fold it without ever decoding.
+        // a WHERE-less query's candidate list looks like) passes an encoded
+        // image through untouched, so a downstream aggregate can fold it
+        // without ever decoding.
         if (in.bat == nullptr && in.delta == nullptr && oids->IsDenseTail() &&
-            oids->Count() == in.cbat->Count() && oids->tseqbase() == 0 &&
+            oids->Count() == SourceOf(in).Count() && oids->tseqbase() == 0 &&
             oids->hseqbase() == 0) {
           vars[ins.outputs[0]].cbat = in.cbat;
+          vars[ins.outputs[0]].sdict = in.sdict;
           break;
         }
         // Otherwise the main image gathers only the touched rows (bounded
-        // decodes for a compressed one) and pending inserts gather from
-        // the delta.
+        // decodes and code gathers for an encoded one) and pending inserts
+        // gather from the delta.
         MAMMOTH_ASSIGN_OR_RETURN(
             vars[ins.outputs[0]].bat,
-            compress::ProjectMainDelta(oids, in.bat, in.cbat, in.delta, ctx_));
+            compress::ProjectMainDelta(oids, in.bat, in.cbat, in.sdict,
+                                       in.delta, ctx_));
         break;
       }
       case OpCode::kJoin: {
@@ -423,18 +433,22 @@ Result<QueryResult> Interpreter::Run(const Program& program, RunStats* stats) {
         }
         // Compressed-direct aggregation: a global SUM/MIN/MAX over an
         // RLE or dictionary image folds runs/codes in O(runs + dict)
-        // without decoding; COUNT only reads the row count. Grouped and
-        // non-foldable aggregates decode via NeedBat below.
+        // without decoding; COUNT only reads the row count (of a string
+        // dictionary too). Grouped and non-foldable aggregates decode via
+        // NeedBat below.
         if (ins.inputs[0] >= 0 && vars[ins.inputs[0]].bat == nullptr &&
-            vars[ins.inputs[0]].cbat != nullptr &&
+            (vars[ins.inputs[0]].cbat != nullptr ||
+             vars[ins.inputs[0]].sdict != nullptr) &&
             vars[ins.inputs[0]].delta == nullptr) {
           const auto& comp = vars[ins.inputs[0]].cbat;
           Result<BatPtr> cr = Status::Internal("unrouted");
           bool routed = false;
           if (ins.op == OpCode::kAggrCount) {
-            cr = algebra::AggrCount(groups, ngroups, comp->Count(), ctx_);
+            cr = algebra::AggrCount(groups, ngroups,
+                                    SourceOf(vars[ins.inputs[0]]).Count(),
+                                    ctx_);
             routed = true;
-          } else if (groups == nullptr &&
+          } else if (comp != nullptr && groups == nullptr &&
                      compress::AggregatableOnCompressed(*comp)) {
             switch (ins.op) {
               case OpCode::kAggrSum:
@@ -548,7 +562,8 @@ Result<QueryResult> Interpreter::Run(const Program& program, RunStats* stats) {
         std::vector<recycle::CachedVal> outs;
         outs.reserve(ins.outputs.size());
         for (int ov : ins.outputs) {
-          outs.push_back({vars[ov].bat, vars[ov].cbat, vars[ov].scalar});
+          outs.push_back(
+              {vars[ov].bat, vars[ov].cbat, vars[ov].sdict, vars[ov].scalar});
         }
         recycler_->Insert(sig, std::move(outs), timer.ElapsedSeconds());
         if (Subsumable(ins)) {

@@ -27,6 +27,8 @@ size_t Recycler::EntryBytes(const Entry& e, size_t* compressed_bytes) const {
       // charging it (not the logical width) lets proportionally more
       // compressed intermediates fit in the same budget.
       comp += v.cbat->CompressedBytes();
+    } else if (v.sdict != nullptr) {
+      comp += v.sdict->CompressedBytes();
     } else if (v.bat != nullptr) {
       bytes += v.bat->PayloadBytes();
     }

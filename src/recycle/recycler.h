@@ -10,6 +10,7 @@
 
 #include "common/rng.h"
 #include "compress/compressed_bat.h"
+#include "compress/dict_str.h"
 #include "core/bat.h"
 #include "core/value.h"
 
@@ -23,6 +24,7 @@ namespace mammoth::recycle {
 struct CachedVal {
   BatPtr bat;
   std::shared_ptr<const compress::CompressedBat> cbat;
+  std::shared_ptr<const compress::StrDict> sdict;
   Value scalar;
 };
 

@@ -17,18 +17,12 @@ namespace {
 /// representation directly (code-space / run-space), bit-identical to
 /// decode-then-kernel.
 bool CodeSpacePredicate(const ColumnSource& source, const ScanPredicate& pred) {
-  if (source.comp != nullptr) {
-    return pred.kind == ScanPredicate::Kind::kTheta
-               ? compress::ThetaSelectableOnCompressed(*source.comp, pred.v,
-                                                       pred.op)
-               : compress::RangeSelectableOnCompressed(*source.comp, pred.lo,
-                                                       pred.hi);
-  }
-  if (source.sdict != nullptr) {
-    return pred.kind == ScanPredicate::Kind::kTheta &&
-           compress::StrSelectableOnDict(pred.v, pred.op);
-  }
-  return false;
+  if (source.comp == nullptr) return false;
+  return pred.kind == ScanPredicate::Kind::kTheta
+             ? compress::ThetaSelectableOnCompressed(*source.comp, pred.v,
+                                                     pred.op)
+             : compress::RangeSelectableOnCompressed(*source.comp, pred.lo,
+                                                     pred.hi);
 }
 
 /// Evaluates a code-space-rewritable predicate over rows [begin, end) of
@@ -36,10 +30,6 @@ bool CodeSpacePredicate(const ColumnSource& source, const ScanPredicate& pred) {
 Result<BatPtr> EvalCodeSpace(const ColumnSource& source,
                              const ScanPredicate& pred, size_t begin,
                              size_t end, Oid col_hseq) {
-  if (source.sdict != nullptr) {
-    return compress::DictStrSelectRange(*source.sdict, pred.v, pred.op, begin,
-                                        end, col_hseq);
-  }
   if (pred.kind == ScanPredicate::Kind::kTheta) {
     return compress::CompressedThetaSelectRange(*source.comp, pred.v, pred.op,
                                                 begin, end, col_hseq);
@@ -202,6 +192,16 @@ Result<BatPtr> EvalDecodedChunks(const ColumnSource& source,
   return ConcatParts(parts);
 }
 
+/// The per-code keep LUT of a string predicate over a dictionary.
+Result<std::vector<uint8_t>> DictLut(const compress::StrDict& dict,
+                                     const ScanPredicate& pred) {
+  if (pred.kind == ScanPredicate::Kind::kTheta) {
+    return compress::DictStrThetaLut(dict, pred.v, pred.op);
+  }
+  return compress::DictStrRangeLut(dict, pred.lo, pred.hi, true, true,
+                                   pred.anti);
+}
+
 }  // namespace
 
 Result<BatPtr> RunKernel(const BatPtr& column, const BatPtr& cands,
@@ -217,6 +217,9 @@ Result<BatPtr> RunKernel(const BatPtr& column, const BatPtr& cands,
 Result<BatPtr> RunKernelSource(const ColumnSource& source,
                                const ScanPredicate& pred,
                                const parallel::ExecContext& ctx) {
+  if (source.sdict != nullptr) {
+    return RunKernelDict(source, nullptr, pred, ctx);
+  }
   if (CodeSpacePredicate(source, pred)) {
     compress::stats::SelectDirect();
     return EvalCodeSpace(source, pred, 0, source.Count(), source.hseqbase);
@@ -230,6 +233,37 @@ Result<BatPtr> RunKernelSource(const ColumnSource& source,
     return EvalDecodedChunks(source, pred, ctx);
   }
   return RunKernel(source.bat, nullptr, pred, ctx);
+}
+
+Result<BatPtr> RunKernelDict(const ColumnSource& source, const BatPtr& cands,
+                             const ScanPredicate& pred,
+                             const parallel::ExecContext& ctx) {
+  if (source.sdict == nullptr) {
+    return Status::InvalidArgument("select: not a dictionary source");
+  }
+  compress::stats::SelectDirect();
+  MAMMOTH_ASSIGN_OR_RETURN(std::vector<uint8_t> lut,
+                           DictLut(*source.sdict, pred));
+  if (cands != nullptr) {
+    return compress::DictStrSelectCands(*source.sdict, lut, cands,
+                                        source.hseqbase);
+  }
+  // Every row: the code loop runs morsel by morsel under `ctx`, and the
+  // parts concatenate in row order, which is the one-loop result.
+  constexpr size_t kRows = parallel::TaskPool::kDefaultGrain;
+  const size_t n = source.Count();
+  std::vector<BatPtr> parts((n + kRows - 1) / kRows);
+  MAMMOTH_RETURN_IF_ERROR(ctx.ParallelFor(
+      parts.size(), 1, [&](size_t b, size_t e, int) -> Status {
+        for (size_t c = b; c < e; ++c) {
+          MAMMOTH_ASSIGN_OR_RETURN(
+              parts[c], compress::DictStrSelectRange(
+                            *source.sdict, lut, c * kRows,
+                            std::min(n, (c + 1) * kRows), source.hseqbase));
+        }
+        return Status::OK();
+      }));
+  return ConcatParts(parts);
 }
 
 /// One consumer of a shared pass. All fields except `fn`'s captured
@@ -475,11 +509,8 @@ void SharedScanScheduler::DriveLocked(Group& group, Consumer* driver,
         // are read in place, nothing is decoded or copied. Charge the
         // pro-rated compressed stream as the physical load.
         const size_t n = l.src.Count();
-        const size_t cb = l.src.compressed()
-                              ? l.src.comp->CompressedBytes()
-                              : (l.src.sdict != nullptr
-                                     ? l.src.sdict->CompressedBytes()
-                                     : 0);
+        const size_t cb =
+            l.src.compressed() ? l.src.comp->CompressedBytes() : 0;
         if (n != 0) bytes_loaded += cb * rows / n;
         continue;
       }
@@ -620,18 +651,19 @@ Result<BatPtr> SharedScanScheduler::Select(const ColumnSource& source,
   // in O(log n), dense tails and strings have their own specialized
   // paths, and short columns cost more to coordinate than to rescan.
   // (Compressed sources are integer by construction; a sorted one binary
-  // searches its compressed image.) A code-space-rewritable predicate
-  // rides the pass without decoding: its per-chunk evaluation reads the
-  // compressed image in place.
+  // searches its compressed image.) A dictionary source never rides a
+  // pass: each select reads the packed codes through its own LUT, so a
+  // pass would share no load and only make the select wait on the other
+  // consumers' chunks. A code-space-rewritable predicate over a
+  // compressed source rides the pass without decoding: its per-chunk
+  // evaluation reads the compressed image in place.
   const bool code_space = CodeSpacePredicate(source, pred);
   bool eligible;
-  if (source.compressed()) {
+  if (source.sdict != nullptr) {
+    eligible = false;
+  } else if (source.compressed()) {
     eligible = !source.comp->props().sorted &&
                source.comp->Count() >= config_.min_share_rows;
-  } else if (source.sdict != nullptr) {
-    // Dict string sources only route for code-space predicates: heap
-    // strings have no decoded chunk-buffer representation to fan out.
-    eligible = code_space && source.Count() >= config_.min_share_rows;
   } else {
     const BatPtr& column = source.bat;
     eligible = column != nullptr && column->type() != PhysType::kStr &&
@@ -695,10 +727,8 @@ Result<BatPtr> SharedScanScheduler::Select(const ColumnSource& source,
   std::vector<bool> needed =
       source.compressed()
           ? PruneChunksCompressed(*source.comp, pred, pass_chunk_rows)
-          : (source.sdict != nullptr
-                 ? std::vector<bool>{}  // no per-block stats on dicts
-                 : PruneChunks(source.bat, table, column_name, version, pred,
-                               pass_chunk_rows));
+          : PruneChunks(source.bat, table, column_name, version, pred,
+                        pass_chunk_rows);
   size_t skipped = 0;
   if (!needed.empty()) {
     skipped = nchunks - static_cast<size_t>(

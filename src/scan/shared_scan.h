@@ -39,20 +39,19 @@ namespace mammoth::scan {
 /// attach to the in-flight pass and circle back for the chunks they
 /// missed, exactly like the simulation's mid-flight arrivals.
 
-/// The column image a routed scan reads: either a plain BAT or a
-/// compressed column. A pass over a compressed source decompresses each
-/// chunk *once* into a pooled buffer and hands that buffer to every
-/// consumer of the chunk — sharing the decompression work exactly like
-/// the plain path shares the memory sweep.
+/// The column image a routed scan reads: exactly one of a plain BAT, a
+/// compressed column or a string dictionary. A pass over a compressed
+/// source decompresses each chunk *once* into a pooled buffer and hands
+/// that buffer to every consumer of the chunk — sharing the decompression
+/// work exactly like the plain path shares the memory sweep.
 struct ColumnSource {
   BatPtr bat;
   std::shared_ptr<const compress::CompressedBat> comp;
-  /// The dictionary image of a string column; `bat` is set alongside it
-  /// (the plain heap image) so ineligible predicates fall back to the
-  /// string kernels. Code-space predicates scan the dict's packed codes
-  /// and never materialize a chunk buffer.
+  /// The dictionary of a string column, its only image: every string
+  /// predicate scans its packed codes through a per-code LUT, outside any
+  /// shared pass (there is no load to share).
   std::shared_ptr<const compress::StrDict> sdict;
-  Oid hseqbase = 0;  ///< head base of the column (a CompressedBat has none)
+  Oid hseqbase = 0;  ///< head base of the column (encoded images have none)
 
   static ColumnSource Plain(BatPtr b) {
     ColumnSource s;
@@ -67,27 +66,29 @@ struct ColumnSource {
     s.hseqbase = hseq;
     return s;
   }
-  static ColumnSource Dict(BatPtr b,
-                           std::shared_ptr<const compress::StrDict> d) {
-    ColumnSource s = Plain(std::move(b));
+  static ColumnSource Dict(std::shared_ptr<const compress::StrDict> d,
+                           Oid hseq = 0) {
+    ColumnSource s;
     s.sdict = std::move(d);
+    s.hseqbase = hseq;
     return s;
   }
   bool compressed() const { return comp != nullptr; }
   size_t Count() const {
-    return comp != nullptr ? comp->Count()
-                           : (bat != nullptr ? bat->Count() : 0);
+    if (comp != nullptr) return comp->Count();
+    if (sdict != nullptr) return sdict->Count();
+    return bat != nullptr ? bat->Count() : 0;
   }
   PhysType type() const {
-    return comp != nullptr ? comp->type()
-                           : (bat != nullptr ? bat->type() : PhysType::kInt32);
+    if (comp != nullptr) return comp->type();
+    if (sdict != nullptr) return PhysType::kStr;
+    return bat != nullptr ? bat->type() : PhysType::kInt32;
   }
   /// Physical identity for per-chunk load sharing: consumers whose
   /// sources compare equal read the same bytes, so one materialization
   /// serves them all.
   const void* Identity() const {
     if (comp != nullptr) return comp.get();
-    if (sdict != nullptr) return sdict.get();
     return bat != nullptr ? bat->tail().raw_data() : nullptr;
   }
 };
@@ -136,16 +137,25 @@ Result<BatPtr> RunKernel(const BatPtr& column, const BatPtr& cands,
                          const ScanPredicate& pred,
                          const parallel::ExecContext& ctx);
 
-/// A whole-column select outside any shared pass. A predicate the source's
-/// compressed or dictionary image answers in code space reads that image
-/// in place, and a sorted compressed source binary-searches its stream
-/// (both counted as direct selects); any other compressed source decodes
-/// one statistics block at a time into scratch and runs RunKernel over
-/// each (counted as a fallback), and a plain one runs RunKernel over its
-/// image. Bit-identical to decode-then-kernel.
+/// A whole-column select outside any shared pass. A dictionary source and
+/// a predicate a compressed image answers in code space read that image in
+/// place, and a sorted compressed source binary-searches its stream (all
+/// counted as direct selects); any other compressed source decodes one
+/// statistics block at a time into scratch and runs RunKernel over each
+/// (counted as a fallback), and a plain one runs RunKernel over its image.
+/// Bit-identical to decode-then-kernel.
 Result<BatPtr> RunKernelSource(const ColumnSource& source,
                                const ScanPredicate& pred,
                                const parallel::ExecContext& ctx);
+
+/// A select over the rows of a dictionary source that `cands` lists (a
+/// sorted or unsorted OID list headed like the source; null = every row,
+/// morsel-parallel under `ctx`): unpacks only the candidates' codes, never
+/// the column, and counts as a direct select. Bit-identical to RunKernel
+/// over the decoded column.
+Result<BatPtr> RunKernelDict(const ColumnSource& source, const BatPtr& cands,
+                             const ScanPredicate& pred,
+                             const parallel::ExecContext& ctx);
 
 struct SharedScanConfig {
   /// Target bytes per chunk: each pass derives its row grain from the

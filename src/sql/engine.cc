@@ -578,14 +578,17 @@ Status Engine::RunUpdate(const UpdateStmt& stmt, wal::TxnBuilder* txn,
 
   // MonetDB-style update: re-insert the modified image, delete the old
   // rows (both through the delta BATs). Only the target rows are fetched,
-  // from the main image and the delta alike.
+  // from the main image and the delta alike; an encoded main gathers just
+  // their values (or dictionary codes).
   std::vector<BatPtr> columns;
   for (size_t c = 0; c < t->NumColumns(); ++c) {
     const auto& comp = t->CompressedColumn(c);
+    const auto& sdict = t->StringDictColumn(c);
+    const bool encoded = comp != nullptr || sdict != nullptr;
     MAMMOTH_ASSIGN_OR_RETURN(
         BatPtr col,
         compress::ProjectMainDelta(
-            oids, comp != nullptr ? nullptr : t->MainColumn(c), comp,
+            oids, encoded ? nullptr : t->MainColumn(c), comp, sdict,
             t->DeltaColumn(c), parallel::ExecContext::Default()));
     columns.push_back(std::move(col));
   }

@@ -6,6 +6,7 @@
 #include <string>
 
 #include "core/persist.h"
+#include "test_dirs.h"
 
 namespace mammoth {
 namespace {
@@ -145,7 +146,8 @@ TEST(StringHeapTest, RestoreRoundTrips) {
 class PersistTest : public ::testing::Test {
  protected:
   void TearDown() override { std::remove(path_.c_str()); }
-  std::string path_ = ::testing::TempDir() + "/mammoth_persist_test.mbat";
+  std::string path_ =
+      testutil::ProcessTempPath("mammoth_persist_test") + ".mbat";
 };
 
 TEST_F(PersistTest, SaveLoadNumericRoundTrip) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
@@ -21,6 +22,8 @@
 #include "server/server.h"
 #include "server/wire.h"
 #include "sql/engine.h"
+#include "test_dirs.h"
+#include "wal/db.h"
 
 namespace mammoth {
 namespace {
@@ -220,6 +223,196 @@ TEST(CompressedQueryTest, UpdateFetchesOnlyTargetRows) {
   auto hit = comp.Execute("SELECT COUNT(*) FROM u WHERE v = 2000000");
   ASSERT_TRUE(hit.ok());
   EXPECT_EQ(hit->columns[0]->ValueAt<int64_t>(0), 2);  // main + delta row
+}
+
+// ------------------------------------------- dictionary-only TEXT column --
+
+/// Queries over a dictionary TEXT column `tag` whose selects and
+/// projections stay in code space: no whole-column decode.
+const std::vector<std::string>& DictCodeSpaceQueries() {
+  static const std::vector<std::string> queries = {
+      "SELECT k, tag, v FROM d WHERE tag = 'w3'",
+      "SELECT k, tag FROM d WHERE tag LIKE 'w1%'",
+      "SELECT k, tag FROM d WHERE tag LIKE '%7'",
+      "SELECT k, tag FROM d WHERE tag >= 'w40' AND tag <= 'w45'",
+      "SELECT COUNT(*), SUM(v) FROM d WHERE tag <> 'w5'",
+      "SELECT k, v FROM d WHERE tag < 'w12'",
+      "SELECT COUNT(tag) FROM d",
+  };
+  return queries;
+}
+
+/// Queries that read every `tag` row: GROUP BY, ORDER BY, a join on it,
+/// and a whole-column result. Over a merged table they decode the column
+/// whole; with rows pending or deleted they gather the live rows' codes.
+const std::vector<std::string>& DictColdQueries() {
+  static const std::vector<std::string> queries = {
+      "SELECT tag, COUNT(*), SUM(v) FROM d GROUP BY tag ORDER BY tag",
+      "SELECT tag, k FROM d ORDER BY tag, k",
+      "SELECT k, label FROM d, n WHERE tag = ntag ORDER BY k",
+      "SELECT tag FROM d",
+  };
+  return queries;
+}
+
+/// Dictionary TEXT columns keep only their dictionary: the main holds no
+/// offsets and a heap of just the dictionary's words, code-space queries
+/// never decode the column, and the cold paths — GROUP BY, ORDER BY, join,
+/// whole-column results — decode it whole (once merged) and count it. Every
+/// answer
+/// equals an uncompressed oracle's through UPDATE (of `tag` and of another
+/// column), DELETE, CHECKPOINT and reopen, and a DECOMPRESS/COMPRESS round
+/// trip; a column beyond StrDict::kMaxDistinct words stays plain.
+TEST(CompressedQueryTest, DictionaryOnlyTextColumnColdPaths) {
+  constexpr int kRows = 6000;
+  std::string rows = "INSERT INTO d VALUES ";
+  Rng rng(2025);
+  for (int i = 0; i < kRows; ++i) {
+    rows += (i == 0 ? "(" : ", (") + std::to_string(i) + ", 'w" +
+            std::to_string(rng.Uniform(50)) + "', " +
+            std::to_string(rng.Uniform(1000)) + ")";
+  }
+  const std::vector<std::string> setup = {
+      "CREATE TABLE n (ntag TEXT, label INT)",
+      "INSERT INTO n VALUES ('w3', 3), ('w17', 17), ('w40', 40), "
+      "('fresh', 99), ('none', 0)",
+  };
+  const std::string dir = testutil::ProcessTempPath("mammoth_dict_text");
+  std::filesystem::remove_all(dir);
+  sql::Engine oracle;
+  auto comp = std::make_unique<sql::Engine>();
+  auto db = wal::OpenDatabase(dir, comp.get());
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  ASSERT_TRUE(oracle.Execute("CREATE TABLE d (k INT, tag TEXT, v BIGINT)")
+                  .ok());
+  ASSERT_TRUE(
+      comp->Execute("CREATE TABLE d (k INT, tag TEXT, v BIGINT) COMPRESSED")
+          .ok());
+  for (sql::Engine* e : {&oracle, comp.get()}) {
+    ASSERT_TRUE(e->Execute(rows).ok());
+    for (const std::string& q : setup) ASSERT_TRUE(e->Execute(q).ok()) << q;
+  }
+  ASSERT_TRUE(comp->Execute("ALTER TABLE d COMPRESS").ok());
+
+  // The main of `tag` holds no rows, and its heap nothing but the
+  // dictionary's words and their terminators.
+  auto dict_only = [&](const std::string& phase) {
+    auto t = comp->catalog()->Get("d");
+    ASSERT_TRUE(t.ok()) << phase;
+    const auto& dict = (*t)->StringDictColumn(1);
+    ASSERT_NE(dict, nullptr) << phase;
+    EXPECT_EQ((*t)->MainColumn(1)->Count(), 0u) << phase;
+    size_t word_bytes = 0;
+    for (uint32_t c = 0; c < dict->dsize(); ++c) {
+      word_bytes += dict->Word(c).size() + 1;
+    }
+    EXPECT_LE((*t)->MainColumn(1)->heap()->ByteSize(), word_bytes) << phase;
+    EXPECT_EQ((*t)->MainColumn(1)->heap(), dict->heap()) << phase;
+  };
+  // Both engines answer `q` alike; returns the project_full count it took.
+  auto agree = [&](const std::string& q, const std::string& phase) {
+    auto want = oracle.Execute(q, parallel::ExecContext::Serial());
+    const auto before = compress::GetKernelStats();
+    auto got = comp->Execute(q, parallel::ExecContext::Serial());
+    const uint64_t full =
+        compress::GetKernelStats().project_full - before.project_full;
+    EXPECT_TRUE(want.ok()) << q << ": " << want.status().ToString();
+    EXPECT_TRUE(got.ok()) << q << " (" << phase
+                          << "): " << got.status().ToString();
+    if (!want.ok() || !got.ok()) return full;
+    auto we = EncodeResult(*want);
+    auto ge = EncodeResult(*got);
+    EXPECT_TRUE(we.ok() && ge.ok());
+    if (we.ok() && ge.ok()) {
+      EXPECT_EQ(*ge, *we) << q << " (" << phase << ")";
+    }
+    return full;
+  };
+  auto check = [&](const std::string& phase, bool merged) {
+    for (const std::string& q : DictCodeSpaceQueries()) {
+      EXPECT_EQ(agree(q, phase), 0u) << q << " decoded (" << phase << ")";
+    }
+    for (const std::string& q : DictColdQueries()) {
+      const uint64_t full = agree(q, phase);
+      if (merged) {
+        EXPECT_GT(full, 0u) << q << " decoded nothing (" << phase << ")";
+      }
+    }
+  };
+  auto both = [&](const std::string& sql) {
+    ASSERT_TRUE(oracle.Execute(sql).ok()) << sql;
+    ASSERT_TRUE(comp->Execute(sql).ok()) << sql;
+  };
+
+  dict_only("after COMPRESS");
+  check("after COMPRESS", true);
+
+  // UPDATE `tag` to a word the dictionary lacks (it interns into the
+  // dictionary's heap) and another column of rows selected by `tag`.
+  both("UPDATE d SET tag = 'fresh' WHERE k < 20");
+  both("UPDATE d SET v = 7 WHERE tag = 'w5'");
+  check("after UPDATE", false);
+
+  both("DELETE FROM d WHERE k >= 150 AND k < 300");
+  check("after DELETE", false);
+
+  ASSERT_TRUE(comp->Execute("CHECKPOINT").ok());
+  dict_only("after CHECKPOINT");
+  check("after CHECKPOINT", true);
+
+  // Reopen from the checkpoint: load keeps the dictionary as the image.
+  db->wal.reset();
+  comp = std::make_unique<sql::Engine>();
+  db = wal::OpenDatabase(dir, comp.get());
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  dict_only("after reopen");
+  check("after reopen", true);
+
+  ASSERT_TRUE(comp->Execute("ALTER TABLE d DECOMPRESS").ok());
+  {
+    auto t = comp->catalog()->Get("d");
+    ASSERT_TRUE(t.ok());
+    EXPECT_EQ((*t)->StringDictColumn(1), nullptr);
+    EXPECT_EQ((*t)->MainColumn(1)->Count(), (*t)->VisibleRowCount());
+  }
+  for (const auto* qs : {&DictCodeSpaceQueries(), &DictColdQueries()}) {
+    for (const std::string& q : *qs) agree(q, "after DECOMPRESS");
+  }
+  ASSERT_TRUE(comp->Execute("ALTER TABLE d COMPRESS").ok());
+  dict_only("after COMPRESS again");
+  check("after COMPRESS again", true);
+  db->wal.reset();
+  std::filesystem::remove_all(dir);
+
+  // Beyond kMaxDistinct words the column stays plain.
+  const size_t distinct = compress::StrDict::kMaxDistinct + 1;
+  BatPtr keys = Bat::New(PhysType::kInt32);
+  BatPtr words = Bat::NewString(nullptr);
+  for (size_t i = 0; i < distinct; ++i) {
+    keys->Append<int32_t>(static_cast<int32_t>(i));
+    words->AppendString("u" + std::to_string(i));
+  }
+  auto wide = Table::FromColumns(
+      "wide", {{"k", PhysType::kInt32}, {"s", PhysType::kStr}}, {keys, words});
+  ASSERT_TRUE(wide.ok());
+  sql::Engine plain_wide, comp_wide;
+  ASSERT_TRUE(plain_wide.catalog()->Register((*wide)->Snapshot()).ok());
+  ASSERT_TRUE(comp_wide.catalog()->Register(*wide).ok());
+  ASSERT_TRUE(comp_wide.Execute("ALTER TABLE wide COMPRESS").ok());
+  EXPECT_EQ((*wide)->StringDictColumn(1), nullptr);
+  EXPECT_EQ((*wide)->MainColumn(1)->Count(), distinct);
+  for (const std::string q :
+       {"SELECT k FROM wide WHERE s = 'u65536'",
+        "SELECT COUNT(*) FROM wide WHERE s LIKE 'u1%'",
+        "SELECT k, s FROM wide WHERE k >= 65000 AND k <= 65010"}) {
+    auto want = plain_wide.Execute(q, parallel::ExecContext::Serial());
+    auto got = comp_wide.Execute(q, parallel::ExecContext::Serial());
+    ASSERT_TRUE(want.ok() && got.ok()) << q;
+    auto we = EncodeResult(*want);
+    auto ge = EncodeResult(*got);
+    ASSERT_TRUE(we.ok() && ge.ok());
+    EXPECT_EQ(*ge, *we) << q;
+  }
 }
 
 // ----------------------------------------------------------- shared path --

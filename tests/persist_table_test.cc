@@ -7,6 +7,7 @@
 #include "core/table.h"
 #include "sql/engine.h"
 #include "wal/db.h"
+#include "test_dirs.h"
 
 namespace mammoth {
 namespace {
@@ -14,8 +15,9 @@ namespace {
 class TablePersistTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "/mammoth_db_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    dir_ = testutil::ProcessTempPath(
+        std::string("mammoth_db_") +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name());
     std::filesystem::remove_all(dir_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "server/client.h"
+#include "test_dirs.h"
 
 namespace mammoth::repl {
 namespace {
@@ -134,7 +135,7 @@ TEST(ReplFailoverTest, Kill9ThenPromoteLosesNoAckedWrite) {
     GTEST_SKIP() << "mammoth_server binary not found "
                     "(set MAMMOTH_SERVER_BIN)";
   }
-  const std::string dir = ::testing::TempDir() + "/mammoth_failover";
+  const std::string dir = testutil::ProcessTempPath("mammoth_failover");
   fs::remove_all(dir);
 
   // Primary: durable, small checkpoint trigger so the storm crosses
@@ -248,7 +249,7 @@ TEST(ReplFailoverTest, Kill9ThenPromoteKeepsTxnsAtomic) {
     GTEST_SKIP() << "mammoth_server binary not found "
                     "(set MAMMOTH_SERVER_BIN)";
   }
-  const std::string dir = ::testing::TempDir() + "/mammoth_failover_txn";
+  const std::string dir = testutil::ProcessTempPath("mammoth_failover_txn");
   fs::remove_all(dir);
 
   ServerProcess primary = LaunchServer(

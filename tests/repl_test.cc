@@ -27,6 +27,7 @@
 #include "sql/engine.h"
 #include "wal/db.h"
 #include "wal/record.h"
+#include "test_dirs.h"
 
 namespace mammoth::repl {
 namespace {
@@ -222,8 +223,9 @@ using server::ServerConfig;
 class ReplTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "/mammoth_repl_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    dir_ = testutil::ProcessTempPath(
+        std::string("mammoth_repl_") +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name());
     fs::remove_all(dir_);
   }
   void TearDown() override {

@@ -18,6 +18,7 @@
 #include "core/persist.h"
 #include "mal/parser.h"
 #include "sql/engine.h"
+#include "test_dirs.h"
 
 namespace mammoth {
 namespace {
@@ -290,7 +291,6 @@ TEST(CompressFuzzTest, RandomRangesAndGathersMatchDecode) {
 
 TEST(PersistFuzzTest, RandomBatsRoundTripAllTypes) {
   Rng rng(45);
-  const std::string dir = ::testing::TempDir();
   for (int round = 0; round < 20; ++round) {
     const auto type = static_cast<PhysType>(rng.Uniform(9));
     BatPtr b;
@@ -310,7 +310,8 @@ TEST(PersistFuzzTest, RandomBatsRoundTripAllTypes) {
     }
     b->set_hseqbase(rng.Uniform(1000));
     const std::string path =
-        dir + "/fuzz_bat_" + std::to_string(round) + ".mbat";
+        testutil::ProcessTempPath("fuzz_bat_" + std::to_string(round)) +
+        ".mbat";
     ASSERT_TRUE(SaveBat(*b, path).ok());
     for (bool mmap : {false, true}) {
       auto back = mmap ? MapBat(path) : LoadBat(path);

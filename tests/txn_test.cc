@@ -557,5 +557,138 @@ TEST(TxnConcurrencyTest, DeltaAwareReadsUnderConcurrentInserts) {
             main_sum + prefix_sum[0][kInserts] + prefix_sum[1][kInserts]);
 }
 
+/// The dictionary counterpart of DeltaAwareReadsUnderConcurrentInserts:
+/// `tag` is a dictionary-only TEXT column, and writers insert words the
+/// dictionary lacks, so every insert interns into the heap that the
+/// dictionary built and readers' projections point into. Readers run
+/// `tag =` (main rows only), `LIKE` (delta rows only) and a projection of
+/// `tag` over main and delta rows; the projected strings are checked once
+/// the writers are done, when the heap no longer grows.
+TEST(TxnConcurrencyTest, DeltaAwareDictTextReadsUnderConcurrentInserts) {
+  constexpr int kMainRows = 8192;
+  constexpr int kWriters = 2;
+  constexpr int kInserts = 40;
+  constexpr int kReaders = 4;
+  constexpr int kRounds = 30;
+  constexpr int kWriterKey = 100000;
+  constexpr int kTail = 64;  // main rows the projection reads
+  auto main_word = [](int k) { return "m" + std::to_string(k % 10); };
+  auto writer_word = [](int k) {
+    return "x" + std::to_string((k - kWriterKey) / kInserts) + "_" +
+           std::to_string((k - kWriterKey) % kInserts);
+  };
+
+  Engine engine;
+  scan::SharedScanConfig config;
+  config.min_share_rows = 1024;
+  scan::SharedScanScheduler sched(config);
+  engine.AttachSharedScans(&sched);
+  ASSERT_TRUE(
+      engine.Execute("CREATE TABLE f (k INT, tag TEXT) COMPRESSED").ok());
+  std::string rows = "INSERT INTO f VALUES ";
+  int64_t m3 = 0;
+  for (int i = 0; i < kMainRows; ++i) {
+    rows += (i == 0 ? "(" : ", (") + std::to_string(i) + ", '" +
+            main_word(i) + "')";
+    m3 += i % 10 == 3 ? 1 : 0;
+  }
+  ASSERT_TRUE(engine.Execute(rows).ok());
+  ASSERT_TRUE(engine.Execute("ALTER TABLE f COMPRESS").ok());
+  auto table = engine.catalog()->Get("f");
+  ASSERT_TRUE(table.ok());
+  ASSERT_NE((*table)->StringDictColumn(1), nullptr);
+  ASSERT_EQ((*table)->MainColumn(1)->Count(), 0u);
+
+  auto scalar = [&](const SessionPtr& s, const std::string& sql,
+                    const parallel::ExecContext& ctx) -> int64_t {
+    auto res = engine.ExecuteSession(s, sql, ctx);
+    EXPECT_TRUE(res.ok()) << sql << ": " << res.status().ToString();
+    return res.ok() && res->RowCount() == 1
+               ? res->columns[0]->ValueAt<int64_t>(0)
+               : -1;
+  };
+
+  std::atomic<int> writers_left{kWriters};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      for (int i = 0; i < kInserts; ++i) {
+        const int k = kWriterKey + w * kInserts + i;
+        auto r = engine.Execute("INSERT INTO f VALUES (" + std::to_string(k) +
+                                ", '" + writer_word(k) + "')");
+        EXPECT_TRUE(r.ok()) << r.status().ToString();
+      }
+      --writers_left;
+    });
+  }
+  // Each reader keeps its projections to check after the writers finish.
+  std::vector<std::vector<mal::QueryResult>> kept(kReaders);
+  for (int r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&, r] {
+      SessionPtr s = engine.CreateSession();
+      parallel::TaskPool pool(r % 2 == 0 ? 1 : 2);
+      const parallel::ExecContext ctx(&pool);
+      const bool snapshot = r % 2 == 1;
+      int64_t last_new = 0;
+      for (int round = 0; round < kRounds || writers_left.load() > 0;
+           ++round) {
+        if (snapshot) {
+          ASSERT_TRUE(engine.ExecuteSession(s, "BEGIN").ok());
+        }
+        // Main rows only: the writers never insert an `m` word.
+        EXPECT_EQ(scalar(s, "SELECT COUNT(*) FROM f WHERE tag = 'm3'", ctx),
+                  m3);
+        // Delta rows only: every committed writer row so far.
+        const int64_t fresh =
+            scalar(s, "SELECT COUNT(*) FROM f WHERE tag LIKE 'x%'", ctx);
+        EXPECT_TRUE(fresh >= 0 && fresh <= kWriters * kInserts) << fresh;
+        auto proj = engine.ExecuteSession(
+            s,
+            "SELECT k, tag FROM f WHERE k >= " +
+                std::to_string(kMainRows - kTail),
+            ctx);
+        ASSERT_TRUE(proj.ok()) << proj.status().ToString();
+        // The tail of the main rows plus the writer rows the statement
+        // sees: the ones the LIKE saw in a snapshot, at least those
+        // otherwise.
+        const int64_t projected = static_cast<int64_t>(proj->RowCount());
+        if (snapshot) {
+          EXPECT_EQ(projected, kTail + fresh);
+        } else {
+          EXPECT_GE(projected, kTail + fresh);
+          EXPECT_LE(projected, kTail + kWriters * kInserts);
+        }
+        if (snapshot) {
+          ASSERT_TRUE(engine.ExecuteSession(s, "COMMIT").ok());
+        } else {
+          // Each statement reads the latest commit: never fewer rows.
+          EXPECT_GE(fresh, last_new);
+          last_new = fresh;
+        }
+        kept[r].push_back(*std::move(proj));
+        std::this_thread::sleep_for(std::chrono::microseconds(500));
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  // The heap is quiet now: every kept projection names the right words.
+  for (const auto& results : kept) {
+    for (const mal::QueryResult& res : results) {
+      ASSERT_EQ(res.columns.size(), 2u);
+      for (size_t i = 0; i < res.RowCount(); ++i) {
+        const int k = res.columns[0]->ValueAt<int32_t>(i);
+        EXPECT_EQ(res.columns[1]->StringAt(i),
+                  k < kMainRows ? main_word(k) : writer_word(k))
+            << "k " << k;
+      }
+    }
+  }
+  EXPECT_EQ(scalar(engine.CreateSession(),
+                   "SELECT COUNT(*) FROM f WHERE tag LIKE 'x%'",
+                   parallel::ExecContext::Serial()),
+            kWriters * kInserts);
+}
+
 }  // namespace
 }  // namespace mammoth::sql

@@ -32,6 +32,7 @@
 #include "core/table.h"
 #include "server/client.h"
 #include "wal/db.h"
+#include "test_dirs.h"
 
 namespace mammoth::wal {
 namespace {
@@ -131,7 +132,7 @@ TEST(WalCrashTest, Kill9MidCommitStormKeepsEveryAckedCommit) {
     GTEST_SKIP() << "mammoth_server binary not found "
                     "(set MAMMOTH_SERVER_BIN)";
   }
-  const std::string dir = ::testing::TempDir() + "/mammoth_crash_storm";
+  const std::string dir = testutil::ProcessTempPath("mammoth_crash_storm");
   fs::remove_all(dir);
 
   ServerProcess proc = LaunchServer(binary, dir);
@@ -246,7 +247,7 @@ TEST(WalCrashTest, Kill9MidTxnStormCommitsAreAtomic) {
     GTEST_SKIP() << "mammoth_server binary not found "
                     "(set MAMMOTH_SERVER_BIN)";
   }
-  const std::string dir = ::testing::TempDir() + "/mammoth_crash_txn";
+  const std::string dir = testutil::ProcessTempPath("mammoth_crash_txn");
   fs::remove_all(dir);
 
   ServerProcess proc = LaunchServer(binary, dir);

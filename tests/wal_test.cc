@@ -26,6 +26,7 @@
 #include "wal/record.h"
 #include "wal/wal.h"
 #include "wal/wal_file.h"
+#include "test_dirs.h"
 
 namespace mammoth::wal {
 namespace {
@@ -35,8 +36,9 @@ namespace fs = std::filesystem;
 class WalTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "/mammoth_wal_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    dir_ = testutil::ProcessTempPath(
+        std::string("mammoth_wal_") +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name());
     fs::remove_all(dir_);
   }
   void TearDown() override { fs::remove_all(dir_); }
