@@ -31,7 +31,6 @@
 #include "core/table.h"
 #include "parallel/exec_context.h"
 #include "parallel/task_pool.h"
-#include "scan/shared_scan.h"
 #include "sql/engine.h"
 #include "vector/pipeline.h"
 #include "workloads.h"
@@ -531,15 +530,16 @@ BENCHMARK(BM_StrProjectScatteredPlainKernel1000)
 
 // ---------------------------------------------------------- end-to-end --
 // Compression as an execution path, measured through the whole engine:
-// 8 closed-loop sessions each run 4 queries (a 32-scan mix over four
-// columns with different codec affinities) against one sql::Engine with
-// a SharedScanScheduler attached — once over plain storage, once after
-// ALTER TABLE ... COMPRESS. Counters report the physical work per query:
-// bytes_per_query (chunk-load bytes: tail bytes when plain, pro-rated
-// codec bytes when compressed) and loads_per_query (driven chunk loads
-// plus direct passes), so the compressed variant's byte reduction is the
-// end-to-end I/O win. MAMMOTH_BENCH_ROWS overrides the table size
-// (default 32 morsels of 64Ki rows).
+// 8 closed-loop threads, each on its own session, run 4 queries each (a
+// 32-scan mix over four columns with different codec affinities) against
+// one sql::Engine — once over plain storage, once after ALTER TABLE ...
+// COMPRESS. Counters come from compress::KernelStats and report which
+// route the work took: direct_select_ratio (selects answered on the
+// compressed image: code space or binary search, against chunk-wise
+// decodes), decoded_bytes_per_query (bytes the bounded projection
+// decodes produced) and full_decodes_per_query (whole-column decodes);
+// all read 0 over plain storage. MAMMOTH_BENCH_ROWS overrides the table
+// size (default 32 morsels of 64Ki rows).
 
 constexpr size_t kMixChunkRows = size_t{1} << 16;
 
@@ -620,26 +620,23 @@ void EndToEndScanMix(benchmark::State& state, bool compressed) {
     state.SkipWithError("compress failed");
     return;
   }
-  scan::SharedScanConfig cfg;
-  cfg.min_share_rows = kMixChunkRows;
-  scan::SharedScanScheduler sched(cfg);
-  engine.AttachSharedScans(&sched);
   parallel::TaskPool pool(parallel::DefaultThreadCount());
   parallel::ExecContext ctx(&pool);
   const size_t nrows = MixRows();
+  std::vector<sql::SessionPtr> sessions;
+  for (int t = 0; t < kThreads; ++t) sessions.push_back(engine.CreateSession());
 
   std::atomic<bool> failed{false};
   int64_t total_queries = 0;
-  uint64_t bytes = 0;
-  uint64_t loads = 0;
+  const compress::KernelStats before = compress::GetKernelStats();
   for (auto _ : state) {
-    const scan::SharedScanStats before = sched.stats();
     const auto start = std::chrono::steady_clock::now();
     std::vector<std::thread> threads;
     for (int t = 0; t < kThreads; ++t) {
       threads.emplace_back([&, t] {
         for (int q = 0; q < kQueriesPerThread; ++q) {
-          if (!engine.Execute(MixQuery(t + q, nrows), ctx).ok()) {
+          if (!engine.ExecuteSession(sessions[t], MixQuery(t + q, nrows), ctx)
+                   .ok()) {
             failed.store(true);
           }
         }
@@ -650,20 +647,26 @@ void EndToEndScanMix(benchmark::State& state, bool compressed) {
                                std::chrono::steady_clock::now() - start)
                                .count());
     total_queries += kThreads * kQueriesPerThread;
-    const scan::SharedScanStats after = sched.stats();
-    bytes += after.bytes_loaded - before.bytes_loaded;
-    loads += (after.chunks_loaded - before.chunks_loaded) +
-             (after.chunks_direct - before.chunks_direct);
   }
+  const compress::KernelStats after = compress::GetKernelStats();
   if (failed.load()) state.SkipWithError("query failed");
 
   const double queries = static_cast<double>(total_queries);
+  const auto per_query = [&](uint64_t n) {
+    return total_queries == 0 ? 0.0 : static_cast<double>(n) / queries;
+  };
+  const uint64_t direct = after.selects_direct - before.selects_direct;
+  const uint64_t selects =
+      direct + after.selects_fallback - before.selects_fallback;
   state.counters["qps"] = benchmark::Counter(
       static_cast<double>(total_queries), benchmark::Counter::kIsRate);
-  state.counters["bytes_per_query"] =
-      total_queries == 0 ? 0.0 : static_cast<double>(bytes) / queries;
-  state.counters["loads_per_query"] =
-      total_queries == 0 ? 0.0 : static_cast<double>(loads) / queries;
+  state.counters["direct_select_ratio"] =
+      selects == 0 ? 0.0
+                   : static_cast<double>(direct) / static_cast<double>(selects);
+  state.counters["decoded_bytes_per_query"] = per_query(
+      after.project_bounded_bytes - before.project_bounded_bytes);
+  state.counters["full_decodes_per_query"] =
+      per_query(after.project_full - before.project_full);
   const auto cs = engine.compression_stats();
   state.counters["storage_ratio"] =
       cs.compressed_bytes == 0

@@ -154,12 +154,12 @@ BENCHMARK(BM_ServerThroughput)
     ->Unit(benchmark::kMillisecond);
 
 // Scan-heavy mix: every query is a wide range scan over one big table,
-// so concurrent sessions pile onto the same column pass and the server's
-// shared-scan scheduler (§5) gets to merge them. Reports the physical
-// chunk loads per query alongside qps so the sharing win is visible in
-// BENCH_server_throughput.json (loads_per_query should shrink as the
-// client count grows; compare bench_shared_scan.cc for the in-process
-// version of the same sweep).
+// stored plain (second arg 0) or after ALTER TABLE ... COMPRESS (1).
+// Besides qps it reports, from compress::KernelStats, which route the
+// selects took over the compressed table: direct_select_ratio (answered
+// on the compressed image against decoded chunk by chunk) and
+// full_decodes_per_query (whole-column decodes). Both read 0 over plain
+// storage.
 
 mammoth::TablePtr BigScanTable(size_t nrows) {
   using namespace mammoth;
@@ -191,6 +191,7 @@ std::string ScanHeavyQuery(int i) {
 
 void BM_ServerScanHeavy(benchmark::State& state) {
   const int clients = static_cast<int>(state.range(0));
+  const bool compressed = state.range(1) != 0;
   constexpr int kQueriesPerClient = 4;
   constexpr size_t kChunkRows = size_t{1} << 16;
 
@@ -198,13 +199,17 @@ void BM_ServerScanHeavy(benchmark::State& state) {
   config.max_sessions = clients + 4;
   config.admission.max_inflight = 8;
   config.admission.queue_timeout_ms = 60000;
-  config.shared_scan.min_share_rows = kChunkRows;
   server::Server server(config);
   if (!server.engine()
            ->catalog()
            ->Register(BigScanTable(16 * kChunkRows + 321))
            .ok()) {
     state.SkipWithError("register failed");
+    return;
+  }
+  if (compressed &&
+      !server.engine()->Execute("ALTER TABLE metrics_big COMPRESS").ok()) {
+    state.SkipWithError("compress failed");
     return;
   }
   if (!server.Start().ok()) {
@@ -225,9 +230,8 @@ void BM_ServerScanHeavy(benchmark::State& state) {
 
   std::atomic<bool> failed{false};
   int64_t total_queries = 0;
-  uint64_t loads = 0;
+  const compress::KernelStats before = server.stats().compressed_kernels;
   for (auto _ : state) {
-    const auto before = server.stats().shared_scans;
     const auto start = std::chrono::steady_clock::now();
     std::vector<std::thread> threads;
     for (int t = 0; t < clients; ++t) {
@@ -245,25 +249,28 @@ void BM_ServerScanHeavy(benchmark::State& state) {
                                       start)
             .count());
     total_queries += static_cast<int64_t>(clients) * kQueriesPerClient;
-    const auto after = server.stats().shared_scans;
-    loads += (after.chunks_loaded - before.chunks_loaded) +
-             (after.chunks_direct - before.chunks_direct);
   }
+  const compress::KernelStats after = server.stats().compressed_kernels;
   if (failed.load()) state.SkipWithError("query failed");
 
+  const uint64_t direct = after.selects_direct - before.selects_direct;
+  const uint64_t selects =
+      direct + after.selects_fallback - before.selects_fallback;
   state.counters["qps"] = benchmark::Counter(
       static_cast<double>(total_queries), benchmark::Counter::kIsRate);
-  state.counters["loads_per_query"] =
+  state.counters["direct_select_ratio"] =
+      selects == 0 ? 0.0
+                   : static_cast<double>(direct) / static_cast<double>(selects);
+  state.counters["full_decodes_per_query"] =
       total_queries == 0
           ? 0.0
-          : static_cast<double>(loads) / static_cast<double>(total_queries);
+          : static_cast<double>(after.project_full - before.project_full) /
+                static_cast<double>(total_queries);
   state.counters["clients"] = clients;
 }
 
 BENCHMARK(BM_ServerScanHeavy)
-    ->Arg(1)
-    ->Arg(4)
-    ->Arg(16)
+    ->ArgsProduct({{1, 4, 16}, {0, 1}})
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
 

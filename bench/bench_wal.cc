@@ -2,9 +2,12 @@
 // group commit buys back under concurrency.
 //
 // BM_WalCommit sweeps concurrent committers 1..32 with group commit on
-// and off. Every committer drives single-row INSERTs through one durable
-// sql::Engine, so the measured path is the real one: parse, delta
-// append, WAL append under the exclusive lock, fsync wait after it.
+// and off. Every committer drives single-row INSERTs on its own session
+// of one durable sql::Engine, so the measured path is the real one:
+// parse, delta append, WAL append under the exclusive lock, fsync wait
+// after it. (Execute() would put every committer on the engine's one
+// default session, which runs its statements one at a time, so no two
+// commits could ever share an fsync.)
 // Counters: commits/s, fsyncs_per_commit (the group-commit headline —
 // well below 1 with batching, ~1 without), p50/p99 commit latency.
 //
@@ -56,6 +59,8 @@ void BM_WalCommit(benchmark::State& state) {
     return;
   }
 
+  std::vector<sql::SessionPtr> sessions;
+  for (int t = 0; t < writers; ++t) sessions.push_back(engine.CreateSession());
   std::vector<double> latencies_ms;
   std::atomic<bool> failed{false};
   std::atomic<int64_t> next_value{0};
@@ -71,8 +76,8 @@ void BM_WalCommit(benchmark::State& state) {
           const int64_t v = next_value.fetch_add(1);
           const auto q0 = std::chrono::steady_clock::now();
           if (!engine
-                   .Execute("INSERT INTO t VALUES (" + std::to_string(v) +
-                            ")")
+                   .ExecuteSession(sessions[t], "INSERT INTO t VALUES (" +
+                                                    std::to_string(v) + ")")
                    .ok()) {
             failed.store(true);
           }

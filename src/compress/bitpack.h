@@ -74,9 +74,12 @@ inline U UnpackAt(const uint8_t* src, size_t bitpos) {
 /// kBits bytes, so from the first row that is a multiple of 8 on, values
 /// unpack in groups of eight whose byte offsets and shifts are all
 /// constants. Byte-aligned widths (8 and 16, the common dictionary-code
-/// widths) are plain widening copies.
+/// widths) are plain widening copies. Cache-line aligned so that the
+/// loop's speed does not depend on where unrelated code puts it (see
+/// SelectCodes in compressed_kernels.cc).
 template <typename U, int kBits>
-void UnpackFixed(const uint8_t* src, size_t from, size_t n, U* out) {
+__attribute__((aligned(64))) void UnpackFixed(const uint8_t* src, size_t from,
+                                              size_t n, U* out) {
   if constexpr (kBits == 0) {
     std::memset(out, 0, n * sizeof(U));
   } else if constexpr (kBits == 8) {

@@ -20,15 +20,15 @@ const char* CodecName(Codec c);
 /// stream is the column's only image. Nothing decodes the column and
 /// keeps the result: every read decodes just the rows it touches into
 /// memory that lives for one call — a row range (DecodeRange, the
-/// vector-at-a-time entry point that shared scans and dense projections
-/// use), a list of rows (Gather, for scattered candidates), or, on cold
-/// paths, the whole column into a fresh BAT (Decode).
+/// vector-at-a-time entry point that chunk-wise selects and dense
+/// projections use), a list of rows (Gather, for scattered candidates),
+/// or, on cold paths, the whole column into a fresh BAT (Decode).
 ///
 /// Supported tail types: kInt32 (all codecs) and kInt64 (PFOR,
 /// PFOR-DELTA, RLE). Anything else yields a typed kUnsupported error.
 ///
 /// Alongside the byte stream the column keeps per-block min/max statistics
-/// (blocks of kStatBlockRows rows, aligned with the shared-scan morsel
+/// (blocks of kStatBlockRows rows, aligned with the TaskPool morsel
 /// grain) that double as a zone map: block skipping over a compressed
 /// column never needs to decompress the skipped blocks. It also keeps the
 /// small derived indexes that give each codec random access, built once

@@ -41,8 +41,9 @@ bool AggregatableOnCompressed(const CompressedBat& comp);
 /// --- Selects -----------------------------------------------------------
 /// Evaluates the predicate over rows [begin, end) of the column and
 /// returns the matching OIDs (`hseq` + row) ascending, stamped exactly
-/// like a scan select result. `begin`/`end` let shared-scan chunks run the
-/// kernel per chunk; whole-column callers pass (0, comp.Count()).
+/// like a scan select result. `begin`/`end` select a window of rows
+/// (adjacent windows concatenate to the whole-column result); whole-column
+/// callers pass (0, comp.Count()).
 Result<BatPtr> CompressedThetaSelectRange(const CompressedBat& comp,
                                           const Value& v, CmpOp op,
                                           size_t begin, size_t end, Oid hseq);

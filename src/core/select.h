@@ -32,8 +32,8 @@ Result<BatPtr> RangeSelect(
 
 /// Stamps the properties every materialized select result carries:
 /// ascending, pairwise-distinct OIDs. Every select route (these kernels,
-/// the code-space kernels, shared-scan assembly) stamps through this one
-/// function, so routes agree on properties as well as values.
+/// the code-space kernels, the scan layer's chunk assembly) stamps
+/// through this one function, so routes agree on properties as well as values.
 void StampSelectResult(const BatPtr& r);
 
 }  // namespace mammoth::algebra

@@ -1,27 +1,13 @@
 #include "core/table.h"
 
 #include <algorithm>
-#include <atomic>
 
 #include "core/dispatch.h"
 
 namespace mammoth {
 
-namespace {
-
-/// Main epochs are unique across tables, so a table recreated under an
-/// old name never matches a cache entry of its predecessor.
-uint64_t NextMainEpoch() {
-  static std::atomic<uint64_t> next{1};
-  return next.fetch_add(1, std::memory_order_relaxed);
-}
-
-}  // namespace
-
 Table::Table(std::string name, std::vector<ColumnDef> schema)
-    : name_(std::move(name)),
-      schema_(std::move(schema)),
-      main_epoch_(NextMainEpoch()) {
+    : name_(std::move(name)), schema_(std::move(schema)) {
   mains_.reserve(schema_.size());
   compressed_.resize(schema_.size());
   str_dicts_.resize(schema_.size());
@@ -83,7 +69,6 @@ Result<TablePtr> Table::FromColumns(std::string name,
     t->mains_[i] = std::move(columns[i]);
     t->ResetDelta(i);
   }
-  t->main_epoch_ = NextMainEpoch();
   return t;
 }
 
@@ -306,7 +291,6 @@ Status Table::MergeDeltas() {
   commit_history_.clear();
   ++all_visible_version_;
   ++version_;
-  main_epoch_ = NextMainEpoch();
   return Status::OK();
 }
 
@@ -348,7 +332,6 @@ TablePtr Table::Snapshot() const {
   snap->commit_history_ = commit_history_;
   snap->all_visible_version_ = all_visible_version_;
   snap->version_ = version_;
-  snap->main_epoch_ = main_epoch_;
   return snap;
 }
 
@@ -375,7 +358,6 @@ Status Table::SetCompression(bool on) {
   // and the representation they bound to; be conservative.
   ++all_visible_version_;
   ++version_;
-  main_epoch_ = NextMainEpoch();
   return Status::OK();
 }
 
@@ -545,7 +527,6 @@ Result<TablePtr> Table::FromStorage(
     t->ResetDelta(i);
   }
   t->compress_policy_ = policy;
-  t->main_epoch_ = NextMainEpoch();
   return t;
 }
 

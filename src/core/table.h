@@ -238,13 +238,6 @@ class Table {
   /// caches key on VisibleStateKey instead.
   uint64_t version() const { return version_; }
 
-  /// Identity of the main image (every column's mains_/compressed_/
-  /// str_dicts_ entry): a process-unique value that changes only when the
-  /// main image is replaced — at load, MergeDeltas and SetCompression.
-  /// Inserts and deletes leave it alone, so caches over the main image
-  /// (shared-scan passes, zone maps, decode buffers) survive them.
-  uint64_t main_epoch() const { return main_epoch_; }
-
  private:
   Table(std::string name, std::vector<ColumnDef> schema);
 
@@ -292,7 +285,6 @@ class Table {
   uint64_t all_visible_version_ = 0;
   bool compress_policy_ = false;
   uint64_t version_ = 0;
-  uint64_t main_epoch_;
 };
 
 }  // namespace mammoth

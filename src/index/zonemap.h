@@ -35,8 +35,7 @@ class ZoneMap {
   size_t block_rows() const { return block_rows_; }
 
   /// Per-block summaries in canonical 64-bit, for callers that prune with
-  /// predicates richer than a [lo, hi] range (e.g. the shared-scan
-  /// scheduler's per-consumer chunk skipping).
+  /// predicates richer than a [lo, hi] range.
   int64_t BlockMin(size_t block) const { return mins_[block]; }
   int64_t BlockMax(size_t block) const { return maxs_[block]; }
 

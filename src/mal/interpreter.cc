@@ -43,14 +43,6 @@ struct Rt {
   BatPtr delta;
   Value scalar;
   uint64_t sig = 0;
-  /// Base-table provenance, set by kBind (and only kBind): marks the main
-  /// image as a whole base column, which makes a downstream full-column
-  /// select eligible for the shared-scan path. `bind` points into the
-  /// program's instruction list (stable for the run).
-  const Instr* bind = nullptr;
-  /// The table's main epoch: keys shared passes and zone maps, and stays
-  /// put while inserts pile up in the delta.
-  uint64_t main_epoch = 0;
 };
 
 uint64_t HashValue(const Value& v) {
@@ -119,8 +111,7 @@ Status MissingOperand(const char* what) {
 /// Validates the BAT operand and makes it one plain BAT: a compressed or
 /// dictionary main image decodes whole into the slot (the decode lives as
 /// long as the query's slot does), and pending inserts append to a copy
-/// (ConcatColumn). A slot merged with its delta is no longer a base-column
-/// bind: its image is not the one the main epoch names.
+/// (ConcatColumn).
 Status NeedBat(std::vector<Rt>& vars, int id, const char* what) {
   if (!HasImage(vars, id)) return MissingOperand(what);
   Rt& v = vars[id];
@@ -133,7 +124,6 @@ Status NeedBat(std::vector<Rt>& vars, int id, const char* what) {
     v.delta = nullptr;
     v.cbat = nullptr;
     v.sdict = nullptr;
-    v.bind = nullptr;
   }
   return Status::OK();
 }
@@ -141,8 +131,7 @@ Status NeedBat(std::vector<Rt>& vars, int id, const char* what) {
 /// Whether `cands` filters nothing: absent, or a dense list spanning every
 /// row of a column of `count` rows headed at `hseq` (what
 /// Table::VisibleCandidates yields for a main image without deletes).
-/// Such a select is a full-column scan and may be routed through the
-/// shared-scan scheduler.
+/// Such a select is a whole-column scan.
 bool CoversWholeColumn(const BatPtr& cands, size_t count, Oid hseq) {
   return cands == nullptr ||
          (cands->IsDenseTail() && cands->Count() == count &&
@@ -158,23 +147,17 @@ scan::ColumnSource SourceOf(const Rt& in) {
 }
 
 /// A select over the main image of slot `in`. When `cands` filters
-/// nothing (and `whole` allows it) it reads every row: through the
-/// scheduler's shared pass when one is attached and the slot is a
-/// base-table bind, else the scan layer's direct entry point; either one
-/// picks code space, binary search or chunk-wise decode-then-kernel for
-/// the image. Otherwise the kernel runs over the candidates: a dictionary
-/// slot unpacks just their codes, and a compressed-only slot decodes whole
-/// first (counted as a fallback; the decode stays in the slot for the
-/// rest of the query).
+/// nothing (and `whole` allows it) it reads every row through the scan
+/// layer's whole-column entry point, which picks code space, binary
+/// search or chunk-wise decode-then-kernel for the image. Otherwise the
+/// kernel runs over the candidates: a dictionary slot unpacks just their
+/// codes, and a compressed-only slot decodes whole first (counted as a
+/// fallback; the decode stays in the slot for the rest of the query).
 Result<BatPtr> SelectMain(Rt& in, const BatPtr& cands,
                           const scan::ScanPredicate& pred, bool whole,
                           const parallel::ExecContext& ctx) {
   const scan::ColumnSource src = SourceOf(in);
   if (whole && CoversWholeColumn(cands, src.Count(), src.hseqbase)) {
-    if (ctx.shared_scans() != nullptr && in.bind != nullptr) {
-      return ctx.shared_scans()->Select(src, in.bind->table, in.bind->column,
-                                        in.main_epoch, pred, ctx);
-    }
     return scan::RunKernelSource(src, pred, ctx);
   }
   if (src.sdict != nullptr) {
@@ -189,9 +172,9 @@ Result<BatPtr> SelectMain(Rt& in, const BatPtr& cands,
 
 /// A select over slot `in`. With pending inserts the sorted candidates
 /// cut at the delta's head: the main half goes through SelectMain — so
-/// shared passes, zone maps and code space still apply — and the delta
-/// half through the stock kernel. Every delta OID follows every main OID,
-/// so the two sorted results simply concatenate.
+/// code space and binary search still apply — and the delta half through
+/// the stock kernel. Every delta OID follows every main OID, so the two
+/// sorted results simply concatenate.
 Result<BatPtr> SelectSlot(std::vector<Rt>& vars, int id, const BatPtr& cands,
                           const scan::ScanPredicate& pred, bool whole,
                           const parallel::ExecContext& ctx) {
@@ -325,8 +308,6 @@ Result<QueryResult> Interpreter::Run(const Program& program, RunStats* stats) {
                       : t->MainColumn(idx);
         const BatPtr& delta = t->DeltaColumn(idx);
         out.delta = delta->empty() ? nullptr : delta;
-        out.bind = &ins;
-        out.main_epoch = t->main_epoch();
         // Signatures key on the *snapshot-visible* state, not the physical
         // version: rows another transaction appended but this snapshot
         // cannot see leave the key — and hence every cached downstream

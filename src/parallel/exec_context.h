@@ -5,7 +5,7 @@
 #include "parallel/task_pool.h"
 
 namespace mammoth::scan {
-class SharedScanScheduler;  // parallel/ cannot depend on scan/ headers
+class SharedScanScheduler;  // WithSharedScans only; see below
 }  // namespace mammoth::scan
 
 namespace mammoth::parallel {
@@ -47,24 +47,14 @@ class ExecContext {
   /// The no-pool context (kernels run their serial schedule).
   static const ExecContext& Serial();
 
-  /// The shared-scan scheduler eligible base-table scans route through,
-  /// or null (the default) for the plain kernel path. Sharing never
-  /// changes results — every routed scan is bit-identical to the direct
-  /// kernels — so contexts with and without a scheduler are
-  /// interchangeable correctness-wise.
-  scan::SharedScanScheduler* shared_scans() const { return shared_scans_; }
-
-  /// A copy of this context that routes scans through `scheduler`
-  /// (null detaches).
-  ExecContext WithSharedScans(scan::SharedScanScheduler* scheduler) const {
-    ExecContext ctx = *this;
-    ctx.shared_scans_ = scheduler;
-    return ctx;
+  /// Kept only for perfbench until ROADMAP item 8: returns this context
+  /// unchanged (there is no shared-scan scheduler to route through).
+  ExecContext WithSharedScans(scan::SharedScanScheduler*) const {
+    return *this;
   }
 
  private:
   TaskPool* pool_ = nullptr;
-  scan::SharedScanScheduler* shared_scans_ = nullptr;
 };
 
 /// Parses a MAMMOTH_THREADS-style value: returns the thread count, or

@@ -74,13 +74,10 @@ Status ParseHostPort(const std::string& spec, std::string* host,
 
 Server::Server(const ServerConfig& config)
     : config_(config),
-      shared_scans_(config.shared_scan),
       pool_(std::make_unique<parallel::TaskPool>(
           config.threads > 0 ? config.threads
                              : parallel::DefaultThreadCount())),
-      admission_(config.admission, pool_.get()) {
-  engine_.AttachSharedScans(&shared_scans_);
-}
+      admission_(config.admission, pool_.get()) {}
 
 Server::~Server() { Stop(); }
 
@@ -369,7 +366,6 @@ ServerStatsSnapshot Server::stats() const {
   s.sessions_open = sessions_open_.load();
   s.draining = draining_.load();
   s.admission = admission_.stats();
-  s.shared_scans = shared_scans_.stats();
   s.compression = engine_.compression_stats();
   s.recycler = engine_.recycler_stats();
   s.compressed_kernels = compress::GetKernelStats();
@@ -438,6 +434,7 @@ mal::QueryResult Server::StatusResult(const ServerStatsSnapshot& s) {
   row("queries_rejected", s.admission.rejected);
   row("bytes_in", s.bytes_in);
   row("bytes_out", s.bytes_out);
+  // The shared-scan rows stay in place, reading 0: row order is frozen.
   row("shared_scans_attached", s.shared_scans.scans_attached);
   row("shared_scans_direct", s.shared_scans.scans_direct);
   row("shared_chunks_loaded", s.shared_scans.chunks_loaded);

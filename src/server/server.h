@@ -48,8 +48,8 @@ struct ServerConfig {
   int threads = 0;
   /// Name reported in the Hello frame.
   std::string name = "mammothdb";
-  /// Shared-scan scheduler tuning (chunk grain, sharing threshold);
-  /// concurrent sessions scanning one table share a physical pass (§5).
+  /// Kept only for perfbench until ROADMAP item 8; has no fields and no
+  /// effect (every select takes the direct kernel route).
   scan::SharedScanConfig shared_scan;
   /// Stop() gives draining sessions this long to finish and deliver
   /// results; past the deadline remaining session sockets are shut
@@ -88,6 +88,8 @@ struct ServerStatsSnapshot {
   int sessions_open = 0;
   bool draining = false;
   AdmissionStats admission;
+  /// Kept only for perfbench until ROADMAP item 8: always zero, so the
+  /// STATUS `shared_*` rows keep their place and read 0.
   scan::SharedScanStats shared_scans;
   bool durable = false;  ///< a WAL is attached (db_dir was set)
   wal::WalStats wal;
@@ -223,9 +225,8 @@ class Server {
   repl::ReplicaApplier* repl_applier() const;
 
   const ServerConfig config_;
-  /// Declared before engine_ (which holds pointers to them) so they are
+  /// Declared before engine_ (which holds a pointer to it) so it is
   /// destroyed after every engine user is gone.
-  scan::SharedScanScheduler shared_scans_;
   std::unique_ptr<wal::Wal> wal_;
   wal::RecoveryInfo recovery_info_;
   bool storage_opened_ = false;

@@ -353,14 +353,17 @@ Result<mal::QueryResult> Engine::RunSelect(const SelectStmt& stmt,
 Result<mal::QueryResult> Engine::RunCompiledSelect(
     mal::Program prog, const SelectStmt& stmt,
     const parallel::ExecContext& ctx, const txn::Snapshot& snap) {
-  std::string plan = prog.ToString();
-  // Route base-table scans through the attached shared-scan scheduler
-  // (if any) unless the caller's context already carries one.
-  parallel::ExecContext run_ctx = ctx;
-  if (shared_scans_ != nullptr && ctx.shared_scans() == nullptr) {
-    run_ctx = ctx.WithSharedScans(shared_scans_);
+  const uint64_t running = selects_running_.fetch_add(1) + 1;
+  uint64_t peak = selects_peak_.load(std::memory_order_relaxed);
+  while (running > peak &&
+         !selects_peak_.compare_exchange_weak(peak, running)) {
   }
-  mal::Interpreter interp(catalog_.get(), recycler_, run_ctx, snap);
+  struct Leave {
+    std::atomic<uint64_t>& running;
+    ~Leave() { running.fetch_sub(1); }
+  } leave{selects_running_};
+  std::string plan = prog.ToString();
+  mal::Interpreter interp(catalog_.get(), recycler_, ctx, snap);
   mal::RunStats run_stats;
   {
     std::lock_guard<std::mutex> lock(intro_mu_);

@@ -79,10 +79,14 @@ using SessionPtr = std::shared_ptr<Session>;
 ///
 /// ### Concurrency rule (server sessions)
 ///
-/// Execute() is safe to call from many threads at once. Internally a
-/// reader/writer lock arbitrates statement classes:
+/// Statements run concurrently only on different sessions. Execute() and
+/// ExecutePrepared() run on the engine's one default session, whose mutex
+/// serializes them: calling Execute() from many threads is safe, but the
+/// statements run one at a time. Concurrent reads need one session per
+/// thread (CreateSession() + ExecuteSession()/ExecutePreparedSession()).
+/// Across sessions a reader/writer lock arbitrates statement classes:
 ///
-///   - SELECT takes the lock *shared*: any number of reads run in
+///   - SELECT takes the lock *shared*: reads on different sessions run in
 ///     parallel (their kernel parallelism is whatever ExecContext each
 ///     one carries; concurrent ParallelFor calls on one pool serialize).
 ///   - CREATE / INSERT / UPDATE / DELETE take the lock *exclusive*: a
@@ -94,10 +98,9 @@ using SessionPtr = std::shared_ptr<Session>;
 /// result outlives any later DML on the tables it came from.
 ///
 /// Not covered by the lock (single-threaded use only): catalog() and
-/// Compile() direct access, and the AttachRecycler()/
-/// AttachSharedScans()/EnableOptimizer() setup calls (do them before
-/// going concurrent — the attached recycler and scheduler themselves
-/// are internally synchronized and safe under concurrent sessions).
+/// Compile() direct access, and the AttachRecycler()/EnableOptimizer()
+/// setup calls (do them before going concurrent — the attached recycler
+/// itself is internally synchronized and safe under concurrent sessions).
 /// The last_*() introspection accessors are internally synchronized
 /// but report *some* recent SELECT under concurrency, not a specific
 /// one.
@@ -109,8 +112,9 @@ class Engine {
   /// scopes the kernel parallelism of this statement (a server passes
   /// the admission-granted slice of its shared pool). Runs on the
   /// engine's default session: auto-commit statements are safe from any
-  /// thread, but explicit BEGIN/COMMIT/ROLLBACK on this surface assume a
-  /// single caller (server connections get their own sessions).
+  /// thread but run one at a time, and explicit BEGIN/COMMIT/ROLLBACK on
+  /// this surface assume a single caller (server connections get their
+  /// own sessions).
   Result<mal::QueryResult> Execute(
       const std::string& statement,
       const parallel::ExecContext& ctx = parallel::ExecContext::Default());
@@ -182,14 +186,6 @@ class Engine {
   /// DML (INSERT/UPDATE/DELETE) clears it wholesale.
   void AttachRecycler(recycle::Recycler* recycler) { recycler_ = recycler; }
 
-  /// Attaches a shared-scan scheduler (§5): subsequent SELECTs route
-  /// their base-table scans through it, sharing one physical pass with
-  /// any concurrent scan of the same table. Results are bit-identical
-  /// to the direct kernel path.
-  void AttachSharedScans(scan::SharedScanScheduler* scheduler) {
-    shared_scans_ = scheduler;
-  }
-
   /// Attaches a write-ahead log (normally via wal::OpenDatabase): every
   /// subsequent DDL/DML statement is logged as one transaction and not
   /// acknowledged until durable. The append happens under the exclusive
@@ -241,6 +237,13 @@ class Engine {
   mal::RunStats last_run_stats() const;
   mal::PipelineReport last_opt_report() const;
   std::string last_plan_text() const;
+
+  /// The most SELECTs that have run at once since the engine was created.
+  /// Statements of one session never overlap, so a value of 2 or more
+  /// shows that reads on different sessions ran in parallel.
+  uint64_t peak_concurrent_selects() const {
+    return selects_peak_.load(std::memory_order_relaxed);
+  }
 
   /// Compression posture of the catalog, gathered under the shared lock
   /// (safe against concurrent DDL/DML): how many tables carry the
@@ -343,7 +346,6 @@ class Engine {
   std::atomic<uint64_t> schema_version_{0};
   wal::Wal* wal_ = nullptr;
   recycle::Recycler* recycler_ = nullptr;
-  scan::SharedScanScheduler* shared_scans_ = nullptr;
   bool optimize_ = true;
   std::atomic<bool> read_only_{false};
   CommitBarrier commit_barrier_;
@@ -354,6 +356,9 @@ class Engine {
   /// Guards the last_* introspection fields (written under rw_mu_ held
   /// shared, so they need their own lock).
   mutable std::mutex intro_mu_;
+  /// SELECTs inside RunCompiledSelect right now, and the most at once.
+  std::atomic<uint64_t> selects_running_{0};
+  std::atomic<uint64_t> selects_peak_{0};
   mal::RunStats last_stats_;
   mal::PipelineReport last_opt_;
   std::string last_plan_;

@@ -1,8 +1,8 @@
 /// Bit-identity suite for the compressed-direct kernels (DESIGN.md §13):
 /// RLE/PDICT selects and aggregate folds, dictionary string predicates,
 /// bounded projection, recycler compressed admission — each checked
-/// against decode-then-stock-kernel on adversarial data shapes, through
-/// the shared-scan scheduler at pools of 1/2/4/8, over the wire, and
+/// against decode-then-stock-kernel on adversarial data shapes, on
+/// concurrent sessions at pools of 1/2/4/8, over the wire, and
 /// across a checkpoint → kill → recover cycle for dictionary-compressed
 /// string columns. Style follows compressed_query_test.cc.
 
@@ -13,7 +13,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/rng.h"
@@ -35,6 +34,7 @@
 #include "server/server.h"
 #include "sql/engine.h"
 #include "wal/db.h"
+#include "session_threads.h"
 #include "test_dirs.h"
 
 namespace mammoth {
@@ -134,7 +134,7 @@ std::vector<Shape> SelectShapes() {
 /// and an arbitrary nonzero head, so a kernel that drops `hseq` fails.
 constexpr Oid kHeads[] = {0, 1000003};
 
-/// Chunk cuts for the shared-scan delivery contract: a third of the way
+/// Chunk cuts for the row-window contract: a third of the way
 /// in (off every grid), on and just past a 4096-row code batch, and on a
 /// 128-row PFOR block.
 std::vector<size_t> ChunkCuts(size_t n) {
@@ -150,7 +150,7 @@ BatPtr DecodedAt(const CompressedBat& comp, Oid hseq) {
 }
 
 /// A whole-column result split at `cut` ([0,cut) ++ [cut,n)) concatenates
-/// to `want` — the shared-scan delivery contract.
+/// to `want` — the row-window contract.
 template <typename SelectFn>
 void ExpectChunksConcatenate(const SelectFn& select, size_t n, size_t cut,
                              const BatPtr& want, const std::string& what) {
@@ -725,8 +725,8 @@ TEST(CompressedKernelTest, StrDictSerializeRoundTrips) {
 
 // ------------------------------------------------------ engine-level ----
 
-constexpr size_t kChunk = size_t{1} << 16;
-constexpr size_t kRows = 3 * kChunk + 500;  // shared-scan eligible, ragged
+// Three 64Ki-row morsels and a ragged tail.
+constexpr size_t kRows = 3 * (size_t{1} << 16) + 500;
 
 /// A table whose columns hit every direct path: `id` sorted ints, `val`
 /// random ints, `grp` long runs (RLE aggregate fold), `tag` a
@@ -813,42 +813,28 @@ TEST(CompressedKernelTest, StringAndAggregateQueriesBitIdenticalDirect) {
   EXPECT_GT(after.aggrs_direct, before.aggrs_direct);
 }
 
-TEST(CompressedKernelTest, StringQueriesSharedScansBitIdenticalAcrossPools) {
+TEST(CompressedKernelTest,
+     StringQueriesOnConcurrentSessionsBitIdenticalAcrossPools) {
   const std::vector<std::string> expected = PlainLogEncodings();
 
   for (int threads : {1, 2, 4, 8}) {
     sql::Engine engine;
     ASSERT_TRUE(engine.catalog()->Register(LogsTable()).ok());
     ASSERT_TRUE(engine.Execute("ALTER TABLE logs COMPRESS").ok());
-
-    scan::SharedScanConfig config;
-    config.chunk_bytes = kChunk;
-    config.min_share_rows = kChunk;
-    scan::SharedScanScheduler sched(config);
-    engine.AttachSharedScans(&sched);
     parallel::TaskPool pool(threads);
     parallel::ExecContext ctx(&pool);
 
-    std::vector<std::thread> sessions;
-    for (int s = 0; s < 6; ++s) {
-      sessions.emplace_back([&, s] {
-        for (int round = 0; round < 3; ++round) {
+    testutil::RunOnSessions(
+        engine, testutil::NewSessions(engine, 6), 3,
+        [&](int s, int round, const sql::SessionPtr& session) {
           const size_t q = (s + round) % StringQueries().size();
-          auto r = engine.Execute(StringQueries()[q], ctx);
+          auto r = engine.ExecuteSession(session, StringQueries()[q], ctx);
           ASSERT_TRUE(r.ok()) << r.status().ToString();
           auto payload = EncodeResult(*r);
           ASSERT_TRUE(payload.ok());
           EXPECT_EQ(*payload, expected[q]) << StringQueries()[q];
-        }
-      });
-    }
-    for (auto& s : sessions) s.join();
-
-    // Dictionary selects read their codes in place and never ride a
-    // shared pass, attached scheduler or not.
-    const auto stats = sched.stats();
-    EXPECT_EQ(stats.scans_attached + stats.scans_direct, 0u) << threads;
-    EXPECT_EQ(stats.bytes_loaded, 0u) << threads;
+        });
+    EXPECT_GE(engine.peak_concurrent_selects(), 2u) << threads;
   }
 }
 
@@ -1100,12 +1086,11 @@ std::vector<uint64_t> KernelStatsSince(const compress::KernelStats& before) {
           now.project_full - before.project_full};
 }
 
-/// Every select route agrees: an uncompressed oracle, the compressed
-/// table with no scheduler, and the compressed table through a scheduler
-/// at pools 1 and 4 — first with no deltas, then with rows pending.
-/// Results must be byte-identical on the wire, and without deltas a
-/// query's KernelStats delta must not depend on the scheduler. The stats
-/// are process-wide, so every query runs serially.
+/// Every select route agrees: an uncompressed oracle and the compressed
+/// table serially and at pools 1 and 4 — first with no deltas, then with
+/// rows pending. Results must be byte-identical on the wire, and without
+/// deltas a query's KernelStats delta must not depend on the pool. The
+/// stats are process-wide, so every query runs on one thread at a time.
 ///
 /// The pending arm commits several INSERT batches whose rows hit the
 /// predicates (the oracle receives them too), adds TEXT `=`/LIKE probes
@@ -1117,9 +1102,6 @@ std::vector<uint64_t> KernelStatsSince(const compress::KernelStats& before) {
 /// after CHECKPOINTing the compressed table (folding the deltas into the
 /// merged image).
 TEST(CompressedKernelTest, SeededSelectRoutesAgreeAcrossEngines) {
-  scan::SharedScanConfig config;
-  config.chunk_bytes = kChunk;  // floors every width to one-morsel chunks
-  config.min_share_rows = kChunk;
   parallel::TaskPool pool1(1), pool4(4);
   const compress::KernelStats start = compress::GetKernelStats();
 
@@ -1142,15 +1124,13 @@ TEST(CompressedKernelTest, SeededSelectRoutesAgreeAcrossEngines) {
       EXPECT_EQ(RunRoute(comp.catalog(), q, parallel::ExecContext::Serial()),
                 want)
           << q.what;
-      const std::vector<uint64_t> unrouted = KernelStatsSince(before);
+      const std::vector<uint64_t> serial_stats = KernelStatsSince(before);
       for (parallel::TaskPool* pool : {&pool1, &pool4}) {
-        scan::SharedScanScheduler sched(config);
-        const parallel::ExecContext ctx =
-            parallel::ExecContext(pool).WithSharedScans(&sched);
+        const parallel::ExecContext ctx(pool);
         before = compress::GetKernelStats();
         EXPECT_EQ(RunRoute(comp.catalog(), q, ctx), want)
             << q.what << " pool " << pool->threads();
-        EXPECT_EQ(KernelStatsSince(before), unrouted)
+        EXPECT_EQ(KernelStatsSince(before), serial_stats)
             << q.what << " pool " << pool->threads();
       }
     }
@@ -1222,9 +1202,7 @@ TEST(CompressedKernelTest, SeededSelectRoutesAgreeAcrossEngines) {
                   want_aggr)
             << q.what << " (" << phase << ", aggregates)";
         for (parallel::TaskPool* pool : {&pool1, &pool4}) {
-          scan::SharedScanScheduler sched(config);
-          const parallel::ExecContext ctx =
-              parallel::ExecContext(pool).WithSharedScans(&sched);
+          const parallel::ExecContext ctx(pool);
           EXPECT_EQ(RunRoute(comp.catalog(), q, ctx, out), want)
               << q.what << " (" << phase << ", pool " << pool->threads()
               << ")";
@@ -1282,13 +1260,11 @@ TEST(CompressedKernelTest, SeededSelectRoutesAgreeAcrossEngines) {
 }
 
 /// A select leaves its slot compressed on every route, so a later
-/// projection of the same slot counts the same project stats with and
-/// without a scheduler — whether the select binary-searched a sorted
-/// column or decoded an unsorted one chunk by chunk.
+/// projection of the same slot counts the same project stats serially and
+/// at pool 4 — whether the select binary-searched a sorted column or
+/// decoded an unsorted one chunk by chunk.
 TEST(CompressedKernelTest, ProjectAfterDecodingSelectCountsAlikeOnEveryRoute) {
-  scan::SharedScanConfig config;
-  config.chunk_bytes = kChunk;
-  config.min_share_rows = kChunk;
+  parallel::TaskPool pool4(4);
   sql::Engine comp;
   ASSERT_TRUE(comp.catalog()->Register(RouteTable(1)).ok());
   ASSERT_TRUE(comp.Execute("ALTER TABLE routes COMPRESS").ok());
@@ -1306,20 +1282,18 @@ TEST(CompressedKernelTest, ProjectAfterDecodingSelectCountsAlikeOnEveryRoute) {
     const std::string want = RunRoute(
         comp.catalog(), q, parallel::ExecContext::Serial(),
         RouteOut::kWithSelected);
-    const std::vector<uint64_t> unrouted = KernelStatsSince(before);
+    const std::vector<uint64_t> serial_stats = KernelStatsSince(before);
     const bool sorted = q.column == sorted_range.column;
-    EXPECT_EQ(unrouted[0], sorted ? 1u : 0u)
+    EXPECT_EQ(serial_stats[0], sorted ? 1u : 0u)
         << q.column << ": the sorted select binary-searched";
-    EXPECT_EQ(unrouted[1], sorted ? 0u : 1u)
+    EXPECT_EQ(serial_stats[1], sorted ? 0u : 1u)
         << q.column << ": the unsorted select decoded";
-    EXPECT_EQ(unrouted[6], 0u) << q.column << ": nothing decoded whole";
-    scan::SharedScanScheduler sched(config);
+    EXPECT_EQ(serial_stats[6], 0u) << q.column << ": nothing decoded whole";
     before = compress::GetKernelStats();
-    EXPECT_EQ(RunRoute(comp.catalog(), q,
-                       parallel::ExecContext::Serial().WithSharedScans(&sched),
+    EXPECT_EQ(RunRoute(comp.catalog(), q, parallel::ExecContext(&pool4),
                        RouteOut::kWithSelected),
               want);
-    EXPECT_EQ(KernelStatsSince(before), unrouted) << q.column;
+    EXPECT_EQ(KernelStatsSince(before), serial_stats) << q.column;
   }
 }
 

@@ -1,26 +1,24 @@
 /// Cross-checks for compression as an execution path: query results over
 /// compressed tables must be bit-identical to the uncompressed path —
-/// direct (no scheduler), through shared scans at pools of 1/2/4/8, and
-/// over the wire protocol. Style follows shared_scan_test.cc.
+/// serially, on concurrent sessions at pools of 1/2/4/8, and over the
+/// wire protocol.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/rng.h"
 #include "compress/compressed_kernels.h"
 #include "core/table.h"
 #include "parallel/task_pool.h"
-#include "scan/shared_scan.h"
 #include "server/client.h"
 #include "server/server.h"
 #include "server/wire.h"
+#include "session_threads.h"
 #include "sql/engine.h"
 #include "test_dirs.h"
 #include "wal/db.h"
@@ -33,8 +31,8 @@ using server::EncodeResult;
 using server::Server;
 using server::ServerConfig;
 
-constexpr size_t kChunk = size_t{1} << 16;
-constexpr size_t kRows = 3 * kChunk + 500;  // eligible, ragged tail
+// Three 64Ki-row morsels and a ragged tail.
+constexpr size_t kRows = 3 * (size_t{1} << 16) + 500;
 
 /// An int32-heavy table whose columns favour different codecs: `id`
 /// sorted (PFOR-DELTA), `val` random small-range (PDICT/PFOR), `tag`
@@ -415,50 +413,39 @@ TEST(CompressedQueryTest, DictionaryOnlyTextColumnColdPaths) {
   }
 }
 
-// ----------------------------------------------------------- shared path --
+// ---------------------------------------------------- concurrent sessions --
 
-/// Concurrent sessions over a compressed table through the shared-scan
-/// scheduler: bit-identical to the plain serial engine at every pool
-/// size, with the pass decompressing chunks once into shared buffers.
-TEST(CompressedQueryTest, SharedScansOverCompressedBitIdenticalAcrossPools) {
+/// Concurrent sessions over a compressed table: bit-identical to the
+/// plain serial engine at every pool size, with statements overlapping
+/// and the selects reading the compressed images (counted in
+/// KernelStats).
+TEST(CompressedQueryTest,
+     ConcurrentSessionsOverCompressedBitIdenticalAcrossPools) {
   const std::vector<std::string> expected = PlainEncodings();
 
   for (int threads : {1, 2, 4, 8}) {
     sql::Engine engine;
     ASSERT_TRUE(engine.catalog()->Register(EventsTable()).ok());
     ASSERT_TRUE(engine.Execute("ALTER TABLE events COMPRESS").ok());
-
-    scan::SharedScanConfig config;
-    config.chunk_bytes = kChunk;
-    config.min_share_rows = kChunk;
-    scan::SharedScanScheduler sched(config);
-    engine.AttachSharedScans(&sched);
     parallel::TaskPool pool(threads);
     parallel::ExecContext ctx(&pool);
 
-    std::vector<std::thread> sessions;
-    for (int s = 0; s < 6; ++s) {
-      sessions.emplace_back([&, s] {
-        for (int round = 0; round < 3; ++round) {
+    const compress::KernelStats before = compress::GetKernelStats();
+    testutil::RunOnSessions(
+        engine, testutil::NewSessions(engine, 6), 3,
+        [&](int s, int round, const sql::SessionPtr& session) {
           const size_t q = (s + round) % CrossQueries().size();
-          auto r = engine.Execute(CrossQueries()[q], ctx);
+          auto r = engine.ExecuteSession(session, CrossQueries()[q], ctx);
           ASSERT_TRUE(r.ok()) << r.status().ToString();
           auto payload = EncodeResult(*r);
           ASSERT_TRUE(payload.ok());
           EXPECT_EQ(*payload, expected[q]) << CrossQueries()[q];
-        }
-      });
-    }
-    for (auto& s : sessions) s.join();
-
-    const auto stats = sched.stats();
-    EXPECT_GT(stats.scans_attached + stats.scans_direct, 0u) << threads;
-    // The compressed pass decompressed chunks into shared buffers (each
-    // chunk once per pass, however many consumers were attached).
-    EXPECT_GT(stats.chunks_decompressed, 0u) << threads;
-    EXPECT_GT(stats.bytes_delivered, 0u) << threads;
-    // Compressed loads account fewer bytes than the logical delivery.
-    EXPECT_LT(stats.bytes_loaded, stats.bytes_delivered) << threads;
+        });
+    EXPECT_GE(engine.peak_concurrent_selects(), 2u) << threads;
+    const compress::KernelStats after = compress::GetKernelStats();
+    EXPECT_GT(after.selects_direct + after.selects_fallback,
+              before.selects_direct + before.selects_fallback)
+        << threads;
   }
 }
 

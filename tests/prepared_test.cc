@@ -4,10 +4,10 @@
 
 #include <atomic>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "server/wire.h"
+#include "session_threads.h"
 #include "sql/engine.h"
 
 namespace mammoth::sql {
@@ -213,29 +213,30 @@ TEST_F(PreparedTest, PreparedDmlBindsParameters) {
   EXPECT_EQ(gone->RowCount(), 0u);
 }
 
+/// Threads on their own sessions prepare the same text at once, share one
+/// cache entry, and run it with statements overlapping.
 TEST_F(PreparedTest, ConcurrentSessionsPreparingSameStatementShareEntry) {
   constexpr int kThreads = 8;
-  std::vector<std::thread> threads;
   std::atomic<int> failures{0};
   std::vector<uint64_t> ids(kThreads, 0);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      auto e = engine_.Prepare(
-          "SELECT id FROM items WHERE price >= ? AND price <= ?");
-      if (!e.ok()) {
-        ++failures;
-        return;
-      }
-      ids[t] = (*e)->id;
-      for (int rep = 0; rep < 4; ++rep) {
-        auto r = engine_.ExecutePrepared(
-            (*e)->id, {Value::Int(t), Value::Int(t + 20)});
+  testutil::RunOnSessions(
+      engine_, testutil::NewSessions(engine_, kThreads), 4,
+      [&](int t, int round, const SessionPtr& session) {
+        if (round == 0) {
+          auto e = engine_.Prepare(
+              "SELECT id FROM items WHERE price >= ? AND price <= ?");
+          if (!e.ok()) {
+            ++failures;
+            return;
+          }
+          ids[t] = (*e)->id;
+        }
+        auto r = engine_.ExecutePreparedSession(
+            session, ids[t], {Value::Int(t), Value::Int(t + 20)});
         if (!r.ok()) ++failures;
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
+      });
   EXPECT_EQ(failures.load(), 0);
+  EXPECT_GE(engine_.peak_concurrent_selects(), 2u);
   for (int t = 1; t < kThreads; ++t) EXPECT_EQ(ids[t], ids[0]);
   EXPECT_EQ(engine_.prepared_stats().entries, 1u);
 }

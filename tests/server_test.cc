@@ -551,10 +551,9 @@ TEST_F(ServerTest, StatusReportsCompressionCounters) {
   EXPECT_GT(counters["wire_result_bytes_saved"], 0);
 }
 
-// ------------------------------------------------------- shared scans --
+// ------------------------------------------------------- big scans --
 
-/// A table big enough to clear the sharing threshold of the shrunken
-/// shared-scan config below (one 64K-row chunk).
+/// A table of three 64K-row morsels and a ragged tail.
 TablePtr BigScanTable() {
   constexpr size_t kBigRows = 3 * (size_t{1} << 16) + 500;
   BatPtr id = Bat::New(PhysType::kInt64);
@@ -587,11 +586,12 @@ const std::vector<std::string>& ScanQueries() {
   return queries;
 }
 
-/// N wire sessions issuing overlapping range scans share physical passes
-/// through the server's SharedScanScheduler and stay bit-identical to a
-/// plain serial in-process engine, for worker pools of 1/2/4/8.
+/// N wire sessions issuing overlapping range scans stay bit-identical to
+/// a plain serial in-process engine, for worker pools of 1/2/4/8. No scan
+/// rides a shared pass any more: every `shared_*` STATUS row, kept in
+/// place for the frozen row order, reads 0.
 TEST_F(ServerTest, SharedScanSessionsBitIdenticalAcrossPools) {
-  // Serial in-process yardstick: no scheduler, no pool.
+  // Serial in-process yardstick: no pool.
   std::vector<std::string> expected;
   {
     sql::Engine plain;
@@ -609,7 +609,6 @@ TEST_F(ServerTest, SharedScanSessionsBitIdenticalAcrossPools) {
     ServerConfig config;
     config.threads = threads;
     config.max_sessions = 16;
-    config.shared_scan.min_share_rows = size_t{1} << 16;
     config.port = 0;
     server_ = std::make_unique<Server>(config);
     ASSERT_TRUE(server_->engine()->catalog()->Register(BigScanTable()).ok());
@@ -647,18 +646,13 @@ TEST_F(ServerTest, SharedScanSessionsBitIdenticalAcrossPools) {
 
     Client probe = Connect();
     auto counters = ServerStatus(&probe);
-    // Every query scans metrics_big (eligible), so each one either
-    // attached to a shared pass or ran registered-direct.
-    const int64_t total_scans = counters["shared_scans_attached"] +
-                                counters["shared_scans_direct"];
-    EXPECT_GE(total_scans,
-              static_cast<int64_t>(kClients * kReps *
-                                   ScanQueries().size()))
-        << "pool " << threads;
-    EXPECT_EQ(counters["shared_loads_saved"],
-              counters["shared_chunks_delivered"] -
-                  counters["shared_chunks_loaded"]);
-    EXPECT_GE(counters["shared_chunks_skipped"], 0);
+    size_t shared_rows = 0;
+    for (const auto& [name, value] : counters) {
+      if (name.rfind("shared_", 0) != 0) continue;
+      ++shared_rows;
+      EXPECT_EQ(value, 0) << name << ", pool " << threads;
+    }
+    EXPECT_EQ(shared_rows, 9u);
     probe.Close();
     server_->Stop();
     server_.reset();

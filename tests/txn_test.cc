@@ -13,7 +13,6 @@
 #include "core/catalog.h"
 #include "parallel/exec_context.h"
 #include "parallel/task_pool.h"
-#include "scan/shared_scan.h"
 #include "sql/engine.h"
 #include "txn/txn.h"
 #include "wal/db.h"
@@ -429,9 +428,9 @@ TEST(TxnConcurrencyTest, WritersAndReadersRace) {
 
 /// Reads over a COMPRESSED table's (main image, delta) pair while
 /// auto-commit writers append to the delta: 4 reader sessions (two of
-/// them inside snapshot transactions) share one shared-scan scheduler
-/// with 2 writers. Every COUNT/SUM must be the generator's answer for
-/// some committed prefix of each writer's rows, an auto-commit reader
+/// them inside snapshot transactions) run beside 2 writers. Every
+/// COUNT/SUM must be the generator's answer for some committed prefix of
+/// each writer's rows, an auto-commit reader
 /// never sees the prefix shrink, and the final read sees every row.
 TEST(TxnConcurrencyTest, DeltaAwareReadsUnderConcurrentInserts) {
   constexpr int kMainRows = 8192;
@@ -445,10 +444,6 @@ TEST(TxnConcurrencyTest, DeltaAwareReadsUnderConcurrentInserts) {
   };
 
   Engine engine;
-  scan::SharedScanConfig config;
-  config.min_share_rows = 1024;
-  scan::SharedScanScheduler sched(config);
-  engine.AttachSharedScans(&sched);
   ASSERT_TRUE(engine.Execute("CREATE TABLE f (k INT, v BIGINT) COMPRESSED")
                   .ok());
   int64_t main_sum = 0;
@@ -579,10 +574,6 @@ TEST(TxnConcurrencyTest, DeltaAwareDictTextReadsUnderConcurrentInserts) {
   };
 
   Engine engine;
-  scan::SharedScanConfig config;
-  config.min_share_rows = 1024;
-  scan::SharedScanScheduler sched(config);
-  engine.AttachSharedScans(&sched);
   ASSERT_TRUE(
       engine.Execute("CREATE TABLE f (k INT, tag TEXT) COMPRESSED").ok());
   std::string rows = "INSERT INTO f VALUES ";
