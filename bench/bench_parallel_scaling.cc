@@ -54,6 +54,18 @@ const BatPtr& GroupColumn() {
   return b;
 }
 
+// The same 1024 distinct values spread over 2^24: a key span past the
+// direct-indexed grouping's 64Ki slots, so Group() hashes, in parallel.
+const BatPtr& WideGroupColumn() {
+  static BatPtr b = [] {
+    BatPtr w = bench::UniformInt32(kRows, 1024, 14);
+    int32_t* v = w->MutableTailData<int32_t>();
+    for (size_t i = 0; i < kRows; ++i) v[i] *= (1 << 24) / 1024;
+    return w;
+  }();
+  return b;
+}
+
 const bench::JoinPair& JoinInputs() {
   static bench::JoinPair p = bench::FkJoinPair(kRows, kRows, 15);
   return p;
@@ -110,6 +122,20 @@ void BM_ParallelGroupAggr(benchmark::State& state) {
   state.counters["threads"] = threads;
 }
 
+void BM_ParallelGroupAggrWide(benchmark::State& state) {
+  const int threads = static_cast<int>(state.range(0));
+  const BatPtr& col = WideGroupColumn();
+  const BatPtr& values = ValueColumn();
+  ScopedCtx ctx(threads);
+  for (auto _ : state) {
+    auto g = algebra::Group(col, nullptr, 0, ctx.get());
+    auto s = algebra::AggrSum(values, g->groups, g->ngroups, ctx.get());
+    benchmark::DoNotOptimize(s->get());
+  }
+  state.SetItemsProcessed(state.iterations() * kRows);
+  state.counters["threads"] = threads;
+}
+
 void BM_ParallelPartitionedJoin(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
   const bench::JoinPair& pair = JoinInputs();
@@ -132,6 +158,7 @@ void BM_ParallelPartitionedJoin(benchmark::State& state) {
 BENCHMARK(BM_ParallelRangeSelect) THREAD_SWEEP;
 BENCHMARK(BM_ParallelFetchJoin) THREAD_SWEEP;
 BENCHMARK(BM_ParallelGroupAggr) THREAD_SWEEP;
+BENCHMARK(BM_ParallelGroupAggrWide) THREAD_SWEEP;
 BENCHMARK(BM_ParallelPartitionedJoin) THREAD_SWEEP;
 
 }  // namespace

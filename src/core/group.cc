@@ -1,7 +1,9 @@
 #include "core/group.h"
 
+#include <algorithm>
 #include <cstring>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "common/bitutil.h"
@@ -41,6 +43,135 @@ uint64_t CanonicalKey(T v) {
   } else {
     return static_cast<uint64_t>(static_cast<int64_t>(v));
   }
+}
+
+/// Direct-indexed grouping serves (prev group, key) domains of at most
+/// this many pairs, which bounds its per-slot arrays (256 KiB of ids).
+constexpr uint64_t kMaxDirectSlots = uint64_t{1} << 16;
+/// Rows per step of the min/max pass, which stops at the first step whose
+/// domain has grown past kMaxDirectSlots.
+constexpr size_t kDomainStep = 4096;
+
+/// Numbers the slots `slot_of(i)` of rows [0, n) by first appearance in
+/// one serial pass.
+template <typename SlotOf>
+void AssignDirectSerial(size_t n, uint64_t nslots, const SlotOf& slot_of,
+                        Oid hseq, Oid* gids, Bat* extents, uint32_t* next_id) {
+  constexpr uint32_t kUnset = 0xffffffffu;
+  std::vector<uint32_t> ids(nslots, kUnset);
+  for (size_t i = 0; i < n; ++i) {
+    uint32_t& id = ids[slot_of(i)];
+    if (id == kUnset) {
+      id = (*next_id)++;
+      extents->Append<Oid>(hseq + i);
+    }
+    gids[i] = id;
+  }
+}
+
+/// The same numbering with no serial pass over the rows. (1) Morsel-
+/// parallel: gids takes each row's slot, and every worker keeps the first
+/// row it saw per slot. (2) Serial over the slots: a slot's first row is
+/// the minimum over the workers, and sorting the used slots by first row
+/// numbers them by first appearance. (3) Morsel-parallel: each gid turns
+/// from its slot into that number.
+template <typename SlotOf>
+void AssignDirectParallel(const ExecContext& ctx, size_t n, uint64_t nslots,
+                          const SlotOf& slot_of, Oid hseq, Oid* gids,
+                          Bat* extents, uint32_t* next_id) {
+  constexpr Oid kNone = std::numeric_limits<Oid>::max();
+  std::vector<std::vector<Oid>> first(static_cast<size_t>(ctx.threads()));
+  Status s = ctx.ParallelFor(
+      n, kParallelGrain, [&](size_t begin, size_t end, int worker) {
+        std::vector<Oid>& f = first[static_cast<size_t>(worker)];
+        if (f.empty()) f.assign(nslots, kNone);
+        for (size_t i = begin; i < end; ++i) {
+          const uint64_t slot = slot_of(i);
+          gids[i] = slot;
+          f[slot] = std::min<Oid>(f[slot], i);
+        }
+        return Status::OK();
+      });
+  MAMMOTH_CHECK(s.ok(), "direct group phase 1 cannot fail");
+
+  std::vector<std::pair<Oid, uint32_t>> used;  // (first row, slot)
+  for (uint64_t slot = 0; slot < nslots; ++slot) {
+    Oid row = kNone;
+    for (const std::vector<Oid>& f : first) {
+      if (!f.empty()) row = std::min(row, f[slot]);
+    }
+    if (row != kNone) used.emplace_back(row, static_cast<uint32_t>(slot));
+  }
+  std::sort(used.begin(), used.end());
+  std::vector<uint32_t> ids(nslots, 0);
+  for (const auto& [row, slot] : used) {
+    ids[slot] = (*next_id)++;
+    extents->Append<Oid>(hseq + row);
+  }
+
+  s = ctx.ParallelFor(n, kParallelGrain,
+                      [&](size_t begin, size_t end, int) {
+                        for (size_t i = begin; i < end; ++i) {
+                          gids[i] = ids[gids[i]];
+                        }
+                        return Status::OK();
+                      });
+  MAMMOTH_CHECK(s.ok(), "direct group phase 3 cannot fail");
+}
+
+/// Direct-indexed grouping of integer keys: one pass finds the key range
+/// [lo, hi] and the largest prev group id; when prev groups × (hi - lo + 1)
+/// is at most kMaxDirectSlots, the slot prev·span + (v - lo) indexes a
+/// plain array instead of GroupTable, and slots are numbered by first
+/// appearance — GroupTable's id order, so groups, extents and ngroups are
+/// bit-identical to the hash route. Values subtract as uint64_t (modulo
+/// 2^64), which is exact at INT64_MIN/MAX. Returns false, having written
+/// nothing, when the domain is wider.
+template <typename T>
+bool GroupDirect(const ExecContext& ctx, const T* v, const Oid* prevg,
+                 size_t n, Oid hseq, Oid* gids, Bat* extents,
+                 uint32_t* next_id) {
+  if (n == 0) return false;
+  T lo = v[0];
+  T hi = v[0];
+  Oid pmax = 0;
+  uint64_t span = 1;
+  uint64_t nprev = 1;
+  for (size_t begin = 0; begin < n; begin += kDomainStep) {
+    const size_t end = std::min(n, begin + kDomainStep);
+    for (size_t i = begin; i < end; ++i) {
+      lo = std::min(lo, v[i]);
+      hi = std::max(hi, v[i]);
+    }
+    if (prevg != nullptr) {
+      for (size_t i = begin; i < end; ++i) pmax = std::max(pmax, prevg[i]);
+    }
+    const uint64_t width =
+        static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
+    if (width >= kMaxDirectSlots || pmax >= kMaxDirectSlots) return false;
+    span = width + 1;
+    nprev = pmax + 1;
+    if (span * nprev > kMaxDirectSlots) return false;
+  }
+
+  const uint64_t base = static_cast<uint64_t>(lo);
+  const uint64_t nslots = span * nprev;
+  auto assign = [&](const auto& slot_of) {
+    if (UseParallel(ctx, n, nslots)) {
+      AssignDirectParallel(ctx, n, nslots, slot_of, hseq, gids, extents,
+                           next_id);
+    } else {
+      AssignDirectSerial(n, nslots, slot_of, hseq, gids, extents, next_id);
+    }
+  };
+  if (prevg == nullptr) {
+    assign([&](size_t i) { return static_cast<uint64_t>(v[i]) - base; });
+  } else {
+    assign([&](size_t i) {
+      return prevg[i] * span + (static_cast<uint64_t>(v[i]) - base);
+    });
+  }
+  return true;
 }
 
 /// Open-addressing map from (prev group, canonical key) to group id.
@@ -211,6 +342,12 @@ Result<GroupResult> Group(const BatPtr& b, const BatPtr& prev,
     DispatchNumeric(base->type(), [&](auto tag) {
       using T = typename decltype(tag)::type;
       const T* v = base->TailData<T>();
+      if constexpr (!std::is_floating_point_v<T>) {
+        if (GroupDirect(ctx, v, prevg, n, hseq, gids, out.extents.get(),
+                        &next_id)) {
+          return;
+        }
+      }
       run([&](size_t i) { return CanonicalKey(v[i]); });
     });
   }

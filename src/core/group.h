@@ -23,10 +23,17 @@ struct GroupResult {
 /// group.subgroup chain, which is how multi-column GROUP BY is executed
 /// column-at-a-time (§3).
 ///
-/// Under a parallel `ctx` the hash probes run morsel-parallel into
-/// per-worker local tables; a final single-threaded pass renumbers local
-/// ids by first appearance in row order, so group ids and extents are
-/// bit-identical to the serial kernel for any context.
+/// Integer keys whose (prev group, key) domain — prev groups times the
+/// [min, max] span of `b` — has at most 64Ki pairs take a direct-indexed
+/// route: one min/max pass, then a slot array indexed by
+/// prev·span + (v − min) instead of a hash table. Under a parallel `ctx`
+/// its rows go morsel-parallel, and the slots are numbered by their
+/// first rows in between. Wider domains, floats and strings hash; under a
+/// parallel `ctx` the hash probes run morsel-parallel into per-worker
+/// local tables, and a final single-threaded pass renumbers local ids by
+/// first appearance in row order. Every route numbers groups by first
+/// appearance, so group ids and extents are bit-identical across routes
+/// and contexts.
 Result<GroupResult> Group(
     const BatPtr& b, const BatPtr& prev = nullptr, size_t prev_ngroups = 0,
     const parallel::ExecContext& ctx = parallel::ExecContext::Default());

@@ -1,5 +1,6 @@
 #include "core/join.h"
 
+#include <optional>
 #include <vector>
 
 #include "common/bitutil.h"
@@ -134,6 +135,79 @@ JoinResult MergeJoinTyped(const Bat& l, const Bat& r) {
   return out;
 }
 
+/// First value `lo` of r's tail when that tail is exactly lo, lo+1, ...,
+/// lo+n-1 — a dense key, the void column of §3 — else nullopt. Values
+/// compare as uint64_t (integers convert modulo 2^64), so the check never
+/// overflows. One early-exit pass; a dense tail needs none. Floating
+/// tails never qualify.
+std::optional<uint64_t> ContiguousBase(const Bat& r) {
+  if (r.IsDenseTail()) return r.tseqbase();
+  return DispatchNumeric(r.type(), [&](auto tag) -> std::optional<uint64_t> {
+    using T = typename decltype(tag)::type;
+    if constexpr (std::is_floating_point_v<T>) {
+      return std::nullopt;
+    } else {
+      const T* v = r.TailData<T>();
+      const size_t n = r.Count();
+      const uint64_t lo = n == 0 ? 0 : static_cast<uint64_t>(v[0]);
+      for (size_t i = 1; i < n; ++i) {
+        if (static_cast<uint64_t>(v[i]) - lo != i) return std::nullopt;
+      }
+      return lo;
+    }
+  });
+}
+
+/// Positional fetch-join into a dense key starting at `lo`: the r row
+/// holding value v is v - lo, so every probe is an array index, not a hash
+/// probe. `key_at(i)` is l's value at row i as uint64_t; a value outside
+/// [lo, lo+rn) wraps to an offset >= rn and emits nothing. Pairs come out
+/// in HashJoin's order (left ascending, at most one match each).
+template <typename KeyAt>
+JoinResult PositionalProbe(size_t ln, Oid lbase, const KeyAt& key_at,
+                           uint64_t lo, size_t rn, Oid rbase) {
+  JoinResult out;
+  out.left = Bat::New(PhysType::kOid);
+  out.right = Bat::New(PhysType::kOid);
+  out.left->Resize(ln);
+  out.right->Resize(ln);
+  Oid* lout = out.left->MutableTailData<Oid>();
+  Oid* rout = out.right->MutableTailData<Oid>();
+  size_t m = 0;
+  for (size_t i = 0; i < ln; ++i) {
+    const uint64_t d = key_at(i) - lo;
+    lout[m] = lbase + i;
+    rout[m] = rbase + d;
+    m += d < rn ? 1 : 0;
+  }
+  out.left->Resize(m);
+  out.right->Resize(m);
+  out.left->mutable_props().sorted = true;
+  return out;
+}
+
+/// PositionalProbe of l into r when r is a dense key, else nullopt.
+std::optional<JoinResult> PositionalJoin(const Bat& l, const Bat& r) {
+  const std::optional<uint64_t> lo = ContiguousBase(r);
+  if (!lo.has_value()) return std::nullopt;
+  const size_t ln = l.Count();
+  const size_t rn = r.Count();
+  if (l.IsDenseTail()) {
+    const Oid lseq = l.tseqbase();
+    return PositionalProbe(
+        ln, l.hseqbase(), [&](size_t i) { return uint64_t{lseq + i}; }, *lo,
+        rn, r.hseqbase());
+  }
+  return DispatchNumeric(l.type(), [&](auto tag) {
+    using T = typename decltype(tag)::type;
+    const T* v = l.TailData<T>();
+    return PositionalProbe(
+        ln, l.hseqbase(),
+        [&](size_t i) { return static_cast<uint64_t>(v[i]); }, *lo, rn,
+        r.hseqbase());
+  });
+}
+
 Status ValidateJoinInputs(const BatPtr& l, const BatPtr& r) {
   if (l == nullptr || r == nullptr) {
     return Status::InvalidArgument("join: null input");
@@ -186,11 +260,11 @@ Result<JoinResult> MergeJoin(const BatPtr& l, const BatPtr& r) {
 
 Result<JoinResult> Join(const BatPtr& l, const BatPtr& r) {
   MAMMOTH_RETURN_IF_ERROR(ValidateJoinInputs(l, r));
-  if (l->type() != PhysType::kStr &&
-      ((l->props().sorted && r->props().sorted) ||
-       (l->IsDenseTail() && r->IsDenseTail()))) {
-    return MergeJoin(l, r);
+  if (l->type() == PhysType::kStr) return HashJoinString(*l, *r);
+  if (std::optional<JoinResult> fetched = PositionalJoin(*l, *r)) {
+    return *std::move(fetched);
   }
+  if (l->props().sorted && r->props().sorted) return MergeJoin(l, r);
   return HashJoin(l, r);
 }
 

@@ -25,7 +25,12 @@ Result<JoinResult> HashJoin(const BatPtr& l, const BatPtr& r);
 /// Equi-join for tails that are both sorted: linear merge.
 Result<JoinResult> MergeJoin(const BatPtr& l, const BatPtr& r);
 
-/// Dispatches to MergeJoin when both inputs are sorted, else HashJoin.
+/// The kernel's join. When r's tail is a dense key (exactly lo, lo+1,
+/// ..., lo+n-1, found in one pass over r) it runs a positional fetch-join:
+/// a probe value v matches r row v - lo, an array index instead of a hash
+/// probe (§3). Otherwise MergeJoin when both inputs are sorted, else
+/// HashJoin. The positional route emits HashJoin's pairs in HashJoin's
+/// order: left OIDs ascending, each matching at most one right row.
 Result<JoinResult> Join(const BatPtr& l, const BatPtr& r);
 
 }  // namespace mammoth::algebra

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <map>
+#include <numeric>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -317,6 +321,186 @@ TEST(JoinTest, RandomizedHashVsMergeAgreeOnPairCount) {
   EXPECT_EQ(hj->Count(), mj->Count());
 }
 
+// --------------------------------------------- Join routes vs an oracle --
+//
+// Join() fetches positionally when the build side (r) is exactly lo, lo+1,
+// ..., lo+n-1, and hashes (or merges) otherwise. These tests check every
+// route against a nested-loop oracle, and against HashJoin (the kernel the
+// positional route replaces) pair for pair. The positional route marks its
+// left OIDs sorted and HashJoin does not, so with an unsorted probe side
+// `left->props().sorted` tells which route ran.
+
+using OidPairs = std::vector<std::pair<Oid, Oid>>;
+
+template <typename T>
+BatPtr BatOf(const std::vector<T>& values, Oid hseqbase = 0) {
+  BatPtr b = Bat::New(TypeTraits<T>::kType);
+  for (T v : values) b->Append<T>(v);
+  b->set_hseqbase(hseqbase);
+  return b;
+}
+
+OidPairs PairsOf(const JoinResult& jr) {
+  OidPairs out;
+  for (size_t i = 0; i < jr.Count(); ++i) {
+    out.emplace_back(jr.left->OidAt(i), jr.right->OidAt(i));
+  }
+  return out;
+}
+
+/// Every (l row, r row) pair with equal values, left-major.
+template <typename T>
+OidPairs NestedLoopJoin(const std::vector<T>& l, Oid lbase,
+                        const std::vector<T>& r, Oid rbase) {
+  OidPairs out;
+  for (size_t i = 0; i < l.size(); ++i) {
+    for (size_t j = 0; j < r.size(); ++j) {
+      if (l[i] == r[j]) out.emplace_back(lbase + i, rbase + j);
+    }
+  }
+  return out;
+}
+
+template <typename T>
+void ExpectJoinMatchesOracle(const std::vector<T>& l, const std::vector<T>& r,
+                             bool positional) {
+  constexpr Oid kLbase = 1000;
+  constexpr Oid kRbase = 7;
+  const BatPtr lb = BatOf(l, kLbase);
+  const BatPtr rb = BatOf(r, kRbase);
+  auto jr = Join(lb, rb);
+  ASSERT_TRUE(jr.ok()) << jr.status().ToString();
+  EXPECT_EQ(PairsOf(*jr), NestedLoopJoin(l, kLbase, r, kRbase));
+  EXPECT_EQ(jr->left->props().sorted, positional);
+  auto hj = HashJoin(lb, rb);
+  ASSERT_TRUE(hj.ok());
+  EXPECT_EQ(PairsOf(*jr), PairsOf(*hj));
+}
+
+template <typename T>
+std::vector<T> Iota(T lo, size_t n) {
+  std::vector<T> out;
+  for (size_t i = 0; i < n; ++i) out.push_back(static_cast<T>(lo + i));
+  return out;
+}
+
+/// `n` probe values drawn from [lo, hi], so some fall below and above the
+/// build range and many repeat.
+template <typename T>
+std::vector<T> Draw(Rng* rng, size_t n, int64_t lo, int64_t hi) {
+  std::vector<T> out;
+  for (size_t i = 0; i < n; ++i) {
+    out.push_back(static_cast<T>(rng->UniformRange(lo, hi)));
+  }
+  return out;
+}
+
+TEST(JoinRouteTest, DenseKeyFromZeroFetchesPositionally) {
+  Rng rng(11);
+  ExpectJoinMatchesOracle(Draw<int32_t>(&rng, 3000, -40, 300),
+                          Iota<int32_t>(0, 256), true);
+}
+
+TEST(JoinRouteTest, NegativeDenseKey) {
+  Rng rng(12);
+  ExpectJoinMatchesOracle(Draw<int32_t>(&rng, 3000, -1100, -600),
+                          Iota<int32_t>(-1000, 256), true);
+}
+
+TEST(JoinRouteTest, NarrowTails) {
+  Rng rng(13);
+  // The whole int8 domain, and a part of it.
+  ExpectJoinMatchesOracle(Draw<int8_t>(&rng, 2000, -128, 127),
+                          Iota<int8_t>(-128, 256), true);
+  ExpectJoinMatchesOracle(Draw<int8_t>(&rng, 2000, -128, 127),
+                          Iota<int8_t>(-10, 31), true);
+  ExpectJoinMatchesOracle(Draw<int16_t>(&rng, 3000, 29000, 32767),
+                          Iota<int16_t>(30000, 2768), true);
+  ExpectJoinMatchesOracle(Draw<int16_t>(&rng, 3000, -32768, -32000),
+                          Iota<int16_t>(-32768, 300), true);
+}
+
+TEST(JoinRouteTest, Int64KeysAtTheLimits) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  const std::vector<int64_t> probe = {kMin,     kMax,     kMax - 9, kMax - 10,
+                                      kMin + 9, kMin + 10, 0,       -1,
+                                      kMax - 1, kMin + 1, kMin,     kMax};
+  ExpectJoinMatchesOracle(probe, Iota<int64_t>(kMax - 9, 10), true);
+  ExpectJoinMatchesOracle(probe, Iota<int64_t>(kMin, 10), true);
+  // A build side that steps from INT64_MAX to INT64_MIN is contiguous
+  // modulo 2^64: the fetch still finds exactly the equal rows.
+  ExpectJoinMatchesOracle(probe, std::vector<int64_t>{kMax - 1, kMax, kMin},
+                          true);
+}
+
+TEST(JoinRouteTest, OidTails) {
+  Rng rng(14);
+  std::vector<Oid> probe;
+  for (int i = 0; i < 2000; ++i) probe.push_back(900 + rng.Uniform(1300));
+  ExpectJoinMatchesOracle(probe, Iota<Oid>(1000, 1000), true);
+  const Oid kTop = std::numeric_limits<Oid>::max();
+  ExpectJoinMatchesOracle(std::vector<Oid>{kTop, 0, 1, 2, kTop - 1, 5},
+                          std::vector<Oid>{kTop - 1, kTop, 0, 1}, true);
+}
+
+TEST(JoinRouteTest, EmptySides) {
+  ExpectJoinMatchesOracle(std::vector<int32_t>{}, Iota<int32_t>(0, 16), true);
+  // An empty build side is trivially dense.
+  ExpectJoinMatchesOracle(std::vector<int32_t>{3, 1, 2},
+                          std::vector<int32_t>{}, true);
+  ExpectJoinMatchesOracle(std::vector<int32_t>{}, std::vector<int32_t>{},
+                          true);
+}
+
+TEST(JoinRouteTest, BuildSideWithOneGapHashes) {
+  Rng rng(15);
+  std::vector<int32_t> r = Iota<int32_t>(0, 256);
+  r.erase(r.begin() + 100);
+  ExpectJoinMatchesOracle(Draw<int32_t>(&rng, 3000, -10, 270), r, false);
+  // A gap in the last slot still breaks the run.
+  std::vector<int32_t> tail_gap = Iota<int32_t>(0, 256);
+  tail_gap.back() = 300;
+  ExpectJoinMatchesOracle(Draw<int32_t>(&rng, 3000, -10, 310), tail_gap,
+                          false);
+}
+
+TEST(JoinRouteTest, ShuffledDenseBuildSideHashes) {
+  Rng rng(16);
+  std::vector<int32_t> r = Iota<int32_t>(-50, 256);
+  for (size_t i = r.size() - 1; i > 0; --i) {
+    std::swap(r[i], r[rng.Uniform(i + 1)]);
+  }
+  ExpectJoinMatchesOracle(Draw<int32_t>(&rng, 3000, -60, 220), r, false);
+}
+
+TEST(JoinRouteTest, FloatBuildSideHashes) {
+  ExpectJoinMatchesOracle(std::vector<double>{1.0, 2.0, 5.0, 2.0},
+                          std::vector<double>{1.0, 2.0, 3.0}, false);
+}
+
+TEST(JoinRouteTest, DenseOidTails) {
+  // Dense against dense (the case MergeJoin used to take), and a dense
+  // probe into a materialized dense key.
+  const BatPtr l = Bat::NewDense(90, 40, 5);
+  const BatPtr r = Bat::NewDense(100, 50, 300);
+  OidPairs expected;
+  for (Oid i = 0; i < 40; ++i) {
+    if (90 + i >= 100) expected.emplace_back(5 + i, 300 + (90 + i - 100));
+  }
+  auto dd = Join(l, r);
+  ASSERT_TRUE(dd.ok());
+  EXPECT_EQ(PairsOf(*dd), expected);
+  EXPECT_TRUE(dd->left->props().sorted);
+  const BatPtr rm = BatOf(Iota<Oid>(100, 50), 300);
+  auto dm = Join(l, rm);
+  ASSERT_TRUE(dm.ok());
+  EXPECT_EQ(PairsOf(*dm), expected);
+  auto hj = HashJoin(l, r);
+  ASSERT_TRUE(hj.ok());
+  EXPECT_EQ(PairsOf(*hj), expected);
+}
+
 // ----------------------------------------------------------------- Group --
 
 TEST(GroupTest, SingleColumnGrouping) {
@@ -404,6 +588,133 @@ TEST(GroupTest, DistinctPreservesFirstAppearance) {
   EXPECT_EQ((*d)->ValueAt<int32_t>(0), 5);
   EXPECT_EQ((*d)->ValueAt<int32_t>(1), 1);
   EXPECT_EQ((*d)->ValueAt<int32_t>(2), 2);
+}
+
+// -------------------------------------------- Group routes vs an oracle --
+//
+// Integer keys whose (prev group, key) domain has at most 64Ki pairs take
+// the direct-indexed route, the rest hash. Every shape is checked against
+// a first-appearance oracle: group ids, extents and ngroups exactly.
+
+struct Grouping {
+  std::vector<Oid> groups;
+  std::vector<Oid> extents;
+  size_t ngroups = 0;
+};
+
+/// Numbers (prev group, value) pairs by first appearance in row order.
+template <typename T>
+Grouping FirstAppearance(const std::vector<T>& v, const std::vector<Oid>& prev,
+                         Oid hseq) {
+  Grouping out;
+  std::map<std::pair<Oid, T>, Oid> ids;
+  for (size_t i = 0; i < v.size(); ++i) {
+    const std::pair<Oid, T> key(prev.empty() ? Oid{0} : prev[i], v[i]);
+    auto [it, fresh] = ids.emplace(key, ids.size());
+    if (fresh) out.extents.push_back(hseq + i);
+    out.groups.push_back(it->second);
+  }
+  out.ngroups = ids.size();
+  return out;
+}
+
+/// Groups `v` (refining `prev` when it is not empty) and checks the result
+/// against the oracle.
+template <typename T>
+void ExpectGroupMatchesOracle(const std::vector<T>& v,
+                              const std::vector<Oid>& prev = {},
+                              size_t prev_ngroups = 0) {
+  constexpr Oid kHseq = 40;
+  const BatPtr b = BatOf(v, kHseq);
+  const BatPtr p = prev.empty() ? nullptr : BatOf(prev, kHseq);
+  auto g = Group(b, p, prev_ngroups, parallel::ExecContext::Serial());
+  ASSERT_TRUE(g.ok()) << g.status().ToString();
+  const Grouping want = FirstAppearance(v, prev, kHseq);
+  EXPECT_EQ(g->ngroups, want.ngroups);
+  EXPECT_EQ(OidsOf(g->groups), want.groups);
+  EXPECT_EQ(OidsOf(g->extents), want.extents);
+}
+
+TEST(GroupRouteTest, SmallDomains) {
+  Rng rng(21);
+  ExpectGroupMatchesOracle(Draw<int32_t>(&rng, 5000, 0, 7));
+  ExpectGroupMatchesOracle(Draw<int32_t>(&rng, 5000, 100, 355));
+  ExpectGroupMatchesOracle(Draw<int32_t>(&rng, 5000, -300, -10));
+  ExpectGroupMatchesOracle(std::vector<int32_t>{42});
+  ExpectGroupMatchesOracle(std::vector<int32_t>{});
+}
+
+TEST(GroupRouteTest, NarrowAndWideTails) {
+  Rng rng(22);
+  ExpectGroupMatchesOracle(Draw<int8_t>(&rng, 5000, -128, 127));
+  ExpectGroupMatchesOracle(Draw<int16_t>(&rng, 5000, -32768, 32767));
+  ExpectGroupMatchesOracle(
+      std::vector<int16_t>{-32768, 32767, 0, 32767, -32768, 5});
+  std::vector<Oid> oids;
+  for (int i = 0; i < 5000; ++i) oids.push_back(1000000 + rng.Uniform(500));
+  ExpectGroupMatchesOracle(oids);
+  ExpectGroupMatchesOracle(std::vector<bool>{true, false, true, true});
+  ExpectGroupMatchesOracle(Draw<int64_t>(&rng, 5000, -3, 3));
+}
+
+TEST(GroupRouteTest, Int64KeysAtTheLimits) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  // Spans of a few values at either end, and one across the whole domain.
+  ExpectGroupMatchesOracle(
+      std::vector<int64_t>{kMax, kMax - 3, kMax, kMax - 1, kMax - 3});
+  ExpectGroupMatchesOracle(
+      std::vector<int64_t>{kMin + 2, kMin, kMin + 2, kMin + 1, kMin});
+  ExpectGroupMatchesOracle(std::vector<int64_t>{kMin, kMax, 0, kMax, kMin});
+  const Oid kTop = std::numeric_limits<Oid>::max();
+  ExpectGroupMatchesOracle(std::vector<Oid>{kTop, kTop - 2, kTop, 0, kTop});
+}
+
+TEST(GroupRouteTest, SpansAtTheDirectBound) {
+  Rng rng(23);
+  for (int64_t span : {65535, 65536, 65537, 200000}) {
+    SCOPED_TRACE(span);
+    std::vector<int32_t> v = Draw<int32_t>(&rng, 5000, -7, -7 + span - 1);
+    // Pin both ends of the span.
+    v[17] = -7;
+    v[4000] = static_cast<int32_t>(-7 + span - 1);
+    ExpectGroupMatchesOracle(v);
+  }
+}
+
+TEST(GroupRouteTest, RefinementAtTheDirectBound) {
+  Rng rng(24);
+  // prev groups × key span = 256 × 256 (direct), 256 × 257 (hash),
+  // 2 × 32768 (direct) and 2 × 32769 (hash).
+  struct Shape {
+    int64_t prev_values;
+    int64_t span;
+  };
+  for (const Shape shape : {Shape{256, 256}, Shape{256, 257},
+                            Shape{2, 32768}, Shape{2, 32769}}) {
+    SCOPED_TRACE(shape.prev_values * shape.span);
+    std::vector<int32_t> a = Draw<int32_t>(&rng, 8000, 0,
+                                           shape.prev_values - 1);
+    std::vector<int32_t> b = Draw<int32_t>(&rng, 8000, 50,
+                                           50 + shape.span - 1);
+    for (int64_t i = 0; i < shape.prev_values; ++i) {
+      a[static_cast<size_t>(i)] = static_cast<int32_t>(i);
+    }
+    b[1] = 50;
+    b[2] = static_cast<int32_t>(50 + shape.span - 1);
+    const Grouping ga = FirstAppearance(a, {}, 0);
+    ASSERT_EQ(ga.ngroups, static_cast<size_t>(shape.prev_values));
+    ExpectGroupMatchesOracle(b, ga.groups, ga.ngroups);
+  }
+}
+
+TEST(GroupRouteTest, FloatAndStringKeysHash) {
+  ExpectGroupMatchesOracle(std::vector<double>{1.5, -0.5, 1.5, 2.0, -0.5});
+  BatPtr s = MakeStringBat({"b", "a", "b", "c", "a"});
+  auto g = Group(s);
+  ASSERT_TRUE(g.ok());
+  EXPECT_EQ(OidsOf(g->groups), (std::vector<Oid>{0, 1, 0, 2, 1}));
+  EXPECT_EQ(OidsOf(g->extents), (std::vector<Oid>{0, 1, 3}));
 }
 
 // ------------------------------------------------------------------ Sort --

@@ -369,6 +369,62 @@ TEST_F(ParallelKernelTest, GroupMatchesSerial) {
   }
 }
 
+// The direct-indexed route at its 64Ki-slot bound: a key span of exactly
+// 65536, and a 256 × 256 refinement.
+TEST_F(ParallelKernelTest, GroupFullDirectDomainMatchesSerial) {
+  BatPtr b = RandomInt32(kRows, 65536, 35);
+  auto s = Group(b, nullptr, 0, ser_);
+  auto p = Group(b, nullptr, 0, par_);
+  ASSERT_TRUE(s.ok() && p.ok());
+  EXPECT_EQ(s->ngroups, p->ngroups);
+  ExpectBatsIdentical(s->groups, p->groups);
+  ExpectBatsIdentical(s->extents, p->extents);
+
+  auto sa = Group(RandomInt32(kRows, 256, 36), nullptr, 0, ser_);
+  ASSERT_TRUE(sa.ok());
+  ASSERT_EQ(sa->ngroups, 256u);
+  BatPtr b2 = RandomInt32(kRows, 256, 37);
+  auto s2 = Group(b2, sa->groups, sa->ngroups, ser_);
+  auto p2 = Group(b2, sa->groups, sa->ngroups, par_);
+  ASSERT_TRUE(s2.ok() && p2.ok());
+  EXPECT_EQ(s2->ngroups, p2->ngroups);
+  ExpectBatsIdentical(s2->groups, p2->groups);
+  ExpectBatsIdentical(s2->extents, p2->extents);
+}
+
+/// Multiplies every value of an int32 BAT by `stride`.
+BatPtr Spread(BatPtr b, int32_t stride) {
+  int32_t* v = b->MutableTailData<int32_t>();
+  for (size_t i = 0; i < b->Count(); ++i) v[i] *= stride;
+  return b;
+}
+
+// GroupMatchesSerial's 97 and 13 values take the direct-indexed route.
+// Spread over 2^24 the same counts of distinct values hash, so the
+// morsel-parallel hash grouping and its renumber pass are compared with
+// the serial one, refinement included.
+TEST_F(ParallelKernelTest, GroupWideSpanMatchesSerial) {
+  for (uint64_t seed : {33u, 34u}) {
+    BatPtr b = Spread(RandomInt32(kRows, 97, seed), (1 << 24) / 97);
+    auto s = Group(b, nullptr, 0, ser_);
+    auto p = Group(b, nullptr, 0, par_);
+    ASSERT_TRUE(s.ok() && p.ok());
+    EXPECT_EQ(s->ngroups, 97u);
+    EXPECT_EQ(s->ngroups, p->ngroups);
+    ExpectBatsIdentical(s->groups, p->groups);
+    ExpectBatsIdentical(s->extents, p->extents);
+
+    BatPtr b2 = Spread(RandomInt32(kRows, 13, seed + 100), (1 << 24) / 13);
+    auto s2 = Group(b2, s->groups, s->ngroups, ser_);
+    auto p2 = Group(b2, p->groups, p->ngroups, par_);
+    ASSERT_TRUE(s2.ok() && p2.ok());
+    EXPECT_EQ(s2->ngroups, 97u * 13u);
+    EXPECT_EQ(s2->ngroups, p2->ngroups);
+    ExpectBatsIdentical(s2->groups, p2->groups);
+    ExpectBatsIdentical(s2->extents, p2->extents);
+  }
+}
+
 TEST_F(ParallelKernelTest, GroupHighCardinalityMatchesSerial) {
   // Nearly every row its own group: stresses the renumber pass.
   BatPtr b = RandomInt32(kRows, 10 * kRows, 77);

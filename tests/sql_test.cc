@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <map>
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
+#include "parallel/task_pool.h"
 #include "sql/parser.h"
 
 namespace mammoth::sql {
@@ -364,6 +372,226 @@ TEST_F(SqlJoinTest, JoinErrorCases) {
                    .Execute("SELECT name FROM customers, orders "
                             "WHERE customers.id = customers.age")
                    .ok());
+}
+
+// ------------------------------------------ Seeded FK join + GROUP BY --
+//
+// A fact table f joins a small dimension d on f.fk = d.id, the shape of a
+// star-schema query. d.id takes the shapes the join kernel routes on: a
+// dense key (positional fetch-join) from 0 or from a negative number,
+// keys with a gap or a duplicate (hash join), dangling foreign keys, and
+// pending inserts that extend or break the dense run. Every answer is
+// checked against straight loops, serially and on a pool of 4.
+
+struct FactRow {
+  int32_t k;
+  int32_t fk;
+  int64_t v;
+};
+
+struct DimRow {
+  int32_t id;
+  int32_t grp;
+  std::string name;
+};
+
+struct FkShape {
+  const char* name;
+  int32_t first_id;
+  int32_t ids;
+  int32_t gap;  // an id left out, or first_id - 1 for none
+  int32_t fk_lo, fk_hi;
+  std::vector<DimRow> inserts;  // pending rows added to d by INSERT
+};
+
+/// Past twice the pool's grain, so the pool-4 runs take the parallel
+/// select, projection and aggregate kernels.
+constexpr int32_t kFactRows = 300000;
+
+TablePtr FactTable(const std::vector<FactRow>& rows) {
+  BatPtr k = Bat::New(PhysType::kInt32);
+  BatPtr fk = Bat::New(PhysType::kInt32);
+  BatPtr v = Bat::New(PhysType::kInt64);
+  for (const FactRow& r : rows) {
+    k->Append<int32_t>(r.k);
+    fk->Append<int32_t>(r.fk);
+    v->Append<int64_t>(r.v);
+  }
+  auto t = Table::FromColumns(
+      "f",
+      {{"k", PhysType::kInt32}, {"fk", PhysType::kInt32},
+       {"v", PhysType::kInt64}},
+      {k, fk, v});
+  EXPECT_TRUE(t.ok()) << t.status().ToString();
+  return *t;
+}
+
+TablePtr DimTable(const std::vector<DimRow>& rows) {
+  BatPtr id = Bat::New(PhysType::kInt32);
+  BatPtr grp = Bat::New(PhysType::kInt32);
+  BatPtr name = Bat::NewString(nullptr);
+  for (const DimRow& r : rows) {
+    id->Append<int32_t>(r.id);
+    grp->Append<int32_t>(r.grp);
+    name->AppendString(r.name);
+  }
+  auto t = Table::FromColumns(
+      "d",
+      {{"id", PhysType::kInt32}, {"grp", PhysType::kInt32},
+       {"name", PhysType::kStr}},
+      {id, grp, name});
+  EXPECT_TRUE(t.ok()) << t.status().ToString();
+  return *t;
+}
+
+/// Calls `fn(fact, dim)` for every joined pair with k in [klo, khi].
+void ForEachJoined(const std::vector<FactRow>& f, const std::vector<DimRow>& d,
+                   int32_t klo, int32_t khi,
+                   const std::function<void(const FactRow&, const DimRow&)>& fn) {
+  for (const FactRow& fr : f) {
+    if (fr.k < klo || fr.k > khi) continue;
+    for (const DimRow& dr : d) {
+      if (dr.id == fr.fk) fn(fr, dr);
+    }
+  }
+}
+
+/// grp: (COUNT(*), SUM(v)) of the joined rows.
+using GroupAnswer = std::map<int32_t, std::pair<int64_t, int64_t>>;
+/// k: the names of every d row that k's fact row joins.
+using TopNAnswer =
+    std::map<int32_t, std::vector<std::string>, std::greater<>>;
+
+struct FkAnswers {
+  GroupAnswer group;
+  TopNAnswer names_of;
+};
+
+FkAnswers StraightLoopAnswers(const std::vector<FactRow>& f,
+                              const std::vector<DimRow>& d, int32_t klo,
+                              int32_t khi) {
+  FkAnswers out;
+  ForEachJoined(f, d, klo, khi, [&](const FactRow& fr, const DimRow& dr) {
+    out.group[dr.grp].first += 1;
+    out.group[dr.grp].second += fr.v;
+    out.names_of[fr.k].push_back(dr.name);
+  });
+  return out;
+}
+
+void ExpectJoinGroupMatches(Engine& engine, const parallel::ExecContext& ctx,
+                            const GroupAnswer& want, int32_t klo,
+                            int32_t khi) {
+  auto r = engine.Execute(
+      "SELECT grp, COUNT(*), SUM(v) FROM f, d WHERE fk = id AND k >= " +
+          std::to_string(klo) + " AND k <= " + std::to_string(khi) +
+          " GROUP BY grp ORDER BY grp",
+      ctx);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  GroupAnswer got;
+  for (size_t i = 0; i < r->RowCount(); ++i) {
+    got[r->columns[0]->ValueAt<int32_t>(i)] = {
+        r->columns[1]->ValueAt<int64_t>(i), r->columns[2]->ValueAt<int64_t>(i)};
+  }
+  EXPECT_EQ(got, want);
+}
+
+/// The top-10 rows by k. k is unique in f, so the k column is exact; a k
+/// that joins more than one d row brings one name per row, and only at
+/// the cut may the engine keep any of them.
+void ExpectJoinTopNMatches(Engine& engine, const parallel::ExecContext& ctx,
+                           const TopNAnswer& names_of, int32_t klo,
+                           int32_t khi) {
+  constexpr size_t kLimit = 10;
+  std::vector<int32_t> want_k;
+  for (const auto& [k, names] : names_of) {
+    for (size_t i = 0; i < names.size() && want_k.size() < kLimit; ++i) {
+      want_k.push_back(k);
+    }
+  }
+  auto r = engine.Execute(
+      "SELECT k, name FROM f, d WHERE fk = id AND k >= " +
+          std::to_string(klo) + " AND k <= " + std::to_string(khi) +
+          " ORDER BY k DESC LIMIT 10",
+      ctx);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  std::vector<int32_t> got_k;
+  std::map<int32_t, std::vector<std::string>> got_names;
+  for (size_t i = 0; i < r->RowCount(); ++i) {
+    got_k.push_back(r->columns[0]->ValueAt<int32_t>(i));
+    got_names[got_k.back()].emplace_back(r->columns[1]->StringAt(i));
+  }
+  ASSERT_EQ(got_k, want_k);
+  for (auto& [k, names] : got_names) {
+    std::vector<std::string> all = names_of.at(k);
+    std::sort(all.begin(), all.end());
+    std::sort(names.begin(), names.end());
+    if (k == want_k.back()) {
+      EXPECT_TRUE(std::includes(all.begin(), all.end(), names.begin(),
+                                names.end()))
+          << "k " << k;
+    } else {
+      EXPECT_EQ(names, all) << "k " << k;
+    }
+  }
+}
+
+TEST(SqlFkJoinTest, JoinGroupAndTopNMatchStraightLoops) {
+  const std::vector<FkShape> shapes = {
+      {"dense from 0", 0, 64, -1, 0, 63, {}},
+      {"dense from -100", -100, 64, -101, -100, -37, {}},
+      {"one gap", 0, 65, 17, 0, 64, {}},
+      {"dangling fks", 0, 64, -1, -30, 100, {}},
+      {"insert extends the run", 0, 64, -1, 0, 70, {{64, 3, "ext64"}}},
+      {"insert duplicates an id", 0, 64, -1, 0, 63, {{5, 6, "dup5"}}},
+  };
+  parallel::TaskPool pool(4);
+  const parallel::ExecContext par(&pool);
+  uint64_t seed = 61;
+  for (const FkShape& shape : shapes) {
+    SCOPED_TRACE(shape.name);
+    Rng rng(seed++);
+    std::vector<FactRow> f;
+    for (int32_t i = 0; i < kFactRows; ++i) {
+      f.push_back({i,
+                   static_cast<int32_t>(
+                       rng.UniformRange(shape.fk_lo, shape.fk_hi)),
+                   static_cast<int64_t>(rng.Uniform(1000000))});
+    }
+    std::vector<DimRow> d;
+    for (int32_t i = 0; i < shape.ids; ++i) {
+      const int32_t id = shape.first_id + i;
+      if (id == shape.gap) continue;
+      d.push_back({id, static_cast<int32_t>(rng.Uniform(8)),
+                   std::string("n").append(std::to_string(id))});
+    }
+
+    Engine engine;
+    ASSERT_TRUE(engine.catalog()->Register(FactTable(f)).ok());
+    ASSERT_TRUE(engine.catalog()->Register(DimTable(d)).ok());
+    for (const DimRow& row : shape.inserts) {
+      ASSERT_TRUE(engine
+                      .Execute("INSERT INTO d VALUES (" +
+                               std::to_string(row.id) + ", " +
+                               std::to_string(row.grp) + ", '" + row.name +
+                               "')")
+                      .ok());
+      d.push_back(row);
+    }
+    auto dim = engine.catalog()->Get("d");
+    ASSERT_TRUE(dim.ok());
+    EXPECT_EQ((*dim)->PendingInsertCount(), shape.inserts.size());
+
+    for (const auto& [klo, khi] :
+         {std::pair<int32_t, int32_t>{0, kFactRows - 1}, {1000, 77777}}) {
+      const FkAnswers want = StraightLoopAnswers(f, d, klo, khi);
+      for (const parallel::ExecContext* ctx :
+           {&parallel::ExecContext::Serial(), &par}) {
+        ExpectJoinGroupMatches(engine, *ctx, want.group, klo, khi);
+        ExpectJoinTopNMatches(engine, *ctx, want.names_of, klo, khi);
+      }
+    }
+  }
 }
 
 TEST(SqlParserTest, RejectsGarbage) {

@@ -494,8 +494,12 @@ TEST(TxnConcurrencyTest, DeltaAwareReadsUnderConcurrentInserts) {
   std::vector<std::thread> threads;
   for (int w = 0; w < kWriters; ++w) {
     threads.emplace_back([&, w] {
+      // Each writer commits on its own session, so the two writers'
+      // INSERTs really run at once.
+      SessionPtr s = engine.CreateSession();
       for (int i = 0; i < kInserts; ++i) {
-        auto r = engine.Execute(
+        auto r = engine.ExecuteSession(
+            s,
             "INSERT INTO f VALUES (" +
             std::to_string(kWriterKey + w * kInserts + i) + ", " +
             std::to_string(writer_v(w, i)) + ")");
@@ -514,7 +518,9 @@ TEST(TxnConcurrencyTest, DeltaAwareReadsUnderConcurrentInserts) {
       // Keep reading while the writers run, so reads overlap inserts.
       for (int round = 0; round < kRounds || writers_left.load() > 0;
            ++round) {
-        if (snapshot) ASSERT_TRUE(engine.ExecuteSession(s, "BEGIN").ok());
+        if (snapshot) {
+          ASSERT_TRUE(engine.ExecuteSession(s, "BEGIN").ok());
+        }
         // Main and delta: every main row plus the writers' prefixes.
         const auto all = count_sum(s, "k >= 0", ctx);
         EXPECT_TRUE(all.first >= kMainRows &&
@@ -603,10 +609,12 @@ TEST(TxnConcurrencyTest, DeltaAwareDictTextReadsUnderConcurrentInserts) {
   std::vector<std::thread> threads;
   for (int w = 0; w < kWriters; ++w) {
     threads.emplace_back([&, w] {
+      SessionPtr s = engine.CreateSession();
       for (int i = 0; i < kInserts; ++i) {
         const int k = kWriterKey + w * kInserts + i;
-        auto r = engine.Execute("INSERT INTO f VALUES (" + std::to_string(k) +
-                                ", '" + writer_word(k) + "')");
+        auto r = engine.ExecuteSession(
+            s, "INSERT INTO f VALUES (" + std::to_string(k) + ", '" +
+                   writer_word(k) + "')");
         EXPECT_TRUE(r.ok()) << r.status().ToString();
       }
       --writers_left;
