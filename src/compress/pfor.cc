@@ -183,23 +183,24 @@ Status WalkBlocks(const std::vector<uint8_t>& in, uint32_t count, Fn&& fn) {
   return Status::OK();
 }
 
-/// The block decoder: decodes the `bn` values of the checked block `hdr`
-/// at byte `off` into dst. Returns nullptr, or what is wrong.
+/// The block decoder: decodes the first `m` of the `bn` values of the
+/// checked block `hdr` at byte `off` into dst. Returns nullptr, or what
+/// is wrong.
 template <typename T>
 const char* DecodeBlock(const std::vector<uint8_t>& in, size_t off,
-                        const Header<T>& hdr, size_t bn, T* dst) {
+                        const Header<T>& hdr, size_t bn, size_t m, T* dst) {
   using U = Unsigned<T>;
   // Hot path: unpack + add base (modular, mirroring the encoder's delta).
   U unpacked[kPforBlock];
-  UnpackBits(in.data() + off + sizeof(hdr), 0, bn, hdr.bits, unpacked);
-  for (size_t i = 0; i < bn; ++i) {
+  UnpackBits(in.data() + off + sizeof(hdr), 0, m, hdr.bits, unpacked);
+  for (size_t i = 0; i < m; ++i) {
     dst[i] = static_cast<T>(static_cast<U>(hdr.base) + unpacked[i]);
   }
   const uint8_t* ex = in.data() + off + sizeof(hdr) + hdr.payload_bytes;
   for (size_t e = 0; e < hdr.n_exceptions;
        ++e, ex += PforTraits<T>::kExceptionBytes) {
     if (ex[0] >= bn) return "pfor: bad exception slot";
-    std::memcpy(&dst[ex[0]], ex + 1, sizeof(T));
+    if (ex[0] < m) std::memcpy(&dst[ex[0]], ex + 1, sizeof(T));
   }
   return nullptr;
 }
@@ -215,7 +216,7 @@ Status DecodeStream(uint32_t magic, const std::vector<uint8_t>& in,
   return WalkBlocks<T>(in, count,
                        [&](size_t block_start, size_t bn, size_t off,
                            const Header<T>& hdr) {
-                         return DecodeBlock(in, off, hdr, bn,
+                         return DecodeBlock(in, off, hdr, bn, bn,
                                             dst + block_start);
                        });
 }
@@ -231,27 +232,30 @@ T UnZigZag(Unsigned<T> z) {
   return static_cast<T>((z >> 1) ^ (~(z & 1) + 1));
 }
 
-/// Decodes block `b` of a `count`-row stream whole into dst (up to
-/// kPforBlock values), found through the block index. With `bases` the
-/// stream is PFOR-DELTA: the block's zig-zag deltas are summed onto the
-/// running value in front of it. Returns nullptr, or what is wrong.
+/// Decodes block `b` of a `count`-row stream into dst, found through the
+/// block index: its first `upto` values (the whole block, up to
+/// kPforBlock values, by default). With `bases` the stream is PFOR-DELTA:
+/// the block's zig-zag deltas are summed onto the running value in front
+/// of it. Returns nullptr, or what is wrong.
 template <typename T>
 const char* DecodeIndexedBlock(const std::vector<uint8_t>& in,
                                const std::vector<uint32_t>& block_index,
                                const std::vector<int64_t>* bases,
-                               uint32_t count, size_t b, T* dst) {
+                               uint32_t count, size_t b, T* dst,
+                               size_t upto = kPforBlock) {
   using U = Unsigned<T>;
   if (b >= block_index.size() || (bases != nullptr && b >= bases->size())) {
     return "pfor: block index too short";
   }
   const size_t block_start = b * kPforBlock;
   const size_t bn = std::min(kPforBlock, count - block_start);
+  const size_t m = std::min(bn, upto);
   Header<T> hdr{};
   const char* err = ReadBlockHeader<T>(in, block_index[b], bn, &hdr);
-  if (err == nullptr) err = DecodeBlock(in, block_index[b], hdr, bn, dst);
+  if (err == nullptr) err = DecodeBlock(in, block_index[b], hdr, bn, m, dst);
   if (err == nullptr && bases != nullptr) {
     U prev = static_cast<U>(static_cast<T>((*bases)[b]));
-    for (size_t i = 0; i < bn; ++i) {
+    for (size_t i = 0; i < m; ++i) {
       prev += static_cast<U>(UnZigZag<T>(static_cast<U>(dst[i])));
       dst[i] = static_cast<T>(prev);
     }
@@ -306,7 +310,8 @@ const char* ExtractRows(const std::vector<uint8_t>& in,
 
 /// The gather behind PforGather and PforDeltaGather: walks the rows in
 /// runs that stay inside one block. PFOR-DELTA (`bases` set) and dense
-/// runs decode their block once; sparse PFOR runs extract row by row.
+/// runs decode their block once, from its start through the run's last
+/// touched row; sparse PFOR runs extract row by row.
 template <typename T>
 Status GatherStream(uint32_t magic, const std::vector<uint8_t>& in,
                     const std::vector<uint32_t>& block_index,
@@ -323,7 +328,9 @@ Status GatherStream(uint32_t magic, const std::vector<uint8_t>& in,
     const char* err = nullptr;
     if (bases != nullptr || j - i >= kDenseGatherRows) {
       T block[kPforBlock];
-      err = DecodeIndexedBlock(in, block_index, bases, count, b, block);
+      const uint64_t last = *std::max_element(rows + i, rows + j);
+      err = DecodeIndexedBlock(in, block_index, bases, count, b, block,
+                               last - b * kPforBlock + 1);
       for (size_t k = i; err == nullptr && k < j; ++k) {
         out[k] = block[rows[k] - b * kPforBlock];
       }

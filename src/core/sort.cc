@@ -506,6 +506,11 @@ Result<RefineSortResult> RefineSort(const BatPtr& b, const BatPtr& order,
       return Status::InvalidArgument(
           "refinesort: tie groups not aligned with order");
     }
+    // Every incoming tie group is one row: the order is already total, so
+    // a later key of an ORDER BY chain costs nothing.
+    if (order != nullptr && tie_groups->props().key) {
+      return RefineSortResult{order, tie_groups, n};
+    }
   }
 
   BatPtr base = b;

@@ -64,7 +64,9 @@ Result<BatPtr> TopN(
 ///
 /// Equal-key rows keep their incoming order (stability), so the refined
 /// order is deterministic; all sorting runs under `ctx` with bit-identical
-/// results for any thread count.
+/// results for any thread count. Tie groups that are all singletons (the
+/// `key` property, which the output carries when the order is total)
+/// return `order` and `tie_groups` unchanged without reading `b`.
 Result<RefineSortResult> RefineSort(
     const BatPtr& b, const BatPtr& order = nullptr,
     const BatPtr& tie_groups = nullptr, bool descending = false,

@@ -151,9 +151,10 @@ scan::ColumnSource SourceOf(const Rt& in) {
 /// layer's whole-column entry point, which picks code space, binary
 /// search or chunk-wise decode-then-kernel for the image. Otherwise the
 /// kernel runs over the candidates: a dictionary slot unpacks just their
-/// codes, and a compressed-only slot decodes whole first (counted as a
-/// fallback; the decode stays in the slot for the rest of the query).
-Result<BatPtr> SelectMain(Rt& in, const BatPtr& cands,
+/// codes, and a compressed slot gathers just their values (counted as a
+/// fallback), selects over those and maps the hits back through the
+/// candidates.
+Result<BatPtr> SelectMain(const Rt& in, const BatPtr& cands,
                           const scan::ScanPredicate& pred, bool whole,
                           const parallel::ExecContext& ctx) {
   const scan::ColumnSource src = SourceOf(in);
@@ -163,11 +164,15 @@ Result<BatPtr> SelectMain(Rt& in, const BatPtr& cands,
   if (src.sdict != nullptr) {
     return scan::RunKernelDict(src, cands, pred, ctx);
   }
-  if (in.bat == nullptr) {
-    compress::stats::SelectFallback();
-    MAMMOTH_ASSIGN_OR_RETURN(in.bat, in.cbat->Decode());
-  }
-  return scan::RunKernel(in.bat, cands, pred, ctx);
+  if (in.bat != nullptr) return scan::RunKernel(in.bat, cands, pred, ctx);
+  compress::stats::SelectFallback();
+  MAMMOTH_ASSIGN_OR_RETURN(BatPtr values,
+                           compress::CompressedProject(cands, in.cbat));
+  MAMMOTH_ASSIGN_OR_RETURN(BatPtr hits,
+                           scan::RunKernel(values, nullptr, pred, ctx));
+  MAMMOTH_ASSIGN_OR_RETURN(BatPtr out, algebra::Project(hits, cands, ctx));
+  out->mutable_props().sorted = out->mutable_props().key = KnownSorted(cands);
+  return out;
 }
 
 /// A select over slot `in`. With pending inserts the sorted candidates
@@ -502,11 +507,16 @@ Result<QueryResult> Interpreter::Run(const Program& program, RunStats* stats) {
       }
       case OpCode::kSort: {
         MAMMOTH_RETURN_IF_ERROR(NeedBat(vars, ins.inputs[0], "sort"));
+        const BatPtr order =
+            ins.inputs[1] < 0 ? nullptr : vars[ins.inputs[1]].bat;
+        const BatPtr ties =
+            ins.inputs[2] < 0 ? nullptr : vars[ins.inputs[2]].bat;
         MAMMOTH_ASSIGN_OR_RETURN(
-            algebra::SortResult s,
-            algebra::Sort(vars[ins.inputs[0]].bat, ins.flag, ctx_));
-        vars[ins.outputs[0]].bat = s.sorted;
-        vars[ins.outputs[1]].bat = s.order;
+            algebra::RefineSortResult s,
+            algebra::RefineSort(vars[ins.inputs[0]].bat, order, ties,
+                                ins.flag, ctx_));
+        vars[ins.outputs[0]].bat = s.order;
+        vars[ins.outputs[1]].bat = s.tie_groups;
         break;
       }
       case OpCode::kTopN: {
@@ -524,6 +534,21 @@ Result<QueryResult> Interpreter::Run(const Program& program, RunStats* stats) {
         MAMMOTH_ASSIGN_OR_RETURN(BatPtr r,
                                  algebra::Distinct(vars[ins.inputs[0]].bat, ctx_));
         vars[ins.outputs[0]].bat = r;
+        break;
+      }
+      case OpCode::kSlice: {
+        // Rows [lo, hi), clamped to the row count, through a dense OID
+        // range; a slice of every row passes the BAT through.
+        MAMMOTH_RETURN_IF_ERROR(NeedBat(vars, ins.inputs[0], "slice"));
+        BatPtr b = vars[ins.inputs[0]].bat;
+        const size_t hi = std::min<uint64_t>(ins.consts[1].AsInt(), b->Count());
+        const size_t lo = std::min<uint64_t>(ins.consts[0].AsInt(), hi);
+        if (hi - lo < b->Count()) {
+          MAMMOTH_ASSIGN_OR_RETURN(
+              b, algebra::Project(Bat::NewDense(b->hseqbase() + lo, hi - lo),
+                                  b, ctx_));
+        }
+        vars[ins.outputs[0]].bat = std::move(b);
         break;
       }
       case OpCode::kResult: {

@@ -370,13 +370,16 @@ Result<Program> ParseMal(const std::string& text) {
         break;
       }
       case OpCode::kSort:
-        MAMMOTH_RETURN_IF_ERROR(CheckShape(b, 1, 0, 0, 0, no, 2, opname));
+        MAMMOTH_RETURN_IF_ERROR(CheckShape(b, 3, 0, 0, 0, no, 2, opname));
         break;
       case OpCode::kTopN:
         MAMMOTH_RETURN_IF_ERROR(CheckShape(b, 1, 1, 0, 0, no, 1, opname));
         break;
       case OpCode::kDistinct:
         MAMMOTH_RETURN_IF_ERROR(CheckShape(b, 1, 0, 0, 0, no, 1, opname));
+        break;
+      case OpCode::kSlice:
+        MAMMOTH_RETURN_IF_ERROR(CheckShape(b, 1, 2, 0, 0, no, 1, opname));
         break;
       case OpCode::kResult:
         MAMMOTH_RETURN_IF_ERROR(CheckShape(b, 1, 0, 1, 0, no, 0, opname));

@@ -40,6 +40,8 @@ const char* OpCodeName(OpCode op) {
       return "algebra.firstn";
     case OpCode::kDistinct:
       return "algebra.unique";
+    case OpCode::kSlice:
+      return "algebra.slice";
     case OpCode::kResult:
       return "sql.resultSet";
   }
@@ -185,9 +187,9 @@ int Program::CalcConst(algebra::ArithOp op, int a, const Value& v) {
   return i.outputs[0];
 }
 
-std::pair<int, int> Program::Sort(int bat, bool desc) {
+std::pair<int, int> Program::Sort(int bat, bool desc, int order, int ties) {
   Instr& i = Append(OpCode::kSort);
-  i.inputs = {bat};
+  i.inputs = {bat, order, ties};
   i.flag = desc;
   i.outputs = {NewVar(), NewVar()};
   return {i.outputs[0], i.outputs[1]};
@@ -205,6 +207,15 @@ int Program::TopN(int bat, size_t k, bool desc) {
 int Program::Distinct(int bat) {
   Instr& i = Append(OpCode::kDistinct);
   i.inputs = {bat};
+  i.outputs = {NewVar()};
+  return i.outputs[0];
+}
+
+int Program::Slice(int bat, size_t lo, size_t hi) {
+  Instr& i = Append(OpCode::kSlice);
+  i.inputs = {bat};
+  i.consts = {Value::Int(static_cast<int64_t>(lo)),
+              Value::Int(static_cast<int64_t>(hi))};
   i.outputs = {NewVar()};
   return i.outputs[0];
 }

@@ -30,9 +30,10 @@ enum class OpCode : uint8_t {
   kAggrAvg,      // values, [groups, n]        -> bat
   kCalcBin,      // a, b; arith                -> bat
   kCalcConst,    // a; arith, const            -> bat
-  kSort,         // bat; desc flag             -> (sorted, order)
+  kSort,         // bat, [order, ties]; desc   -> (order, ties)
   kTopN,         // bat; k, desc               -> oid bat
   kDistinct,     // bat                        -> bat
+  kSlice,        // bat; lo, hi                -> bat
   kResult,       // bat; result column name    -> (sink)
 };
 
@@ -87,9 +88,14 @@ class Program {
   int Aggr(OpCode agg_op, int values, int groups = -1, int ngroups = -1);
   int CalcBin(algebra::ArithOp op, int a, int b);
   int CalcConst(algebra::ArithOp op, int a, const Value& v);
-  std::pair<int, int> Sort(int bat, bool desc = false);
+  /// Returns (order, ties) variable ids; order/ties may be -1 (the first
+  /// key of a chain) or the previous key's outputs (algebra::RefineSort).
+  std::pair<int, int> Sort(int bat, bool desc = false, int order = -1,
+                           int ties = -1);
   int TopN(int bat, size_t k, bool desc = false);
   int Distinct(int bat);
+  /// Rows [lo, hi) of `bat`; hi clamps to its row count.
+  int Slice(int bat, size_t lo, size_t hi);
   void Result(int bat, const std::string& name);
 
  private:

@@ -4,9 +4,6 @@
 #include <map>
 
 #include "compress/compressed_exec.h"
-#include "core/project.h"
-#include "core/select.h"
-#include "core/sort.h"
 #include "sql/parser.h"
 #include "wal/db.h"
 #include "wal/record.h"
@@ -292,47 +289,71 @@ Result<mal::Program> Engine::Compile(const SelectStmt& stmt) const {
     joined.emplace(key, v);
     return v;
   };
-  // Variable whose count equals the output row count (for COUNT(*)).
-  const int rows_var = is_join_query ? jl : cands[0];
 
-  if (!group_cols.empty()) {
-    int groups = -1, extents = -1, ngroups = -1;
-    for (const Resolved& g : group_cols) {
-      std::tie(groups, extents, ngroups) =
-          prog.Group(project_value(g), groups, ngroups);
+  // One result variable per select-list item; HAVING, ORDER BY and LIMIT
+  // rewrite them before the result set is emitted.
+  int groups = -1, extents = -1, ngroups = -1;
+  for (const Resolved& g : group_cols) {
+    std::tie(groups, extents, ngroups) =
+        prog.Group(project_value(g), groups, ngroups);
+  }
+  std::vector<int> outs;
+  for (const SelectItem& item : items) {
+    if (item.agg == AggFn::kCount && item.column.empty()) {
+      // COUNT(*) counts each group's rows, or every output row.
+      const int rows = groups >= 0 ? groups : is_join_query ? jl : cands[0];
+      outs.push_back(prog.Aggr(mal::OpCode::kAggrCount, rows, groups, ngroups));
+      continue;
     }
-    for (const SelectItem& item : items) {
-      if (item.agg == AggFn::kNone) {
-        MAMMOTH_ASSIGN_OR_RETURN(Resolved r, resolve(item.column));
-        prog.Result(prog.Project(extents, project_value(r)), item.Label());
-      } else if (item.agg == AggFn::kCount && item.column.empty()) {
-        prog.Result(
-            prog.Aggr(mal::OpCode::kAggrCount, groups, groups, ngroups),
-            item.Label());
-      } else {
-        MAMMOTH_ASSIGN_OR_RETURN(Resolved r, resolve(item.column));
-        prog.Result(prog.Aggr(AggOpCode(item.agg), project_value(r), groups,
-                              ngroups),
-                    item.Label());
-      }
+    MAMMOTH_ASSIGN_OR_RETURN(Resolved r, resolve(item.column));
+    const int v = project_value(r);
+    if (item.agg != AggFn::kNone) {
+      outs.push_back(prog.Aggr(AggOpCode(item.agg), v, groups, ngroups));
+    } else {
+      outs.push_back(extents < 0 ? v : prog.Project(extents, v));
     }
-  } else if (has_agg) {
-    for (const SelectItem& item : items) {
-      if (item.agg == AggFn::kCount && item.column.empty()) {
-        prog.Result(prog.Aggr(mal::OpCode::kAggrCount, rows_var, -1, -1),
-                    item.Label());
-      } else {
-        MAMMOTH_ASSIGN_OR_RETURN(Resolved r, resolve(item.column));
-        prog.Result(
-            prog.Aggr(AggOpCode(item.agg), project_value(r), -1, -1),
-            item.Label());
-      }
+  }
+
+  auto label_var = [&](const std::string& label) -> Result<int> {
+    for (size_t i = 0; i < items.size(); ++i) {
+      if (items[i].Label() == label) return outs[i];
     }
-  } else {
-    for (const SelectItem& item : items) {
-      MAMMOTH_ASSIGN_OR_RETURN(Resolved r, resolve(item.column));
-      prog.Result(project_value(r), item.Label());
+    return Status::InvalidArgument("column " + label +
+                                   " is not in the select list");
+  };
+  // Late tuple reconstruction (§4.3): every result column is fetched once
+  // through the final OID list.
+  auto project_all = [&](int oids) {
+    for (int& v : outs) v = prog.Project(oids, v);
+  };
+  // HAVING: the same selects as WHERE, over the aggregate result BATs.
+  if (!stmt.having.empty()) {
+    int keep = -1;
+    for (const HavingPred& h : stmt.having) {
+      MAMMOTH_ASSIGN_OR_RETURN(int v, label_var(h.label));
+      keep = prog.ThetaSelect(v, keep, h.literal, h.op);
     }
+    project_all(keep);
+  }
+  // ORDER BY one key with a LIMIT is a heap top-k; otherwise a chain of
+  // sorts, major key first, each refining inside the previous key's ties.
+  // LIMIT slices the order (or, unordered, every column) positionally.
+  const size_t limit = static_cast<size_t>(stmt.limit);
+  if (stmt.order_by.size() == 1 && stmt.limit >= 0) {
+    MAMMOTH_ASSIGN_OR_RETURN(int v, label_var(stmt.order_by[0].label));
+    project_all(prog.TopN(v, limit, stmt.order_by[0].desc));
+  } else if (!stmt.order_by.empty()) {
+    int order = -1, ties = -1;
+    for (const OrderKey& key : stmt.order_by) {
+      MAMMOTH_ASSIGN_OR_RETURN(int v, label_var(key.label));
+      std::tie(order, ties) = prog.Sort(v, key.desc, order, ties);
+    }
+    project_all(stmt.limit >= 0 ? prog.Slice(order, 0, limit) : order);
+  } else if (stmt.limit >= 0) {
+    for (int& v : outs) v = prog.Slice(v, 0, limit);
+  }
+  for (size_t i = 0; i < items.size(); ++i) {
+    prog.Result(outs[i], items[i].Label());
   }
   return prog;
 }
@@ -347,12 +368,12 @@ Result<mal::QueryResult> Engine::RunSelect(const SelectStmt& stmt,
     std::lock_guard<std::mutex> lock(intro_mu_);
     last_opt_ = opt_report;
   }
-  return RunCompiledSelect(std::move(prog), stmt, ctx, snap);
+  return RunCompiledSelect(std::move(prog), ctx, snap);
 }
 
 Result<mal::QueryResult> Engine::RunCompiledSelect(
-    mal::Program prog, const SelectStmt& stmt,
-    const parallel::ExecContext& ctx, const txn::Snapshot& snap) {
+    mal::Program prog, const parallel::ExecContext& ctx,
+    const txn::Snapshot& snap) {
   const uint64_t running = selects_running_.fetch_add(1) + 1;
   uint64_t peak = selects_peak_.load(std::memory_order_relaxed);
   while (running > peak &&
@@ -376,57 +397,6 @@ Result<mal::QueryResult> Engine::RunCompiledSelect(
     last_stats_ = run_stats;
   }
 
-  auto find_label = [&](const std::string& label) -> Result<size_t> {
-    for (size_t i = 0; i < result.names.size(); ++i) {
-      if (result.names[i] == label) return i;
-    }
-    return Status::InvalidArgument("column " + label +
-                                   " is not in the select list");
-  };
-
-  // HAVING: post-aggregation filtering, evaluated with the same select
-  // kernels over the materialized result columns.
-  if (!stmt.having.empty()) {
-    BatPtr cands;  // null = all result rows
-    for (const HavingPred& h : stmt.having) {
-      MAMMOTH_ASSIGN_OR_RETURN(size_t idx, find_label(h.label));
-      MAMMOTH_ASSIGN_OR_RETURN(
-          cands, algebra::ThetaSelect(result.columns[idx], cands, h.literal,
-                                      h.op, ctx));
-    }
-    for (BatPtr& col : result.columns) {
-      MAMMOTH_ASSIGN_OR_RETURN(col, algebra::Project(cands, col, ctx));
-    }
-  }
-
-  // ORDER BY: lexicographic re-ordering via the RefineSort chain, major
-  // key first — each subsequent key only sorts inside the tie groups the
-  // previous keys left, instead of re-sorting the whole table per key.
-  if (!stmt.order_by.empty()) {
-    BatPtr order, ties;
-    for (const OrderKey& key : stmt.order_by) {
-      MAMMOTH_ASSIGN_OR_RETURN(size_t idx, find_label(key.label));
-      MAMMOTH_ASSIGN_OR_RETURN(
-          algebra::RefineSortResult r,
-          algebra::RefineSort(result.columns[idx], order, ties, key.desc,
-                              ctx));
-      order = std::move(r.order);
-      ties = std::move(r.tie_groups);
-      if (r.ngroups == order->Count()) break;  // order is already total
-    }
-    for (BatPtr& col : result.columns) {
-      MAMMOTH_ASSIGN_OR_RETURN(col, algebra::Project(order, col, ctx));
-    }
-  }
-  // LIMIT: positional slice — O(k) thanks to the dense-head design.
-  if (stmt.limit >= 0 &&
-      static_cast<size_t>(stmt.limit) < result.RowCount()) {
-    const BatPtr slice =
-        Bat::NewDense(0, static_cast<size_t>(stmt.limit));
-    for (BatPtr& col : result.columns) {
-      MAMMOTH_ASSIGN_OR_RETURN(col, algebra::Project(slice, col, ctx));
-    }
-  }
   // Snapshot rule (see engine.h): string result columns share the
   // table's StringHeap, which a later INSERT may append to (and
   // reallocate) once the shared lock is gone — re-intern them into
@@ -1102,14 +1072,7 @@ Result<mal::QueryResult> Engine::ExecutePreparedLocked(
       prog = entry->plan;  // copy: substitution must not touch the cache
     }
     MAMMOTH_RETURN_IF_ERROR(SubstituteProgram(&prog, params));
-    if (entry->nparams == 0) {
-      return RunCompiledSelect(std::move(prog), *sel, ctx, snap);
-    }
-    // HAVING literals live in the AST, not the plan — bind a private copy.
-    Statement bound = entry->ast;
-    MAMMOTH_RETURN_IF_ERROR(SubstituteStatement(&bound, params));
-    return RunCompiledSelect(std::move(prog), std::get<SelectStmt>(bound),
-                             ctx, snap);
+    return RunCompiledSelect(std::move(prog), ctx, snap);
   }
   // Prepared DML: bind a private AST copy and take the normal exclusive
   // path (joining the session's open transaction, if any). Only the

@@ -302,11 +302,10 @@ class Engine {
   Result<mal::QueryResult> RunSelect(const SelectStmt& stmt,
                                      const parallel::ExecContext& ctx,
                                      const txn::Snapshot& snap);
-  /// Runs an already compiled (and optimized) SELECT plan; the
-  /// post-processing — HAVING, ORDER BY, LIMIT, result snapshotting —
-  /// still comes from `stmt`. Caller holds the shared lock.
+  /// Runs an already compiled (and optimized) SELECT plan — the whole
+  /// statement, HAVING, ORDER BY and LIMIT included — then re-interns its
+  /// string result columns (snapshot rule). Caller holds the shared lock.
   Result<mal::QueryResult> RunCompiledSelect(mal::Program prog,
-                                             const SelectStmt& stmt,
                                              const parallel::ExecContext& ctx,
                                              const txn::Snapshot& snap);
   /// The `PREPARE name AS <statement>` SQL surface: Prepare() of the

@@ -195,12 +195,7 @@ Status SubstituteStatement(Statement* stmt,
   return std::visit(
       [&params](auto& s) -> Status {
         using T = std::decay_t<decltype(s)>;
-        if constexpr (std::is_same_v<T, SelectStmt>) {
-          MAMMOTH_RETURN_IF_ERROR(SubstitutePredicates(&s.where, params));
-          for (HavingPred& h : s.having) {
-            MAMMOTH_RETURN_IF_ERROR(SubstituteValue(&h.literal, params));
-          }
-        } else if constexpr (std::is_same_v<T, InsertStmt>) {
+        if constexpr (std::is_same_v<T, InsertStmt>) {
           for (std::vector<Value>& row : s.rows) {
             for (Value& v : row) {
               MAMMOTH_RETURN_IF_ERROR(SubstituteValue(&v, params));
@@ -214,7 +209,7 @@ Status SubstituteStatement(Statement* stmt,
           }
           MAMMOTH_RETURN_IF_ERROR(SubstitutePredicates(&s.where, params));
         }
-        // CREATE/ALTER carry no literal positions.
+        // CREATE/ALTER carry no literal positions; SELECTs bind their plan.
         return Status::OK();
       },
       *stmt);

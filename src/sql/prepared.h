@@ -101,8 +101,8 @@ class PreparedCache {
 /// ordinal or a nil parameter (kernels cannot compare against nil).
 Status SubstituteProgram(mal::Program* prog, const std::vector<Value>& params);
 
-/// Same, over every literal position of a parsed statement (WHERE /
-/// HAVING literals, INSERT rows, UPDATE SET values).
+/// Same, over every literal position of a parsed DML statement (WHERE
+/// literals, INSERT rows, UPDATE SET values); SELECTs bind their plan.
 Status SubstituteStatement(Statement* stmt, const std::vector<Value>& params);
 
 }  // namespace mammoth::sql

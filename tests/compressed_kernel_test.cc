@@ -450,7 +450,20 @@ TEST(CompressedKernelTest, RangeDecodesAndGathersMatchDecodeAcrossBoundaries) {
         edges.push_back(start);
         edges.push_back(n - 1 - start);
       }
-      for (const std::vector<Oid>* rows : {&sorted_rows, &shuffled, &edges}) {
+      // Runs whose last touched row sits at slot 0, 1, 63 or 127 of its
+      // block: a block decodes only through that row. The last row leads
+      // each run, and the sparse ones (slots 0 and 1) stay below PFOR's
+      // dense-run cut while the others cross it.
+      std::vector<Oid> block_tails;
+      for (const size_t slot : {0, 1, 63, 127}) {
+        for (const size_t block : {size_t{0}, size_t{7}, size_t{512}}) {
+          const Oid first = block * 128;
+          block_tails.push_back(first + slot);
+          for (size_t r = 0; r < slot; r += 2) block_tails.push_back(first + r);
+        }
+      }
+      for (const std::vector<Oid>* rows :
+           {&sorted_rows, &shuffled, &edges, &block_tails}) {
         ASSERT_TRUE(comp->Gather(rows->data(), rows->size(), buf.data()).ok())
             << what;
         for (size_t i = 0; i < rows->size(); ++i) {

@@ -20,12 +20,16 @@ Program SampleProgram() {
                                  Value::Real(1.5));
   auto [groups, extents, n] = p.Group(proj);
   const int sum = p.Aggr(OpCode::kAggrSum, scaled, groups, n);
-  auto [sorted, order] = p.Sort(sum, /*desc=*/true);
-  const int top = p.TopN(sorted, 3);
+  const int key = p.Project(extents, proj);
+  auto [order, ties] = p.Sort(sum, /*desc=*/true);
+  auto [refined, refined_ties] = p.Sort(key, false, order, ties);
+  const int first = p.Slice(refined, 0, 3);
+  const int top = p.TopN(sum, 3);
   const int uniq = p.Distinct(proj);
+  (void)refined_ties;
   (void)top;
   (void)uniq;
-  p.Result(sorted, "x");
+  p.Result(p.Project(first, sum), "x");
   return p;
 }
 
@@ -87,6 +91,53 @@ TEST(MalParserTest, ParsedProgramExecutes) {
   EXPECT_DOUBLE_EQ(r->columns[0]->ValueAt<double>(0), 3725.0);
 }
 
+TEST(MalParserTest, ParsedSortChainAndSliceExecute) {
+  auto catalog = std::make_shared<Catalog>();
+  auto t = Table::Create("t", {{"a", PhysType::kInt32},
+                               {"b", PhysType::kInt32}});
+  ASSERT_TRUE(t.ok());
+  // (a, b): a ties in pairs, b breaks them descending.
+  for (const auto& [a, b] : std::vector<std::pair<int, int>>{
+           {2, 1}, {1, 5}, {2, 7}, {1, 3}, {3, 0}}) {
+    ASSERT_TRUE((*t)->Insert({Value::Int(a), Value::Int(b)}).ok());
+  }
+  ASSERT_TRUE(catalog->Register(*t).ok());
+
+  const std::string text =
+      "(v0) := sql.tid(\"t\");\n"
+      "(v1) := sql.bind(\"t\", \"a\");\n"
+      "(v2) := sql.bind(\"t\", \"b\");\n"
+      "(v3) := algebra.projection(v0, v1);\n"
+      "(v4) := algebra.projection(v0, v2);\n"
+      "(v5, v6) := algebra.sort(v3, nil, nil);\n"
+      "(v7, v8) := algebra.sort(v4, v5, v6, desc);\n"
+      "(v9) := algebra.slice(v7, 1, 4);\n"
+      "(v10) := algebra.projection(v9, v4);\n"
+      "sql.resultSet(\"b\", v10);\n";
+  auto prog = ParseMal(text);
+  ASSERT_TRUE(prog.ok()) << prog.status().ToString();
+  EXPECT_EQ(prog->ToString(), ParseMal(prog->ToString())->ToString());
+  Interpreter interp(catalog.get());
+  auto r = interp.Run(*prog);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  // Order by a, b DESC: (1,5) (1,3) (2,7) (2,1) (3,0); rows [1, 4).
+  ASSERT_EQ(r->RowCount(), 3u);
+  EXPECT_EQ(r->columns[0]->ValueAt<int32_t>(0), 3);
+  EXPECT_EQ(r->columns[0]->ValueAt<int32_t>(1), 7);
+  EXPECT_EQ(r->columns[0]->ValueAt<int32_t>(2), 1);
+
+  // The slice clamps at the row count, and a wrong arity is refused.
+  EXPECT_TRUE(ParseMal("(v0) := sql.tid(\"t\");\n"
+                       "(v1) := algebra.slice(v0, 0, 99);\n")
+                  .ok());
+  EXPECT_FALSE(ParseMal("(v0) := sql.tid(\"t\");\n"
+                        "(v1) := algebra.slice(v0, 2);\n")
+                   .ok());
+  EXPECT_FALSE(ParseMal("(v0) := sql.tid(\"t\");\n"
+                        "(v1, v2) := algebra.sort(v0);\n")
+                   .ok());
+}
+
 TEST(MalParserTest, WhitespaceAndEmptyLinesTolerated) {
   auto p = ParseMal("\n\n  (v0) := sql.tid(\"t\");\n\n");
   ASSERT_TRUE(p.ok());
@@ -118,9 +169,9 @@ TEST(MalParserTest, FlagsRoundTrip) {
   const int age = p.Bind("t", "a");
   const int cands = p.BindCandidates("t");
   p.RangeSelect(age, cands, Value::Int(1), Value::Int(2), /*anti=*/true);
-  auto [sorted, order] = p.Sort(age, /*desc=*/true);
-  (void)sorted;
+  auto [order, ties] = p.Sort(age, /*desc=*/true);
   (void)order;
+  (void)ties;
   const std::string text = p.ToString();
   EXPECT_NE(text.find("anti"), std::string::npos);
   EXPECT_NE(text.find("desc"), std::string::npos);

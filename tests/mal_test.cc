@@ -98,8 +98,9 @@ TEST(MalInterpreterTest, CalcAndSort) {
   const int sproj = p.Project(cands, sal);
   const int doubled = p.CalcConst(algebra::ArithOp::kMul, sproj,
                                   Value::Real(2.0));
-  auto [sorted, order] = p.Sort(doubled, /*desc=*/true);
-  p.Result(sorted, "x");
+  auto [order, ties] = p.Sort(doubled, /*desc=*/true);
+  (void)ties;
+  p.Result(p.Project(order, doubled), "x");
   Interpreter interp(catalog.get());
   auto r = interp.Run(p);
   ASSERT_TRUE(r.ok());
