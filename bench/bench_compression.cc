@@ -285,8 +285,7 @@ void DirectSelect(benchmark::State& state, compress::Codec codec,
   }
   for (auto _ : state) {
     if (direct) {
-      auto r = compress::CompressedThetaSelectRange(*comp, v, CmpOp::kEq, 0,
-                                                    comp->Count(), 0);
+      auto r = compress::CompressedThetaSelect(*comp, v, CmpOp::kEq, 0);
       benchmark::DoNotOptimize(r->get());
     } else {
       auto plain = comp->Decode();

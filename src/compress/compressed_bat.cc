@@ -164,6 +164,11 @@ Result<CompressedBat> CompressedBat::CompressBest(const BatPtr& b) {
       best = std::move(attempt);
     }
   }
+  // A stream no smaller than the raw tail only makes every read slower:
+  // the column stays plain.
+  if (best.ok() && best->CompressedBytes() >= best->LogicalBytes()) {
+    return Status::InvalidArgument("compress: no codec shrinks the column");
+  }
   // Only the winner pays for its indexes.
   if (best.ok()) MAMMOTH_RETURN_IF_ERROR(best->CheckStream());
   return best;

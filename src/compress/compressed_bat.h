@@ -44,8 +44,10 @@ class CompressedBat {
   /// morsel-aligned scan chunk covers whole stat blocks.
   static constexpr size_t kStatBlockRows = size_t{1} << 16;
 
-  /// Compresses `b` (kInt32 or kInt64) with the chosen codec, or with the
-  /// smallest of the codecs applicable to the type when unset.
+  /// Compresses `b` (kInt32 or kInt64) with the chosen codec. CompressBest
+  /// keeps the smallest stream of the codecs applicable to the type, and
+  /// fails (kInvalidArgument) unless that stream is smaller than the raw
+  /// tail.
   static Result<CompressedBat> Compress(const BatPtr& b, Codec codec);
   static Result<CompressedBat> CompressBest(const BatPtr& b);
 

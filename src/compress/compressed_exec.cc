@@ -126,50 +126,118 @@ Result<BatPtr> DictProject(const BatPtr& oids,
   return r;
 }
 
-Result<BatPtr> ProjectMainDelta(
-    const BatPtr& oids, const BatPtr& main,
-    const std::shared_ptr<const CompressedBat>& comp,
-    const std::shared_ptr<const StrDict>& sdict, const BatPtr& delta,
-    const parallel::ExecContext& ctx) {
-  if (oids == nullptr || (main == nullptr && comp == nullptr &&
-                          sdict == nullptr)) {
+ColumnImage ColumnImage::Store(BatPtr b, bool compress) {
+  if (compress && (b->type() == PhysType::kInt32 ||
+                   b->type() == PhysType::kInt64)) {
+    // No codec that shrinks the column (or an empty column) leaves it
+    // plain.
+    Result<CompressedBat> c = CompressedBat::CompressBest(b);
+    if (c.ok()) {
+      return {.comp = std::make_shared<const CompressedBat>(*std::move(c))};
+    }
+  } else if (compress && b->type() == PhysType::kStr) {
+    // High cardinality leaves the column plain.
+    Result<StrDict> d = StrDict::Encode(b);
+    if (d.ok()) {
+      return {.sdict = std::make_shared<const StrDict>(*std::move(d))};
+    }
+  }
+  return {.bat = std::move(b)};
+}
+
+PhysType ColumnImage::type() const {
+  if (comp != nullptr) return comp->type();
+  return sdict != nullptr ? PhysType::kStr : bat->type();
+}
+
+size_t ColumnImage::Count() const {
+  if (comp != nullptr) return comp->Count();
+  return sdict != nullptr ? sdict->Count() : bat->Count();
+}
+
+Result<BatPtr> ColumnImage::Decode() const {
+  if (comp != nullptr) return comp->Decode();
+  return sdict != nullptr ? sdict->Decode() : Result<BatPtr>(bat);
+}
+
+BatPtr ColumnImage::Stub() const {
+  if (comp != nullptr) return Bat::New(comp->type());
+  return sdict != nullptr ? Bat::NewString(sdict->heap()) : bat;
+}
+
+Result<BatPtr> ColumnImage::Project(const BatPtr& oids,
+                                    const parallel::ExecContext& ctx) const {
+  if (comp != nullptr) return CompressedProject(oids, comp);
+  if (sdict != nullptr) return DictProject(oids, sdict);
+  return algebra::Project(oids, bat, ctx);
+}
+
+Result<BatPtr> ColumnImage::Fold(FoldOp op) const {
+  if (comp == nullptr || !AggregatableOnCompressed(*comp)) return BatPtr();
+  switch (op) {
+    case FoldOp::kSum:
+      return CompressedAggrSum(*comp);
+    case FoldOp::kMin:
+      return CompressedAggrMin(*comp);
+    case FoldOp::kMax:
+      return CompressedAggrMax(*comp);
+  }
+  return BatPtr();
+}
+
+size_t ColumnImage::EncodedBytes() const {
+  if (comp != nullptr) return comp->CompressedBytes();
+  return sdict != nullptr ? sdict->CompressedBytes() : 0;
+}
+
+size_t ColumnImage::LogicalBytes() const {
+  if (comp != nullptr) return comp->LogicalBytes();
+  return sdict != nullptr ? sdict->LogicalBytes() : 0;
+}
+
+size_t ColumnImage::IndexBytes() const {
+  if (comp != nullptr) return comp->IndexBytes();
+  return sdict != nullptr ? sdict->IndexBytes() : 0;
+}
+
+Result<BatPtr> ProjectMainDelta(const BatPtr& oids, const ColumnImage& main,
+                                const BatPtr& delta,
+                                const parallel::ExecContext& ctx) {
+  if (oids == nullptr || !main) {
     return Status::InvalidArgument("project: null input");
   }
-  auto project_main = [&](const BatPtr& o) {
-    if (main != nullptr) return algebra::Project(o, main, ctx);
-    return comp != nullptr ? CompressedProject(o, comp) : DictProject(o, sdict);
-  };
-  if (delta == nullptr || delta->empty()) return project_main(oids);
-  if (main == nullptr && comp == nullptr && delta->heap() != sdict->heap()) {
+  if (delta == nullptr || delta->empty()) return main.Project(oids, ctx);
+  if (main.sdict != nullptr && delta->heap() != main.sdict->heap()) {
     return Status::Internal("project: string delta off the dictionary heap");
   }
   if (!KnownSorted(oids)) {
-    if (main != nullptr) {
-      return algebra::Project(oids, ConcatColumn(main, delta), ctx);
+    if (main.bat != nullptr) {
+      return algebra::Project(oids, ConcatColumn(main.bat, delta), ctx);
     }
     MAMMOTH_RETURN_IF_ERROR(CheckOids(oids));
-    if (comp == nullptr) {
+    if (main.sdict != nullptr) {
       return ProjectUnsorted<uint64_t>(
-          oids, Bat::NewString(sdict->heap()), delta,
+          oids, Bat::NewString(main.sdict->heap()), delta,
           [&](const Oid* rows, size_t n, uint64_t* out) {
-            return sdict->GatherOffsets(rows, n, out);
+            return main.sdict->GatherOffsets(rows, n, out);
           });
     }
+    const CompressedBat& comp = *main.comp;
     auto gather = [&](const Oid* rows, size_t n, void* out) {
-      return GatherOrOutOfRange(*comp, rows, n, out);
+      return GatherOrOutOfRange(comp, rows, n, out);
     };
-    return comp->type() == PhysType::kInt32
-               ? ProjectUnsorted<int32_t>(oids, Bat::New(comp->type()), delta,
+    return comp.type() == PhysType::kInt32
+               ? ProjectUnsorted<int32_t>(oids, Bat::New(comp.type()), delta,
                                           gather)
-               : ProjectUnsorted<int64_t>(oids, Bat::New(comp->type()), delta,
+               : ProjectUnsorted<int64_t>(oids, Bat::New(comp.type()), delta,
                                           gather);
   }
   const OidSplit split = SplitSortedOids(oids, delta->hseqbase());
-  if (split.high->empty()) return project_main(oids);
+  if (split.high->empty()) return main.Project(oids, ctx);
   MAMMOTH_ASSIGN_OR_RETURN(BatPtr out,
                            algebra::Project(split.high, delta, ctx));
   if (!split.low->empty()) {
-    MAMMOTH_ASSIGN_OR_RETURN(BatPtr head, project_main(split.low));
+    MAMMOTH_ASSIGN_OR_RETURN(BatPtr head, main.Project(split.low, ctx));
     head->AppendTail(*out);
     out = std::move(head);
   }

@@ -46,24 +46,16 @@ void AppendRange(const BatPtr& r, Oid hseq, size_t lo, size_t hi) {
 }
 
 /// RLE select: walk the run list, test each run's value once, and emit the
-/// run's row range clipped to [begin, end). O(runs + matches).
+/// run's row range. O(runs + matches).
 template <typename KeepFn>
-Result<BatPtr> RleSelect(const CompressedBat& comp, size_t begin, size_t end,
-                         Oid hseq, const KeepFn& keep) {
+Result<BatPtr> RleSelect(const CompressedBat& comp, Oid hseq,
+                         const KeepFn& keep) {
   MAMMOTH_ASSIGN_OR_RETURN(const CompressedBat::RleRuns* runs,
                            comp.RunsView());
   BatPtr r = Bat::New(PhysType::kOid);
-  if (begin < end) {
-    // Last run whose start is <= begin.
-    size_t idx = static_cast<size_t>(
-        std::upper_bound(runs->starts.begin(), runs->starts.end(), begin) -
-        runs->starts.begin());
-    idx = idx == 0 ? 0 : idx - 1;
-    for (; idx < runs->NumRuns() && runs->starts[idx] < end; ++idx) {
-      if (!keep(runs->values[idx])) continue;
-      AppendRange(r, hseq,
-                  std::max<size_t>(runs->starts[idx], begin),
-                  std::min<size_t>(runs->starts[idx + 1], end));
+  for (size_t idx = 0; idx < runs->NumRuns(); ++idx) {
+    if (keep(runs->values[idx])) {
+      AppendRange(r, hseq, runs->starts[idx], runs->starts[idx + 1]);
     }
   }
   StampSelectResult(r);
@@ -103,27 +95,24 @@ __attribute__((aligned(64))) BatPtr SelectCodes(
 /// PDICT select: evaluate the predicate once per dictionary entry into a
 /// per-code LUT, then run the code loop.
 template <typename KeepFn>
-Result<BatPtr> PdictSelect(const CompressedBat& comp, size_t begin,
-                           size_t end, Oid hseq, const KeepFn& keep) {
+Result<BatPtr> PdictSelect(const CompressedBat& comp, Oid hseq,
+                           const KeepFn& keep) {
   MAMMOTH_ASSIGN_OR_RETURN(CompressedBat::DictView view, comp.PdictView());
   std::vector<uint8_t> lut(view.dsize, 0);
   for (uint32_t c = 0; c < view.dsize; ++c) {
     lut[c] = keep(static_cast<int64_t>(view.dict[c])) ? 1 : 0;
   }
-  return SelectCodes(view.codes, view.bits, lut, begin, end, hseq);
+  return SelectCodes(view.codes, view.bits, lut, 0, comp.Count(), hseq);
 }
 
 template <typename KeepFn>
-Result<BatPtr> SelectDispatch(const CompressedBat& comp, size_t begin,
-                              size_t end, Oid hseq, const KeepFn& keep) {
-  if (end > comp.Count() || begin > end) {
-    return Status::OutOfRange("compressed select: range beyond column");
-  }
+Result<BatPtr> SelectDispatch(const CompressedBat& comp, Oid hseq,
+                              const KeepFn& keep) {
   switch (comp.codec()) {
     case Codec::kRle:
-      return RleSelect(comp, begin, end, hseq, keep);
+      return RleSelect(comp, hseq, keep);
     case Codec::kPdict:
-      return PdictSelect(comp, begin, end, hseq, keep);
+      return PdictSelect(comp, hseq, keep);
     default:
       return Status::Unsupported("compressed select: codec has no kernel");
   }
@@ -209,10 +198,8 @@ bool AggregatableOnCompressed(const CompressedBat& comp) {
   return comp.codec() == Codec::kRle || comp.codec() == Codec::kPdict;
 }
 
-Result<BatPtr> CompressedThetaSelectRange(const CompressedBat& comp,
-                                          const Value& v, CmpOp op,
-                                          size_t begin, size_t end,
-                                          Oid hseq) {
+Result<BatPtr> CompressedThetaSelect(const CompressedBat& comp,
+                                     const Value& v, CmpOp op, Oid hseq) {
   if (!v.is_numeric()) {
     return Status::TypeMismatch("select: numeric column vs non-numeric value");
   }
@@ -220,32 +207,30 @@ Result<BatPtr> CompressedThetaSelectRange(const CompressedBat& comp,
     return Status::TypeMismatch("select: LIKE on numeric column");
   }
   if (comp.type() == PhysType::kInt32) {
-    return SelectDispatch(comp, begin, end, hseq, ThetaKeep<int32_t>(v, op));
+    return SelectDispatch(comp, hseq, ThetaKeep<int32_t>(v, op));
   }
-  return SelectDispatch(comp, begin, end, hseq, ThetaKeep<int64_t>(v, op));
+  return SelectDispatch(comp, hseq, ThetaKeep<int64_t>(v, op));
 }
 
-Result<BatPtr> CompressedRangeSelectRange(const CompressedBat& comp,
-                                          const Value& lo, const Value& hi,
-                                          bool lo_incl, bool hi_incl,
-                                          bool anti, size_t begin, size_t end,
-                                          Oid hseq) {
+Result<BatPtr> CompressedRangeSelect(const CompressedBat& comp,
+                                     const Value& lo, const Value& hi,
+                                     bool lo_incl, bool hi_incl, bool anti,
+                                     Oid hseq) {
   if ((!lo.is_nil() && !lo.is_numeric()) ||
       (!hi.is_nil() && !hi.is_numeric())) {
     return Status::TypeMismatch("range select: non-numeric bound");
   }
   if (comp.type() == PhysType::kInt32) {
-    return SelectDispatch(comp, begin, end, hseq,
+    return SelectDispatch(comp, hseq,
                           RangeKeep<int32_t>(lo, hi, lo_incl, hi_incl, anti));
   }
-  return SelectDispatch(comp, begin, end, hseq,
+  return SelectDispatch(comp, hseq,
                         RangeKeep<int64_t>(lo, hi, lo_incl, hi_incl, anti));
 }
 
 Result<BatPtr> CompressedSortedSelect(const CompressedBat& comp,
                                       const Value& lo, const Value& hi,
-                                      bool lo_incl, bool hi_incl, bool anti,
-                                      Oid hseq) {
+                                      bool lo_incl, bool hi_incl, bool anti) {
   if ((!lo.is_nil() && !lo.is_numeric()) ||
       (!hi.is_nil() && !hi.is_numeric())) {
     return Status::TypeMismatch("range select: non-numeric bound");
@@ -268,14 +253,14 @@ Result<BatPtr> CompressedSortedSelect(const CompressedBat& comp,
     MAMMOTH_ASSIGN_OR_RETURN(last, bound(hi, hi_incl));
   }
   last = std::max(last, first);
-  if (!anti) return Bat::NewDense(hseq + first, last - first);
+  if (!anti) return Bat::NewDense(first, last - first);
   // The rows outside [first, last), materialized as the scan kernel
   // emits them.
   BatPtr r = Bat::New(PhysType::kOid);
   r->Resize(first + (n - last));
   Oid* out = r->MutableTailData<Oid>();
-  for (size_t i = 0; i < first; ++i) out[i] = hseq + i;
-  for (size_t i = last; i < n; ++i) out[first + (i - last)] = hseq + i;
+  for (size_t i = 0; i < first; ++i) out[i] = i;
+  for (size_t i = last; i < n; ++i) out[first + (i - last)] = i;
   StampSelectResult(r);
   return r;
 }

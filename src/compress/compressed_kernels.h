@@ -39,31 +39,26 @@ bool RangeSelectableOnCompressed(const CompressedBat& comp, const Value& lo,
 bool AggregatableOnCompressed(const CompressedBat& comp);
 
 /// --- Selects -----------------------------------------------------------
-/// Evaluates the predicate over rows [begin, end) of the column and
-/// returns the matching OIDs (`hseq` + row) ascending, stamped exactly
-/// like a scan select result. `begin`/`end` select a window of rows
-/// (adjacent windows concatenate to the whole-column result); whole-column
-/// callers pass (0, comp.Count()).
-Result<BatPtr> CompressedThetaSelectRange(const CompressedBat& comp,
-                                          const Value& v, CmpOp op,
-                                          size_t begin, size_t end, Oid hseq);
-Result<BatPtr> CompressedRangeSelectRange(const CompressedBat& comp,
-                                          const Value& lo, const Value& hi,
-                                          bool lo_incl, bool hi_incl,
-                                          bool anti, size_t begin, size_t end,
-                                          Oid hseq);
+/// Evaluates the predicate over every row of the column and returns the
+/// matching OIDs (`hseq` + row) ascending, stamped exactly like a scan
+/// select result.
+Result<BatPtr> CompressedThetaSelect(const CompressedBat& comp,
+                                     const Value& v, CmpOp op, Oid hseq);
+Result<BatPtr> CompressedRangeSelect(const CompressedBat& comp,
+                                     const Value& lo, const Value& hi,
+                                     bool lo_incl, bool hi_incl, bool anti,
+                                     Oid hseq);
 /// Range select over a column compressed sorted (props().sorted), by
 /// binary search: the per-block maxima find the statistics block each
 /// bound falls in, probes at single rows narrow it to one 128-row stretch,
 /// and only that stretch is decoded. Returns exactly what
-/// algebra::RangeSelect returns on the decoded column headed at `hseq`
-/// with no candidates: a dense OID list, or for `anti` the materialized
-/// rows outside the range. Theta predicates map onto it (`<>` is the anti
-/// `=` range). kUnsupported on an unsorted column.
+/// algebra::RangeSelect returns on the decoded column (headed at 0, like
+/// every main image) with no candidates: a dense OID list, or for `anti`
+/// the materialized rows outside the range. Theta predicates map onto it
+/// (`<>` is the anti `=` range). kUnsupported on an unsorted column.
 Result<BatPtr> CompressedSortedSelect(const CompressedBat& comp,
                                       const Value& lo, const Value& hi,
-                                      bool lo_incl, bool hi_incl, bool anti,
-                                      Oid hseq);
+                                      bool lo_incl, bool hi_incl, bool anti);
 /// String selects on a dictionary-compressed column run in two steps: the
 /// predicate becomes a per-code keep LUT over the sorted dictionary, then
 /// one loop over the packed codes emits the kept rows. The LUT builders

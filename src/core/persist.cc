@@ -172,6 +172,24 @@ Result<PhysType> TypeFromToken(const std::string& token) {
   return Status::IOError("unknown type token " + token);
 }
 
+/// Writes an encoded column image to its own file.
+Status WriteImage(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  out.flush();
+  if (!out) return Status::IOError("short write to " + path);
+  return Status::OK();
+}
+
+/// Reads an encoded column image file whole.
+Result<std::string> ReadImage(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  if (!in.good() && !in.eof()) return Status::IOError("read " + path);
+  return std::move(buf).str();
+}
+
 }  // namespace
 
 Status SaveTable(const Table& table, const std::string& dir) {
@@ -191,33 +209,24 @@ Status SaveTable(const Table& table, const std::string& dir) {
   manifest << snap->name() << "\n" << snap->schema().size() << "\n";
   for (size_t i = 0; i < snap->schema().size(); ++i) {
     const ColumnDef& def = snap->schema()[i];
-    const auto& comp = snap->CompressedColumn(i);
-    if (comp != nullptr) {
+    const compress::ColumnImage& image = snap->MainImage(i);
+    const std::string path = dir + "/col_" + std::to_string(i);
+    std::string bytes;
+    if (image.comp != nullptr) {
       // Third token marks the column file as a compressed image
       // (col_<i>.cbat instead of col_<i>.mbat).
       manifest << def.name << " " << TypeToken(def.type) << " czip\n";
-      std::string image;
-      comp->Serialize(&image);
-      const std::string path = dir + "/col_" + std::to_string(i) + ".cbat";
-      std::ofstream out(path, std::ios::binary | std::ios::trunc);
-      out.write(image.data(), static_cast<std::streamsize>(image.size()));
-      out.flush();
-      if (!out) return Status::IOError("short write to " + path);
-    } else if (snap->StringDictColumn(i) != nullptr) {
+      image.comp->Serialize(&bytes);
+      MAMMOTH_RETURN_IF_ERROR(WriteImage(path + ".cbat", bytes));
+    } else if (image.sdict != nullptr) {
       // Dictionary-compressed string column: the .sdict image (sorted
       // dictionary + packed codes) replaces the offset tail + heap.
       manifest << def.name << " " << TypeToken(def.type) << " sdict\n";
-      std::string image;
-      snap->StringDictColumn(i)->Serialize(&image);
-      const std::string path = dir + "/col_" + std::to_string(i) + ".sdict";
-      std::ofstream out(path, std::ios::binary | std::ios::trunc);
-      out.write(image.data(), static_cast<std::streamsize>(image.size()));
-      out.flush();
-      if (!out) return Status::IOError("short write to " + path);
+      image.sdict->Serialize(&bytes);
+      MAMMOTH_RETURN_IF_ERROR(WriteImage(path + ".sdict", bytes));
     } else {
       manifest << def.name << " " << TypeToken(def.type) << "\n";
-      MAMMOTH_RETURN_IF_ERROR(SaveBat(
-          *snap->MainColumn(i), dir + "/col_" + std::to_string(i) + ".mbat"));
+      MAMMOTH_RETURN_IF_ERROR(SaveBat(*image.bat, path + ".mbat"));
     }
   }
   if (snap->compression_enabled()) manifest << "compressed\n";
@@ -235,9 +244,7 @@ Result<TablePtr> LoadTable(const std::string& dir, bool use_mmap) {
     return Status::IOError("bad manifest in " + dir);
   }
   std::vector<ColumnDef> schema;
-  std::vector<BatPtr> columns;
-  std::vector<std::shared_ptr<const compress::CompressedBat>> comps;
-  std::vector<std::shared_ptr<const compress::StrDict>> sdicts;
+  std::vector<compress::ColumnImage> images;
   for (size_t i = 0; i < ncols; ++i) {
     ColumnDef def;
     std::string type_token;
@@ -250,47 +257,31 @@ Result<TablePtr> LoadTable(const std::string& dir, bool use_mmap) {
     std::getline(manifest, rest);
     const bool compressed = rest.find("czip") != std::string::npos;
     const bool dict = rest.find("sdict") != std::string::npos;
-    BatPtr col;
-    std::shared_ptr<const compress::CompressedBat> comp;
-    std::shared_ptr<const compress::StrDict> sdict;
+    const std::string path = dir + "/col_" + std::to_string(i);
+    compress::ColumnImage col;
     if (compressed) {
-      const std::string path = dir + "/col_" + std::to_string(i) + ".cbat";
-      std::ifstream in(path, std::ios::binary);
-      std::ostringstream buf;
-      buf << in.rdbuf();
-      if (!in.good() && !in.eof()) return Status::IOError("read " + path);
-      std::string image = std::move(buf).str();
+      MAMMOTH_ASSIGN_OR_RETURN(std::string image, ReadImage(path + ".cbat"));
       MAMMOTH_ASSIGN_OR_RETURN(compress::CompressedBat cb,
                                compress::CompressedBat::Deserialize(image));
-      comp = std::make_shared<const compress::CompressedBat>(std::move(cb));
+      col.comp =
+          std::make_shared<const compress::CompressedBat>(std::move(cb));
     } else if (dict) {
-      const std::string path = dir + "/col_" + std::to_string(i) + ".sdict";
-      std::ifstream in(path, std::ios::binary);
-      std::ostringstream buf;
-      buf << in.rdbuf();
-      if (!in.good() && !in.eof()) return Status::IOError("read " + path);
-      std::string image = std::move(buf).str();
+      MAMMOTH_ASSIGN_OR_RETURN(std::string image, ReadImage(path + ".sdict"));
       MAMMOTH_ASSIGN_OR_RETURN(compress::StrDict sd,
                                compress::StrDict::Deserialize(image));
-      sdict = std::make_shared<const compress::StrDict>(std::move(sd));
+      col.sdict = std::make_shared<const compress::StrDict>(std::move(sd));
+    } else if (use_mmap) {
+      MAMMOTH_ASSIGN_OR_RETURN(col.bat, MapBat(path + ".mbat"));
     } else {
-      const std::string path = dir + "/col_" + std::to_string(i) + ".mbat";
-      if (use_mmap) {
-        MAMMOTH_ASSIGN_OR_RETURN(col, MapBat(path));
-      } else {
-        MAMMOTH_ASSIGN_OR_RETURN(col, LoadBat(path));
-      }
+      MAMMOTH_ASSIGN_OR_RETURN(col.bat, LoadBat(path + ".mbat"));
     }
     schema.push_back(std::move(def));
-    columns.push_back(std::move(col));
-    comps.push_back(std::move(comp));
-    sdicts.push_back(std::move(sdict));
+    images.push_back(std::move(col));
   }
   std::string policy_token;
   const bool policy = (manifest >> policy_token) && policy_token == "compressed";
   return Table::FromStorage(std::move(name), std::move(schema),
-                            std::move(columns), std::move(comps),
-                            std::move(sdicts), policy);
+                            std::move(images), policy);
 }
 
 Status SaveCatalog(const Catalog& catalog, const std::string& dir) {

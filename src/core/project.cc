@@ -1,5 +1,7 @@
 #include "core/project.h"
 
+#include <cstring>
+
 #include "core/candidates.h"
 #include "core/dispatch.h"
 
@@ -14,8 +16,17 @@ using parallel::TaskPool;
 /// Each morsel owns the disjoint output slice [begin, end), so the parallel
 /// and serial schedules write identical bytes.
 template <typename T>
-Status GatherSlices(const CandidateReader& cr, const T* in, T* out,
-                    size_t n, size_t vcount, const ExecContext& ctx) {
+Status GatherSlices(const CandidateReader& cr, bool dense, const T* in,
+                    T* out, size_t n, size_t vcount, const ExecContext& ctx) {
+  if (dense && n > 0) {
+    // A dense OID list is one row range: check its ends and copy it.
+    const size_t first = cr.PositionAt(0);
+    if (first >= vcount || vcount - first < n) {
+      return Status::OutOfRange("project: oid beyond value BAT");
+    }
+    std::memcpy(out, in + first, n * sizeof(T));
+    return Status::OK();
+  }
   return ctx.ParallelFor(
       n, TaskPool::kDefaultGrain,
       [&](size_t begin, size_t end, int /*worker*/) {
@@ -65,15 +76,15 @@ Result<BatPtr> Project(const BatPtr& oids, const BatPtr& values,
     r = Bat::NewString(base->heap());
     r->Resize(n);
     MAMMOTH_RETURN_IF_ERROR(GatherSlices<uint64_t>(
-        cr, base->TailData<uint64_t>(), r->MutableTailData<uint64_t>(), n,
-        vcount, ctx));
+        cr, oids->IsDenseTail(), base->TailData<uint64_t>(),
+        r->MutableTailData<uint64_t>(), n, vcount, ctx));
   } else {
     r = Bat::New(base->type());
     r->Resize(n);
     MAMMOTH_RETURN_IF_ERROR(DispatchNumeric(base->type(), [&](auto tag) {
       using T = typename decltype(tag)::type;
-      return GatherSlices<T>(cr, base->TailData<T>(), r->MutableTailData<T>(),
-                             n, vcount, ctx);
+      return GatherSlices<T>(cr, oids->IsDenseTail(), base->TailData<T>(),
+                             r->MutableTailData<T>(), n, vcount, ctx);
     }));
   }
   r->set_hseqbase(oids->hseqbase());

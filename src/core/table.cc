@@ -8,11 +8,11 @@ namespace mammoth {
 
 Table::Table(std::string name, std::vector<ColumnDef> schema)
     : name_(std::move(name)), schema_(std::move(schema)) {
-  mains_.reserve(schema_.size());
-  compressed_.resize(schema_.size());
-  str_dicts_.resize(schema_.size());
+  images_.reserve(schema_.size());
   inserts_.resize(schema_.size());
-  for (const ColumnDef& def : schema_) mains_.push_back(NewColumnBat(def));
+  for (const ColumnDef& def : schema_) {
+    images_.push_back({.bat = NewColumnBat(def)});
+  }
   for (size_t i = 0; i < schema_.size(); ++i) ResetDelta(i);
   deleted_ = Bat::New(PhysType::kOid);
   deleted_->mutable_props().sorted = true;
@@ -28,7 +28,7 @@ BatPtr Table::NewColumnBat(const ColumnDef& def) {
 void Table::ResetDelta(size_t i) {
   // Sharing the heap makes the merge step a plain offset append.
   inserts_[i] = schema_[i].type == PhysType::kStr
-                    ? Bat::NewString(mains_[i]->heap())
+                    ? Bat::NewString(MainColumn(i)->heap())
                     : Bat::New(schema_[i].type);
   inserts_[i]->set_hseqbase(MainRowCount());
 }
@@ -51,25 +51,10 @@ Result<TablePtr> Table::Create(std::string name,
 Result<TablePtr> Table::FromColumns(std::string name,
                                     std::vector<ColumnDef> schema,
                                     std::vector<BatPtr> columns) {
-  MAMMOTH_ASSIGN_OR_RETURN(TablePtr t,
-                           Create(std::move(name), std::move(schema)));
-  if (columns.size() != t->schema_.size()) {
-    return Status::InvalidArgument("FromColumns: column count mismatch");
-  }
-  for (size_t i = 0; i < columns.size(); ++i) {
-    if (columns[i] == nullptr || columns[i]->type() != t->schema_[i].type) {
-      return Status::TypeMismatch("FromColumns: column " +
-                                  t->schema_[i].name + " type mismatch");
-    }
-    if (columns[i]->Count() != columns[0]->Count()) {
-      return Status::InvalidArgument("FromColumns: column lengths differ");
-    }
-  }
-  for (size_t i = 0; i < columns.size(); ++i) {
-    t->mains_[i] = std::move(columns[i]);
-    t->ResetDelta(i);
-  }
-  return t;
+  std::vector<compress::ColumnImage> images;
+  for (BatPtr& c : columns) images.push_back({.bat = std::move(c)});
+  return FromStorage(std::move(name), std::move(schema), std::move(images),
+                     false);
 }
 
 Result<size_t> Table::ColumnIndex(std::string_view column_name) const {
@@ -178,16 +163,10 @@ Status Table::Delete(const BatPtr& oids, uint64_t stamp,
 
 Result<BatPtr> Table::ScanColumn(size_t idx) const {
   if (idx >= schema_.size()) return Status::OutOfRange("no such column");
-  BatPtr main = mains_[idx];
   // Transparent read path: an encoded image decodes whole on every call,
   // into a BAT the caller owns (the MAL interpreter's reads go through
-  // the main image and delta instead). A dictionary decodes onto its own
-  // heap, which the string delta shares.
-  if (compressed_[idx] != nullptr) {
-    MAMMOTH_ASSIGN_OR_RETURN(main, compressed_[idx]->Decode());
-  } else if (str_dicts_[idx] != nullptr) {
-    MAMMOTH_ASSIGN_OR_RETURN(main, str_dicts_[idx]->Decode());
-  }
+  // the main image and delta instead).
+  MAMMOTH_ASSIGN_OR_RETURN(BatPtr main, images_[idx].Decode());
   return ConcatColumn(main, inserts_[idx]);
 }
 
@@ -216,16 +195,18 @@ BatPtr Table::LiveCandidates() const {
   return live;
 }
 
-Status Table::MergeDeltas() {
+Status Table::MergeDeltas() { return Merge(false); }
+
+Status Table::Merge(bool encode) {
   const BatPtr live = LiveCandidates();
   const bool has_deletes = deleted_->Count() > 0;
   const bool has_inserts = inserts_[0]->Count() > 0;
   for (size_t i = 0; i < schema_.size(); ++i) {
-    // A compressed column with no pending deltas is already its merged
-    // image: skip the decode/re-encode churn (checkpoints call MergeDeltas
-    // on every snapshot).
-    if ((compressed_[i] != nullptr || str_dicts_[i] != nullptr) &&
-        !has_deletes && !has_inserts) {
+    // A column with no pending deltas is already its merged image, stored
+    // as the policy stores it: skip the decode/re-encode churn
+    // (checkpoints call MergeDeltas on every snapshot).
+    if (!has_deletes && !has_inserts &&
+        (!encode || images_[i].encoded())) {
       continue;
     }
     MAMMOTH_ASSIGN_OR_RETURN(BatPtr merged, ScanColumn(i));
@@ -250,34 +231,11 @@ Status Table::MergeDeltas() {
           }
         });
       }
-      mains_[i] = compacted;
-    } else if (merged.get() != mains_[i].get()) {
-      mains_[i] = merged;
+      merged = std::move(compacted);
     }
-    compressed_[i] = nullptr;
-    if (compress_policy_ && Compressible(schema_[i].type)) {
-      // Re-encode the merged image; on failure (nothing to gain, or an
-      // empty column) the plain BAT simply stays.
-      Result<compress::CompressedBat> comp =
-          compress::CompressedBat::CompressBest(mains_[i]);
-      if (comp.ok()) {
-        compressed_[i] =
-            std::make_shared<const compress::CompressedBat>(*std::move(comp));
-        mains_[i] = NewColumnBat(schema_[i]);
-      }
-    }
-    str_dicts_[i] = nullptr;
-    if (compress_policy_ && schema_[i].type == PhysType::kStr) {
-      // The dictionary becomes the column's only image: the main keeps no
-      // offsets, just the dictionary's heap for the delta to intern into.
-      // High cardinality leaves the plain BAT in place.
-      Result<compress::StrDict> dict = compress::StrDict::Encode(mains_[i]);
-      if (dict.ok()) {
-        str_dicts_[i] =
-            std::make_shared<const compress::StrDict>(*std::move(dict));
-        mains_[i] = Bat::NewString(str_dicts_[i]->heap());
-      }
-    }
+    // Re-encode the merged image under the policy.
+    images_[i] = compress::ColumnImage::Store(std::move(merged),
+                                              compress_policy_);
   }
   // Fresh empty deltas, headed at the new main row count.
   for (size_t i = 0; i < schema_.size(); ++i) ResetDelta(i);
@@ -319,9 +277,7 @@ void Table::Rollback(const DeltaMark& mark) {
 
 TablePtr Table::Snapshot() const {
   TablePtr snap(new Table(name_, schema_));
-  snap->mains_ = mains_;            // shared, immutable until MergeDeltas
-  snap->compressed_ = compressed_;  // immutable byte streams: share
-  snap->str_dicts_ = str_dicts_;    // immutable dictionaries: share
+  snap->images_ = images_;  // shared, immutable until MergeDeltas
   snap->compress_policy_ = compress_policy_;
   for (size_t i = 0; i < inserts_.size(); ++i) {
     snap->inserts_[i] = inserts_[i]->Clone();
@@ -339,20 +295,13 @@ Status Table::SetCompression(bool on) {
   compress_policy_ = on;
   if (on) {
     // Fold pending deltas into the mains and re-encode under the new
-    // policy in one step (MergeDeltas does both), so the compressed
-    // image covers every visible row — not just the merged prefix.
-    return MergeDeltas();
+    // policy in one step, so the compressed image covers every visible
+    // row — not just the merged prefix.
+    return Merge(true);
   }
-  for (size_t i = 0; i < schema_.size(); ++i) {
-    if (compressed_[i] != nullptr) {
-      MAMMOTH_ASSIGN_OR_RETURN(mains_[i], compressed_[i]->Decode());
-      compressed_[i] = nullptr;
-    }
-    if (str_dicts_[i] != nullptr) {
-      // Decoded onto the dictionary's heap, which the delta shares.
-      MAMMOTH_ASSIGN_OR_RETURN(mains_[i], str_dicts_[i]->Decode());
-      str_dicts_[i] = nullptr;
-    }
+  for (compress::ColumnImage& image : images_) {
+    MAMMOTH_ASSIGN_OR_RETURN(BatPtr plain, image.Decode());
+    image = {.bat = std::move(plain)};
   }
   // Contents are unchanged, but cached plans/results key on the version
   // and the representation they bound to; be conservative.
@@ -472,102 +421,28 @@ void Table::NoteCommit(uint64_t commit_ts) {
   commit_history_.emplace_back(commit_ts, version_);
 }
 
-Result<TablePtr> Table::FromStorage(
-    std::string name, std::vector<ColumnDef> schema,
-    std::vector<BatPtr> mains,
-    std::vector<std::shared_ptr<const compress::CompressedBat>> comps,
-    std::vector<std::shared_ptr<const compress::StrDict>> sdicts,
-    bool policy) {
+Result<TablePtr> Table::FromStorage(std::string name,
+                                    std::vector<ColumnDef> schema,
+                                    std::vector<compress::ColumnImage> images,
+                                    bool policy) {
   MAMMOTH_ASSIGN_OR_RETURN(TablePtr t,
                            Create(std::move(name), std::move(schema)));
-  if (mains.size() != t->schema_.size() ||
-      comps.size() != t->schema_.size() ||
-      sdicts.size() != t->schema_.size()) {
+  if (images.size() != t->schema_.size()) {
     return Status::InvalidArgument("FromStorage: column count mismatch");
   }
-  size_t nrows = 0;
-  for (size_t i = 0; i < t->schema_.size(); ++i) {
-    size_t count = 0;
-    if (comps[i] != nullptr) {
-      if (comps[i]->type() != t->schema_[i].type) {
-        return Status::TypeMismatch("FromStorage: compressed column " +
-                                    t->schema_[i].name + " type mismatch");
-      }
-      count = comps[i]->Count();
-    } else if (sdicts[i] != nullptr) {
-      if (t->schema_[i].type != PhysType::kStr) {
-        return Status::TypeMismatch("FromStorage: dictionary column " +
-                                    t->schema_[i].name + " is not a string");
-      }
-      count = sdicts[i]->Count();
-    } else {
-      if (mains[i] == nullptr || mains[i]->type() != t->schema_[i].type) {
-        return Status::TypeMismatch("FromStorage: column " +
-                                    t->schema_[i].name + " type mismatch");
-      }
-      count = mains[i]->Count();
+  for (size_t i = 0; i < images.size(); ++i) {
+    if (!images[i] || images[i].type() != t->schema_[i].type) {
+      return Status::TypeMismatch("FromStorage: column " +
+                                  t->schema_[i].name + " type mismatch");
     }
-    if (i == 0) {
-      nrows = count;
-    } else if (count != nrows) {
+    if (images[i].Count() != images[0].Count()) {
       return Status::InvalidArgument("FromStorage: column lengths differ");
     }
   }
-  for (size_t i = 0; i < t->schema_.size(); ++i) {
-    if (comps[i] != nullptr) {
-      t->compressed_[i] = std::move(comps[i]);
-    } else if (sdicts[i] != nullptr) {
-      // The dictionary is the column's image; the main is an empty BAT
-      // over the dictionary's heap, where the delta interns.
-      t->mains_[i] = Bat::NewString(sdicts[i]->heap());
-      t->str_dicts_[i] = std::move(sdicts[i]);
-    } else {
-      t->mains_[i] = std::move(mains[i]);
-    }
-    t->ResetDelta(i);
-  }
+  t->images_ = std::move(images);
+  for (size_t i = 0; i < t->schema_.size(); ++i) t->ResetDelta(i);
   t->compress_policy_ = policy;
   return t;
-}
-
-size_t Table::CompressedColumnCount() const {
-  size_t n = 0;
-  for (const auto& c : compressed_) n += c != nullptr ? 1 : 0;
-  for (const auto& d : str_dicts_) n += d != nullptr ? 1 : 0;
-  return n;
-}
-
-size_t Table::CompressedBytesTotal() const {
-  size_t n = 0;
-  for (const auto& c : compressed_) {
-    if (c != nullptr) n += c->CompressedBytes();
-  }
-  for (const auto& d : str_dicts_) {
-    if (d != nullptr) n += d->CompressedBytes();
-  }
-  return n;
-}
-
-size_t Table::CompressedLogicalBytesTotal() const {
-  size_t n = 0;
-  for (const auto& c : compressed_) {
-    if (c != nullptr) n += c->LogicalBytes();
-  }
-  for (const auto& d : str_dicts_) {
-    if (d != nullptr) n += d->LogicalBytes();
-  }
-  return n;
-}
-
-size_t Table::CompressedCacheBytesTotal() const {
-  size_t n = 0;
-  for (const auto& c : compressed_) {
-    if (c != nullptr) n += c->IndexBytes();
-  }
-  for (const auto& d : str_dicts_) {
-    if (d != nullptr) n += d->IndexBytes();
-  }
-  return n;
 }
 
 }  // namespace mammoth

@@ -6,8 +6,7 @@
 #include <vector>
 
 #include "common/result.h"
-#include "compress/compressed_bat.h"
-#include "compress/dict_str.h"
+#include "compress/compressed_exec.h"
 #include "core/bat.h"
 #include "core/value.h"
 #include "txn/txn.h"
@@ -40,17 +39,14 @@ class Table {
                                       std::vector<ColumnDef> schema,
                                       std::vector<BatPtr> columns);
 
-  /// Persistence entry point for mixed representations: per column exactly
-  /// one of `mains[i]` (uncompressed), `comps[i]` (compressed int), or
-  /// `sdicts[i]` (dictionary-compressed string, kept as loaded) is set.
-  /// All representations must agree on the row count; `policy` restores
-  /// the table's compression policy flag.
-  static Result<TablePtr> FromStorage(
-      std::string name, std::vector<ColumnDef> schema,
-      std::vector<BatPtr> mains,
-      std::vector<std::shared_ptr<const compress::CompressedBat>> comps,
-      std::vector<std::shared_ptr<const compress::StrDict>> sdicts,
-      bool policy);
+  /// Persistence entry point: adopts one main image per column, kept as
+  /// loaded whatever its representation. The images must match the schema
+  /// types and agree on the row count; `policy` restores the table's
+  /// compression policy flag.
+  static Result<TablePtr> FromStorage(std::string name,
+                                      std::vector<ColumnDef> schema,
+                                      std::vector<compress::ColumnImage> images,
+                                      bool policy);
 
   const std::string& name() const { return name_; }
   const std::vector<ColumnDef>& schema() const { return schema_; }
@@ -177,10 +173,16 @@ class Table {
   /// Number of deleted, not-yet-compacted rows.
   size_t DeletedCount() const { return deleted_->Count(); }
 
-  /// Direct access to the main BAT of a column (bypasses deltas). Empty
-  /// stub when the column's main image is compressed; for a dictionary
+  /// The main image of a column as stored (bypasses deltas): a plain BAT,
+  /// a compressed int column or a string dictionary.
+  const compress::ColumnImage& MainImage(size_t idx) const {
+    return images_[idx];
+  }
+
+  /// The main image as a BAT without decoding (ColumnImage::Stub): the
+  /// plain BAT; an empty BAT when it is compressed; for a dictionary
   /// column, an empty BAT over the dictionary's heap.
-  const BatPtr& MainColumn(size_t idx) const { return mains_[idx]; }
+  BatPtr MainColumn(size_t idx) const { return images_[idx].Stub(); }
 
   /// The pending-insert delta of a column: a plain BAT headed at the main
   /// row count, so kernels run over it emit table-wide OIDs. String
@@ -202,36 +204,26 @@ class Table {
   /// True when new/merged int columns are stored compressed.
   bool compression_enabled() const { return compress_policy_; }
 
-  /// The compressed main image of a column, or nullptr when the column is
-  /// stored uncompressed.
-  const std::shared_ptr<const compress::CompressedBat>& CompressedColumn(
-      size_t idx) const {
-    return compressed_[idx];
-  }
-
-  /// The dictionary image of a string column, or nullptr when the column
-  /// has none (policy off, or cardinality above StrDict::kMaxDistinct).
-  /// Like a compressed int column's stream it is the only image of the
-  /// main rows: MainColumn keeps no offsets, just the dictionary's heap.
-  /// Selects run in code space, projections gather codes, cold paths
-  /// decode it whole, and snapshots write it as `col_<i>.sdict`.
-  const std::shared_ptr<const compress::StrDict>& StringDictColumn(
-      size_t idx) const {
-    return str_dicts_[idx];
-  }
-
   /// Number of columns currently stored compressed (int codecs + string
   /// dictionaries).
-  size_t CompressedColumnCount() const;
+  size_t CompressedColumnCount() const {
+    return SumImages([](const auto& image) { return image.encoded() ? 1 : 0; });
+  }
   /// Compressed bytes across compressed columns, and the uncompressed
   /// bytes those columns stand for.
-  size_t CompressedBytesTotal() const;
-  size_t CompressedLogicalBytesTotal() const;
+  size_t CompressedBytesTotal() const {
+    return SumImages([](const auto& image) { return image.EncodedBytes(); });
+  }
+  size_t CompressedLogicalBytesTotal() const {
+    return SumImages([](const auto& image) { return image.LogicalBytes(); });
+  }
   /// Bytes of the derived indexes encoded columns hold next to their
   /// streams (CompressedBat::IndexBytes, StrDict::IndexBytes): block
   /// offsets, PFOR-DELTA block bases, RLE run lists, dictionary code to
   /// heap offset tables. No column keeps a decoded copy.
-  size_t CompressedCacheBytesTotal() const;
+  size_t CompressedCacheBytesTotal() const {
+    return SumImages([](const auto& image) { return image.IndexBytes(); });
+  }
 
   /// Monotone write-progress counter, bumped by every
   /// Insert/Delete/MergeDeltas (restored by Rollback). Snapshot-dependent
@@ -247,27 +239,29 @@ class Table {
   /// count (string deltas share the main column's heap).
   void ResetDelta(size_t i);
 
-  /// Rows in the main image, whatever its representation.
-  size_t MainRowCount() const {
-    if (compressed_[0] != nullptr) return compressed_[0]->Count();
-    if (str_dicts_[0] != nullptr) return str_dicts_[0]->Count();
-    return mains_[0]->Count();
-  }
+  /// MergeDeltas. A column with nothing pending keeps its image, except
+  /// that `encode` stores a plain one anew under the policy (how
+  /// SetCompression turns it on).
+  Status Merge(bool encode);
 
-  /// True when the column type has a codec.
-  static bool Compressible(PhysType t) {
-    return t == PhysType::kInt32 || t == PhysType::kInt64;
+  size_t MainRowCount() const { return images_[0].Count(); }
+
+  /// Sums `bytes(image)` over the encoded main images.
+  template <typename Fn>
+  size_t SumImages(const Fn& bytes) const {
+    size_t n = 0;
+    for (const compress::ColumnImage& image : images_) n += bytes(image);
+    return n;
   }
 
   std::string name_;
   std::vector<ColumnDef> schema_;
-  std::vector<BatPtr> mains_;
-  /// Parallel to mains_: non-null when the column's main image lives in
-  /// compressed form (mains_[i] is then an empty stub).
-  std::vector<std::shared_ptr<const compress::CompressedBat>> compressed_;
-  /// Parallel to mains_: the dictionary image of a string column under the
-  /// compression policy (mains_[i] is then an empty BAT over its heap).
-  std::vector<std::shared_ptr<const compress::StrDict>> str_dicts_;
+  /// One main image per column. Under the compression policy an int or
+  /// bigint column is a codec stream and a string column a dictionary
+  /// (cardinality up to StrDict::kMaxDistinct): selects run in code space,
+  /// projections gather, cold paths decode whole, and snapshots write
+  /// `col_<i>.cbat` / `col_<i>.sdict`.
+  std::vector<compress::ColumnImage> images_;
   std::vector<BatPtr> inserts_;
   /// One commit stamp per pending insert row (parallel to inserts_[i]).
   std::vector<uint64_t> insert_stamps_;

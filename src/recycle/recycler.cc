@@ -22,16 +22,11 @@ size_t Recycler::EntryBytes(const Entry& e, size_t* compressed_bytes) const {
   size_t bytes = 64;  // bookkeeping overhead
   size_t comp = 0;
   for (const CachedVal& v : e.outputs) {
-    if (v.cbat != nullptr) {
-      // Compressed-backed value: the compressed image is the real cost;
-      // charging it (not the logical width) lets proportionally more
-      // compressed intermediates fit in the same budget.
-      comp += v.cbat->CompressedBytes();
-    } else if (v.sdict != nullptr) {
-      comp += v.sdict->CompressedBytes();
-    } else if (v.bat != nullptr) {
-      bytes += v.bat->PayloadBytes();
-    }
+    // An encoded image costs its encoded bytes: charging them (not the
+    // logical width) lets proportionally more compressed intermediates
+    // fit in the same budget.
+    comp += v.image.EncodedBytes();
+    if (v.image.bat != nullptr) bytes += v.image.bat->PayloadBytes();
   }
   *compressed_bytes = comp;
   return bytes + comp;
@@ -145,7 +140,7 @@ bool Recycler::LookupRangeSuperset(uint64_t base_sig, double lo, double hi,
   e.last_used = ++tick_;
   e.hits += 1;
   ++stats_.subsumption_hits;
-  *cands = e.outputs[0].bat;
+  *cands = e.outputs[0].image.bat;
   return true;
 }
 

@@ -9,22 +9,19 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "compress/compressed_bat.h"
-#include "compress/dict_str.h"
+#include "compress/compressed_exec.h"
 #include "core/bat.h"
 #include "core/value.h"
 
 namespace mammoth::recycle {
 
-/// A cached runtime value: MAL instructions produce BATs and scalars. When
-/// the value is a pass-through of a compressed column image, `cbat` carries
-/// it so a cache hit restores the compressed-execution fast path; admission
-/// then charges the *compressed* footprint (the decoded BAT is either an
-/// empty stub or shared with the column's cache and costs nothing extra).
+/// A cached runtime value: MAL instructions produce column images (a plain
+/// BAT for every computed intermediate) and scalars. When the value passes
+/// a column's encoded image through, a cache hit restores that image, so
+/// the compressed-execution routes apply again, and admission charges its
+/// encoded footprint, not the decoded width.
 struct CachedVal {
-  BatPtr bat;
-  std::shared_ptr<const compress::CompressedBat> cbat;
-  std::shared_ptr<const compress::StrDict> sdict;
+  compress::ColumnImage image;
   Value scalar;
 };
 

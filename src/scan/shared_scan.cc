@@ -6,6 +6,8 @@
 #include <vector>
 
 #include "compress/compressed_kernels.h"
+#include "core/candidates.h"
+#include "core/project.h"
 #include "core/select.h"
 #include "parallel/task_pool.h"
 
@@ -13,36 +15,32 @@ namespace mammoth::scan {
 
 namespace {
 
-/// Whether the predicate can run over the source's compressed
-/// representation directly (code-space / run-space), bit-identical to
-/// decode-then-kernel.
-bool CodeSpacePredicate(const ColumnSource& source, const ScanPredicate& pred) {
-  if (source.comp == nullptr) return false;
+using compress::ColumnImage;
+using compress::CompressedBat;
+
+/// Whether the predicate can run over a compressed image directly
+/// (code-space / run-space), bit-identical to decode-then-kernel.
+bool CodeSpacePredicate(const CompressedBat& comp, const ScanPredicate& pred) {
   return pred.kind == ScanPredicate::Kind::kTheta
-             ? compress::ThetaSelectableOnCompressed(*source.comp, pred.v,
-                                                     pred.op)
-             : compress::RangeSelectableOnCompressed(*source.comp, pred.lo,
-                                                     pred.hi);
+             ? compress::ThetaSelectableOnCompressed(comp, pred.v, pred.op)
+             : compress::RangeSelectableOnCompressed(comp, pred.lo, pred.hi);
 }
 
 /// Evaluates a code-space-rewritable predicate over the compressed image
 /// directly.
-Result<BatPtr> EvalCodeSpace(const ColumnSource& source,
+Result<BatPtr> EvalCodeSpace(const CompressedBat& comp,
                              const ScanPredicate& pred) {
-  const size_t n = source.Count();
   if (pred.kind == ScanPredicate::Kind::kTheta) {
-    return compress::CompressedThetaSelectRange(*source.comp, pred.v, pred.op,
-                                                0, n, source.hseqbase);
+    return compress::CompressedThetaSelect(comp, pred.v, pred.op, 0);
   }
-  return compress::CompressedRangeSelectRange(*source.comp, pred.lo, pred.hi,
-                                              true, true, pred.anti, 0, n,
-                                              source.hseqbase);
+  return compress::CompressedRangeSelect(comp, pred.lo, pred.hi, true, true,
+                                         pred.anti, 0);
 }
 
-/// Whether a compressed source answers the predicate by binary search: a
+/// Whether a compressed image answers the predicate by binary search: a
 /// sorted column, under every numeric predicate but LIKE.
-bool SortedPredicate(const ColumnSource& source, const ScanPredicate& pred) {
-  if (source.comp == nullptr || !source.comp->props().sorted) return false;
+bool SortedPredicate(const CompressedBat& comp, const ScanPredicate& pred) {
+  if (!comp.props().sorted) return false;
   if (pred.kind == ScanPredicate::Kind::kTheta) {
     return pred.v.is_numeric() && pred.op != CmpOp::kLike;
   }
@@ -50,32 +48,29 @@ bool SortedPredicate(const ColumnSource& source, const ScanPredicate& pred) {
          (pred.hi.is_nil() || pred.hi.is_numeric());
 }
 
-/// The binary-search select over a sorted compressed source. A theta
+/// The binary-search select over a sorted compressed image. A theta
 /// predicate maps onto the range it selects in a sorted column; `<>` is
 /// the rows outside the `=` range.
-Result<BatPtr> EvalSorted(const ColumnSource& source,
+Result<BatPtr> EvalSorted(const CompressedBat& comp,
                           const ScanPredicate& pred) {
-  const compress::CompressedBat& comp = *source.comp;
   if (pred.kind == ScanPredicate::Kind::kRange) {
     return compress::CompressedSortedSelect(comp, pred.lo, pred.hi, true, true,
-                                            pred.anti, source.hseqbase);
+                                            pred.anti);
   }
   const Value none;
   switch (pred.op) {
     case CmpOp::kLt:
     case CmpOp::kLe:
       return compress::CompressedSortedSelect(comp, none, pred.v, true,
-                                              pred.op == CmpOp::kLe, false,
-                                              source.hseqbase);
+                                              pred.op == CmpOp::kLe, false);
     case CmpOp::kGe:
     case CmpOp::kGt:
       return compress::CompressedSortedSelect(comp, pred.v, none,
                                               pred.op == CmpOp::kGe, true,
-                                              false, source.hseqbase);
+                                              false);
     default:  // kEq, kNe
       return compress::CompressedSortedSelect(comp, pred.v, pred.v, true, true,
-                                              pred.op == CmpOp::kNe,
-                                              source.hseqbase);
+                                              pred.op == CmpOp::kNe);
   }
 }
 
@@ -96,16 +91,15 @@ BatPtr ConcatParts(const std::vector<BatPtr>& parts) {
   return out;
 }
 
-/// Decode-then-kernel over a compressed source without a code-space or
+/// Decode-then-kernel over a compressed image without a code-space or
 /// sorted route: each statistics block decodes into a scratch buffer and
 /// the stock kernel runs over it, block-parallel under `ctx`, so the
 /// column is never decoded whole. Chunk results concatenate in order,
 /// which is the whole-column kernel's output.
-Result<BatPtr> EvalDecodedChunks(const ColumnSource& source,
+Result<BatPtr> EvalDecodedChunks(const CompressedBat& comp,
                                  const ScanPredicate& pred,
                                  const parallel::ExecContext& ctx) {
-  const compress::CompressedBat& comp = *source.comp;
-  constexpr size_t kRows = compress::CompressedBat::kStatBlockRows;
+  constexpr size_t kRows = CompressedBat::kStatBlockRows;
   const size_t n = comp.Count();
   std::vector<BatPtr> parts((n + kRows - 1) / kRows);
   MAMMOTH_RETURN_IF_ERROR(ctx.ParallelFor(
@@ -122,7 +116,7 @@ Result<BatPtr> EvalDecodedChunks(const ColumnSource& source,
           // column's.
           BatPtr view = Bat::New(comp.type());
           view->tail().AdoptExternal(buf.get(), end - begin);
-          view->set_hseqbase(source.hseqbase + begin);
+          view->set_hseqbase(begin);
           MAMMOTH_ASSIGN_OR_RETURN(
               parts[c], RunKernel(view, nullptr, pred,
                                   parallel::ExecContext::Serial()));
@@ -132,14 +126,76 @@ Result<BatPtr> EvalDecodedChunks(const ColumnSource& source,
   return ConcatParts(parts);
 }
 
-/// The per-code keep LUT of a string predicate over a dictionary.
-Result<std::vector<uint8_t>> DictLut(const compress::StrDict& dict,
-                                     const ScanPredicate& pred) {
-  if (pred.kind == ScanPredicate::Kind::kTheta) {
-    return compress::DictStrThetaLut(dict, pred.v, pred.op);
+/// A select over the rows of a dictionary that `cands` lists (null =
+/// every row, morsel-parallel under `ctx`): the predicate becomes a
+/// per-code keep LUT, and only the listed rows' codes are unpacked.
+Result<BatPtr> SelectDict(const compress::StrDict& dict, const BatPtr& cands,
+                          const ScanPredicate& pred,
+                          const parallel::ExecContext& ctx) {
+  compress::stats::SelectDirect();
+  MAMMOTH_ASSIGN_OR_RETURN(
+      std::vector<uint8_t> lut,
+      pred.kind == ScanPredicate::Kind::kTheta
+          ? compress::DictStrThetaLut(dict, pred.v, pred.op)
+          : compress::DictStrRangeLut(dict, pred.lo, pred.hi, true, true,
+                                      pred.anti));
+  if (cands != nullptr) {
+    return compress::DictStrSelectCands(dict, lut, cands, 0);
   }
-  return compress::DictStrRangeLut(dict, pred.lo, pred.hi, true, true,
-                                   pred.anti);
+  // Every row: the code loop runs morsel by morsel under `ctx`, and the
+  // parts concatenate in row order, which is the one-loop result.
+  constexpr size_t kRows = parallel::TaskPool::kDefaultGrain;
+  const size_t n = dict.Count();
+  std::vector<BatPtr> parts((n + kRows - 1) / kRows);
+  MAMMOTH_RETURN_IF_ERROR(ctx.ParallelFor(
+      parts.size(), 1, [&](size_t b, size_t e, int) -> Status {
+        for (size_t c = b; c < e; ++c) {
+          MAMMOTH_ASSIGN_OR_RETURN(
+              parts[c], compress::DictStrSelectRange(
+                            dict, lut, c * kRows, std::min(n, (c + 1) * kRows),
+                            0));
+        }
+        return Status::OK();
+      }));
+  return ConcatParts(parts);
+}
+
+/// Whether `cands` filters nothing: absent, or a dense list spanning every
+/// row of `image` (what Table::VisibleCandidates yields for a main image
+/// without deletes).
+bool CoversWholeColumn(const BatPtr& cands, const ColumnImage& image) {
+  return cands == nullptr ||
+         (cands->IsDenseTail() && cands->Count() == image.Count() &&
+          cands->tseqbase() == image.hseqbase());
+}
+
+/// A select over the rows of the main image that `cands` lists (Select's
+/// routes for the main half).
+Result<BatPtr> SelectMain(const ColumnImage& image, BatPtr cands,
+                          const ScanPredicate& pred, bool whole,
+                          const parallel::ExecContext& ctx) {
+  if (whole && CoversWholeColumn(cands, image)) cands = nullptr;
+  if (image.sdict != nullptr) return SelectDict(*image.sdict, cands, pred, ctx);
+  if (image.bat != nullptr) return RunKernel(image.bat, cands, pred, ctx);
+  const CompressedBat& comp = *image.comp;
+  if (cands == nullptr) {
+    if (CodeSpacePredicate(comp, pred)) {
+      compress::stats::SelectDirect();
+      return EvalCodeSpace(comp, pred);
+    }
+    if (SortedPredicate(comp, pred)) {
+      compress::stats::SelectDirect();
+      return EvalSorted(comp, pred);
+    }
+    compress::stats::SelectFallback();
+    return EvalDecodedChunks(comp, pred, ctx);
+  }
+  compress::stats::SelectFallback();
+  MAMMOTH_ASSIGN_OR_RETURN(BatPtr values, image.Project(cands, ctx));
+  MAMMOTH_ASSIGN_OR_RETURN(BatPtr hits, RunKernel(values, nullptr, pred, ctx));
+  MAMMOTH_ASSIGN_OR_RETURN(BatPtr out, algebra::Project(hits, cands, ctx));
+  out->mutable_props().sorted = out->mutable_props().key = KnownSorted(cands);
+  return out;
 }
 
 }  // namespace
@@ -154,56 +210,30 @@ Result<BatPtr> RunKernel(const BatPtr& column, const BatPtr& cands,
                               pred.anti, ctx);
 }
 
-Result<BatPtr> RunKernelSource(const ColumnSource& source,
-                               const ScanPredicate& pred,
-                               const parallel::ExecContext& ctx) {
-  if (source.sdict != nullptr) {
-    return RunKernelDict(source, nullptr, pred, ctx);
+Result<BatPtr> Select(const ColumnImage& image, const BatPtr& delta,
+                      const BatPtr& cands, const ScanPredicate& pred,
+                      bool whole, const parallel::ExecContext& ctx) {
+  if (delta == nullptr || delta->empty()) {
+    return SelectMain(image, cands, pred, whole, ctx);
   }
-  if (CodeSpacePredicate(source, pred)) {
-    compress::stats::SelectDirect();
-    return EvalCodeSpace(source, pred);
+  if (!KnownSorted(cands)) {
+    MAMMOTH_ASSIGN_OR_RETURN(BatPtr main, image.Decode());
+    return RunKernel(ConcatColumn(main, delta), cands, pred, ctx);
   }
-  if (SortedPredicate(source, pred)) {
-    compress::stats::SelectDirect();
-    return EvalSorted(source, pred);
-  }
-  if (source.compressed()) {
-    compress::stats::SelectFallback();
-    return EvalDecodedChunks(source, pred, ctx);
-  }
-  return RunKernel(source.bat, nullptr, pred, ctx);
-}
-
-Result<BatPtr> RunKernelDict(const ColumnSource& source, const BatPtr& cands,
-                             const ScanPredicate& pred,
-                             const parallel::ExecContext& ctx) {
-  if (source.sdict == nullptr) {
-    return Status::InvalidArgument("select: not a dictionary source");
-  }
-  compress::stats::SelectDirect();
-  MAMMOTH_ASSIGN_OR_RETURN(std::vector<uint8_t> lut,
-                           DictLut(*source.sdict, pred));
-  if (cands != nullptr) {
-    return compress::DictStrSelectCands(*source.sdict, lut, cands,
-                                        source.hseqbase);
-  }
-  // Every row: the code loop runs morsel by morsel under `ctx`, and the
-  // parts concatenate in row order, which is the one-loop result.
-  constexpr size_t kRows = parallel::TaskPool::kDefaultGrain;
-  const size_t n = source.Count();
-  std::vector<BatPtr> parts((n + kRows - 1) / kRows);
-  MAMMOTH_RETURN_IF_ERROR(ctx.ParallelFor(
-      parts.size(), 1, [&](size_t b, size_t e, int) -> Status {
-        for (size_t c = b; c < e; ++c) {
-          MAMMOTH_ASSIGN_OR_RETURN(
-              parts[c], compress::DictStrSelectRange(
-                            *source.sdict, lut, c * kRows,
-                            std::min(n, (c + 1) * kRows), source.hseqbase));
-        }
-        return Status::OK();
-      }));
-  return ConcatParts(parts);
+  const OidSplit split = SplitSortedOids(cands, delta->hseqbase());
+  MAMMOTH_ASSIGN_OR_RETURN(BatPtr tail,
+                           RunKernel(delta, split.high, pred, ctx));
+  // No main candidates: skip the main image (a compressed one would
+  // decode just to select nothing).
+  if (split.low != nullptr && split.low->empty()) return tail;
+  MAMMOTH_ASSIGN_OR_RETURN(BatPtr head,
+                           SelectMain(image, split.low, pred, whole, ctx));
+  if (tail->empty()) return head;
+  if (head->empty()) return tail;
+  BatPtr out = ConcatColumn(head, tail);
+  out->mutable_props().sorted = true;
+  out->mutable_props().key = true;
+  return out;
 }
 
 }  // namespace mammoth::scan

@@ -2,61 +2,18 @@
 #define MAMMOTH_SCAN_SHARED_SCAN_H_
 
 #include <cstdint>
-#include <memory>
 
 #include "common/result.h"
-#include "compress/compressed_bat.h"
-#include "compress/dict_str.h"
+#include "compress/compressed_exec.h"
 #include "core/bat.h"
 #include "core/value.h"
 #include "parallel/exec_context.h"
 
 namespace mammoth::scan {
 
-/// The scan layer's one select route. A whole-column select goes through
-/// RunKernelSource, which picks code space, binary search, chunk-wise
-/// decode-then-kernel or the plain kernel for the column's image; a select
-/// over candidates goes through RunKernel (or RunKernelDict for a string
-/// dictionary). The §5 cooperative-scan policy is reproduced by simulation
-/// in scan/cooperative.h (E14), not executed here.
-
-/// The column image a select reads: exactly one of a plain BAT, a
-/// compressed column or a string dictionary.
-struct ColumnSource {
-  BatPtr bat;
-  std::shared_ptr<const compress::CompressedBat> comp;
-  /// The dictionary of a string column, its only image: every string
-  /// predicate scans its packed codes through a per-code LUT.
-  std::shared_ptr<const compress::StrDict> sdict;
-  Oid hseqbase = 0;  ///< head base of the column (encoded images have none)
-
-  static ColumnSource Plain(BatPtr b) {
-    ColumnSource s;
-    s.hseqbase = b != nullptr ? b->hseqbase() : 0;
-    s.bat = std::move(b);
-    return s;
-  }
-  static ColumnSource Compressed(
-      std::shared_ptr<const compress::CompressedBat> c, Oid hseq = 0) {
-    ColumnSource s;
-    s.comp = std::move(c);
-    s.hseqbase = hseq;
-    return s;
-  }
-  static ColumnSource Dict(std::shared_ptr<const compress::StrDict> d,
-                           Oid hseq = 0) {
-    ColumnSource s;
-    s.sdict = std::move(d);
-    s.hseqbase = hseq;
-    return s;
-  }
-  bool compressed() const { return comp != nullptr; }
-  size_t Count() const {
-    if (comp != nullptr) return comp->Count();
-    if (sdict != nullptr) return sdict->Count();
-    return bat != nullptr ? bat->Count() : 0;
-  }
-};
+/// The scan layer's one select route is Select below, whatever the
+/// column's representation. The §5 cooperative-scan policy is reproduced
+/// by simulation in scan/cooperative.h (E14), not executed here.
 
 /// The predicate of a select, normalized from the MAL select ops.
 struct ScanPredicate {
@@ -91,25 +48,27 @@ Result<BatPtr> RunKernel(const BatPtr& column, const BatPtr& cands,
                          const ScanPredicate& pred,
                          const parallel::ExecContext& ctx);
 
-/// A whole-column select. A dictionary source and a predicate a
-/// compressed image answers in code space read that image in place, and a
-/// sorted compressed source binary-searches its stream (all counted as
-/// direct selects); any other compressed source decodes one statistics
-/// block at a time into scratch and runs RunKernel over each (counted as a
-/// fallback), and a plain one runs RunKernel over its image. Bit-identical
-/// to decode-then-kernel.
-Result<BatPtr> RunKernelSource(const ColumnSource& source,
-                               const ScanPredicate& pred,
-                               const parallel::ExecContext& ctx);
-
-/// A select over the rows of a dictionary source that `cands` lists (a
-/// sorted or unsorted OID list headed like the source; null = every row,
-/// morsel-parallel under `ctx`): unpacks only the candidates' codes, never
-/// the column, and counts as a direct select. Bit-identical to RunKernel
-/// over the decoded column.
-Result<BatPtr> RunKernelDict(const ColumnSource& source, const BatPtr& cands,
-                             const ScanPredicate& pred,
-                             const parallel::ExecContext& ctx);
+/// The one select entry: evaluates `pred` over the rows of a column held
+/// as (main image, pending delta) that `cands` lists (null = every row).
+/// `delta` (null when nothing is pending) is headed at the main row count.
+/// Sorted candidates cut at the delta's head: the delta half runs
+/// RunKernel, and the main half goes by the image:
+/// - with `whole` set and candidates that filter nothing, every row is
+///   read: a dictionary, and a predicate a compressed image answers in
+///   code space, read the image in place, and a sorted compressed image
+///   binary-searches its stream (all counted as direct selects); any
+///   other compressed image decodes one statistics block at a time into
+///   scratch and runs RunKernel over each (counted as a fallback);
+/// - otherwise a dictionary unpacks just the candidates' codes (direct),
+///   and a compressed image gathers just their values, selects over those
+///   and maps the hits back (a fallback);
+/// - a plain image runs RunKernel.
+/// Every delta OID follows every main OID, so the two sorted halves
+/// concatenate. Unsorted candidates select over main ++ delta.
+/// Bit-identical to RunKernel over Table::ScanColumn.
+Result<BatPtr> Select(const compress::ColumnImage& image, const BatPtr& delta,
+                      const BatPtr& cands, const ScanPredicate& pred,
+                      bool whole, const parallel::ExecContext& ctx);
 
 /// --- Kept only for perfbench (ROADMAP item 8) ------------------------
 /// No select rides a shared pass: every select takes the route above.

@@ -177,8 +177,10 @@ class Server {
   uint16_t port() const { return port_; }
 
   /// The embedded engine. Populate it (e.g. CREATE/INSERT) before
-  /// Start(); once sessions are live all access must go through
-  /// Execute(), whose internal lock arbitrates readers and writers.
+  /// Start(); once connections are live, access goes through the
+  /// engine's statement calls (each connection runs its own session via
+  /// ExecuteSession/ExecutePreparedSession), whose locks arbitrate
+  /// readers and writers.
   sql::Engine* engine() { return &engine_; }
 
   ServerStatsSnapshot stats() const;

@@ -555,14 +555,10 @@ Status Engine::RunUpdate(const UpdateStmt& stmt, wal::TxnBuilder* txn,
   // their values (or dictionary codes).
   std::vector<BatPtr> columns;
   for (size_t c = 0; c < t->NumColumns(); ++c) {
-    const auto& comp = t->CompressedColumn(c);
-    const auto& sdict = t->StringDictColumn(c);
-    const bool encoded = comp != nullptr || sdict != nullptr;
     MAMMOTH_ASSIGN_OR_RETURN(
         BatPtr col,
-        compress::ProjectMainDelta(
-            oids, encoded ? nullptr : t->MainColumn(c), comp, sdict,
-            t->DeltaColumn(c), parallel::ExecContext::Default()));
+        compress::ProjectMainDelta(oids, t->MainImage(c), t->DeltaColumn(c),
+                                   parallel::ExecContext::Default()));
     columns.push_back(std::move(col));
   }
   std::vector<std::vector<Value>> new_rows;

@@ -224,6 +224,30 @@ TEST(ProjectTest, DenseOverDenseStaysDense) {
   EXPECT_EQ((*r)->OidAt(0), 1010u);
 }
 
+/// A dense OID list over a plain tail copies its one row range, headed
+/// where the list is, and rejects a range outside the values.
+TEST(ProjectTest, DenseOidsCopyOneRange) {
+  BatPtr values = MakeBat<int32_t>({10, 20, 30, 40, 50});
+  values->set_hseqbase(100);
+  auto r = Project(Bat::NewDense(101, 3, 7), values);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ((*r)->hseqbase(), 7u);
+  ASSERT_EQ((*r)->Count(), 3u);
+  EXPECT_EQ((*r)->ValueAt<int32_t>(0), 20);
+  EXPECT_EQ((*r)->ValueAt<int32_t>(2), 40);
+  BatPtr names = MakeStringBat({"a", "b", "c"});
+  auto s = Project(Bat::NewDense(1, 2), names);
+  ASSERT_TRUE(s.ok());
+  EXPECT_EQ((*s)->heap().get(), names->heap().get());
+  EXPECT_EQ((*s)->StringAt(0), "b");
+  EXPECT_EQ((*s)->StringAt(1), "c");
+  EXPECT_TRUE(Project(Bat::NewDense(105, 0), values).ok());
+  EXPECT_EQ(Project(Bat::NewDense(103, 3), values).status().code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(Project(Bat::NewDense(99, 2), values).status().code(),
+            StatusCode::kOutOfRange);
+}
+
 TEST(ProjectTest, StringsShareHeap) {
   BatPtr names = MakeStringBat({"a", "b", "c"});
   BatPtr oids = MakeBat<Oid>({Oid{2}, Oid{0}});

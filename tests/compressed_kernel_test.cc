@@ -134,36 +134,12 @@ std::vector<Shape> SelectShapes() {
 /// and an arbitrary nonzero head, so a kernel that drops `hseq` fails.
 constexpr Oid kHeads[] = {0, 1000003};
 
-/// Chunk cuts for the row-window contract: a third of the way
-/// in (off every grid), on and just past a 4096-row code batch, and on a
-/// 128-row PFOR block.
-std::vector<size_t> ChunkCuts(size_t n) {
-  return {n / 3 + 7, 4096, 4096 * 5 + 1, 128 * 7};
-}
-
 /// The decoded column headed at `hseq`: the oracle's input.
 BatPtr DecodedAt(const CompressedBat& comp, Oid hseq) {
   auto decoded = comp.Decode();
   EXPECT_TRUE(decoded.ok());
   (*decoded)->set_hseqbase(hseq);
   return *decoded;
-}
-
-/// A whole-column result split at `cut` ([0,cut) ++ [cut,n)) concatenates
-/// to `want` — the row-window contract.
-template <typename SelectFn>
-void ExpectChunksConcatenate(const SelectFn& select, size_t n, size_t cut,
-                             const BatPtr& want, const std::string& what) {
-  auto lo = select(0, cut);
-  auto hi = select(cut, n);
-  ASSERT_TRUE(lo.ok() && hi.ok()) << what;
-  ASSERT_EQ((*lo)->Count() + (*hi)->Count(), want->Count()) << what;
-  for (size_t i = 0; i < (*lo)->Count(); ++i) {
-    ASSERT_EQ(OidAt(*lo, i), OidAt(want, i)) << what;
-  }
-  for (size_t i = 0; i < (*hi)->Count(); ++i) {
-    ASSERT_EQ(OidAt(*hi, i), OidAt(want, (*lo)->Count() + i)) << what;
-  }
 }
 
 TEST(CompressedKernelTest, ThetaSelectBitIdenticalAcrossShapesOpsAndChunks) {
@@ -175,7 +151,6 @@ TEST(CompressedKernelTest, ThetaSelectBitIdenticalAcrossShapesOpsAndChunks) {
     for (const Codec codec : {Codec::kRle, Codec::kPdict}) {
       auto comp = CompressedBat::Compress(shape.bat, codec);
       if (!comp.ok()) continue;  // codec not applicable to this shape
-      const size_t n = comp->Count();
       for (const Oid hseq : kHeads) {
         const BatPtr decoded = DecodedAt(*comp, hseq);
         for (const CmpOp op : ops) {
@@ -190,18 +165,9 @@ TEST(CompressedKernelTest, ThetaSelectBitIdenticalAcrossShapesOpsAndChunks) {
             auto want = algebra::ThetaSelect(decoded, nullptr, v, op,
                                              parallel::ExecContext::Serial());
             ASSERT_TRUE(want.ok()) << what;
-            auto got =
-                compress::CompressedThetaSelectRange(*comp, v, op, 0, n, hseq);
+            auto got = compress::CompressedThetaSelect(*comp, v, op, hseq);
             ASSERT_TRUE(got.ok()) << what << ": " << got.status().ToString();
             ExpectSameOids(*got, *want, what);
-            const auto select = [&](size_t b, size_t e) {
-              return compress::CompressedThetaSelectRange(*comp, v, op, b, e,
-                                                          hseq);
-            };
-            for (const size_t cut : ChunkCuts(n)) {
-              ExpectChunksConcatenate(select, n, cut, *want,
-                                      what + " cut " + std::to_string(cut));
-            }
           }
         }
       }
@@ -227,7 +193,6 @@ TEST(CompressedKernelTest, RangeSelectBitIdenticalIncludingAntiAndOpenEnds) {
     for (const Codec codec : {Codec::kRle, Codec::kPdict}) {
       auto comp = CompressedBat::Compress(shape.bat, codec);
       if (!comp.ok()) continue;
-      const size_t n = comp->Count();
       for (const Oid hseq : kHeads) {
         const BatPtr decoded = DecodedAt(*comp, hseq);
         for (const RangeCase& c : cases) {
@@ -244,17 +209,10 @@ TEST(CompressedKernelTest, RangeSelectBitIdenticalIncludingAntiAndOpenEnds) {
                                            c.hi_incl, c.anti,
                                            parallel::ExecContext::Serial());
           ASSERT_TRUE(want.ok()) << what;
-          const auto select = [&](size_t b, size_t e) {
-            return compress::CompressedRangeSelectRange(
-                *comp, lo, hi, c.lo_incl, c.hi_incl, c.anti, b, e, hseq);
-          };
-          auto got = select(0, n);
+          auto got = compress::CompressedRangeSelect(
+              *comp, lo, hi, c.lo_incl, c.hi_incl, c.anti, hseq);
           ASSERT_TRUE(got.ok()) << what << ": " << got.status().ToString();
           ExpectSameOids(*got, *want, what);
-          for (const size_t cut : ChunkCuts(n)) {
-            ExpectChunksConcatenate(select, n, cut, *want,
-                                    what + " cut " + std::to_string(cut));
-          }
         }
       }
     }
@@ -331,54 +289,51 @@ TEST(CompressedKernelTest, SortedSelectBinarySearchesTheCodecStream) {
       if (!comp_r.ok()) continue;  // PDICT has no int64 variant
       auto comp = std::make_shared<const CompressedBat>(*std::move(comp_r));
       ASSERT_TRUE(comp->props().sorted);
-      for (const Oid hseq : kHeads) {
-        const BatPtr decoded = DecodedAt(*comp, hseq);
-        const scan::ColumnSource source =
-            scan::ColumnSource::Compressed(comp, hseq);
-        std::vector<std::pair<scan::ScanPredicate, std::string>> preds;
-        for (const int64_t p : probes) {
-          for (const CmpOp op : ops) {
-            preds.push_back({scan::ScanPredicate::Theta(Value::Int(p), op),
-                             "op " + std::to_string(static_cast<int>(op)) +
-                                 " " + std::to_string(p)});
-          }
-          for (const int64_t q : {probes[3], probes[5], probes[9]}) {
-            for (const bool anti : {false, true}) {
-              preds.push_back(
-                  {scan::ScanPredicate::Range(Value::Int(p), Value::Int(q),
-                                              anti),
-                   "range " + std::to_string(p) + ".." + std::to_string(q) +
-                       (anti ? " anti" : "")});
-            }
-          }
-          preds.push_back({scan::ScanPredicate::Range(Value(), Value::Int(p),
-                                                      false),
-                           "range ..=" + std::to_string(p)});
-          preds.push_back({scan::ScanPredicate::Range(Value::Int(p), Value(),
-                                                      true),
-                           "anti range " + std::to_string(p) + "=.."});
+      // Every main image is headed at 0.
+      const BatPtr decoded = DecodedAt(*comp, 0);
+      const compress::ColumnImage image{.comp = comp};
+      std::vector<std::pair<scan::ScanPredicate, std::string>> preds;
+      for (const int64_t p : probes) {
+        for (const CmpOp op : ops) {
+          preds.push_back({scan::ScanPredicate::Theta(Value::Int(p), op),
+                           "op " + std::to_string(static_cast<int>(op)) +
+                               " " + std::to_string(p)});
         }
-        for (const auto& [pred, desc] : preds) {
-          const std::string what = std::string(compress::CodecName(codec)) +
-                                   "/" + TypeName(type) + " head " +
-                                   std::to_string(hseq) + " " + desc;
-          auto want = scan::RunKernel(decoded, nullptr, pred,
-                                      parallel::ExecContext::Serial());
-          ASSERT_TRUE(want.ok()) << what;
-          const compress::KernelStats before = compress::GetKernelStats();
-          auto got = scan::RunKernelSource(source, pred,
-                                           parallel::ExecContext::Serial());
-          ASSERT_TRUE(got.ok()) << what << ": " << got.status().ToString();
-          const compress::KernelStats after = compress::GetKernelStats();
-          EXPECT_EQ(after.selects_direct, before.selects_direct + 1) << what;
-          EXPECT_EQ(after.project_full, before.project_full) << what;
-          EXPECT_EQ((*got)->IsDenseTail(), (*want)->IsDenseTail()) << what;
-          EXPECT_EQ((*got)->hseqbase(), (*want)->hseqbase()) << what;
-          EXPECT_EQ((*got)->props().revsorted, (*want)->props().revsorted)
-              << what;
-          ExpectSameOids(*got, *want, what);
-          ++checked;
+        for (const int64_t q : {probes[3], probes[5], probes[9]}) {
+          for (const bool anti : {false, true}) {
+            preds.push_back(
+                {scan::ScanPredicate::Range(Value::Int(p), Value::Int(q),
+                                            anti),
+                 "range " + std::to_string(p) + ".." + std::to_string(q) +
+                     (anti ? " anti" : "")});
+          }
         }
+        preds.push_back({scan::ScanPredicate::Range(Value(), Value::Int(p),
+                                                    false),
+                         "range ..=" + std::to_string(p)});
+        preds.push_back({scan::ScanPredicate::Range(Value::Int(p), Value(),
+                                                    true),
+                         "anti range " + std::to_string(p) + "=.."});
+      }
+      for (const auto& [pred, desc] : preds) {
+        const std::string what = std::string(compress::CodecName(codec)) +
+                                 "/" + TypeName(type) + " " + desc;
+        auto want = scan::RunKernel(decoded, nullptr, pred,
+                                    parallel::ExecContext::Serial());
+        ASSERT_TRUE(want.ok()) << what;
+        const compress::KernelStats before = compress::GetKernelStats();
+        auto got = scan::Select(image, nullptr, nullptr, pred, true,
+                                parallel::ExecContext::Serial());
+        ASSERT_TRUE(got.ok()) << what << ": " << got.status().ToString();
+        const compress::KernelStats after = compress::GetKernelStats();
+        EXPECT_EQ(after.selects_direct, before.selects_direct + 1) << what;
+        EXPECT_EQ(after.project_full, before.project_full) << what;
+        EXPECT_EQ((*got)->IsDenseTail(), (*want)->IsDenseTail()) << what;
+        EXPECT_EQ((*got)->hseqbase(), (*want)->hseqbase()) << what;
+        EXPECT_EQ((*got)->props().revsorted, (*want)->props().revsorted)
+            << what;
+        ExpectSameOids(*got, *want, what);
+        ++checked;
       }
     }
   }
@@ -533,8 +488,8 @@ TEST(CompressedKernelTest, UnsortedProjectionOverMainAndDeltaGathersEachSide) {
       auto want = algebra::Project(oids, ConcatColumn(*decoded, delta),
                                    parallel::ExecContext::Serial());
       const compress::KernelStats before = compress::GetKernelStats();
-      auto got = compress::ProjectMainDelta(
-          oids, nullptr, comp, nullptr, delta, parallel::ExecContext::Serial());
+      auto got = compress::ProjectMainDelta(oids, {.comp = comp}, delta,
+                                            parallel::ExecContext::Serial());
       ASSERT_TRUE(want.ok() && got.ok()) << what;
       EXPECT_EQ(compress::GetKernelStats().project_full, before.project_full)
           << what;
@@ -547,7 +502,7 @@ TEST(CompressedKernelTest, UnsortedProjectionOverMainAndDeltaGathersEachSide) {
           << what;
       oids->Append<Oid>(n + 50);
       auto beyond = compress::ProjectMainDelta(
-          oids, nullptr, comp, nullptr, delta, parallel::ExecContext::Serial());
+          oids, {.comp = comp}, delta, parallel::ExecContext::Serial());
       ASSERT_FALSE(beyond.ok()) << what;
       EXPECT_EQ(beyond.status().code(), StatusCode::kOutOfRange) << what;
     }
@@ -809,7 +764,7 @@ TEST(CompressedKernelTest, StringAndAggregateQueriesBitIdenticalDirect) {
   // The string column carries a dictionary after the policy flip.
   auto t = engine.catalog()->Get("logs");
   ASSERT_TRUE(t.ok());
-  EXPECT_NE((*t)->StringDictColumn(3), nullptr);
+  EXPECT_NE((*t)->MainImage(3).sdict, nullptr);
 
   const auto before = compress::GetKernelStats();
   for (size_t q = 0; q < StringQueries().size(); ++q) {
@@ -1042,34 +997,67 @@ enum class RouteOut {
 };
 
 /// bind → select over the live candidates → the `out` columns.
+///
+/// With `recycler` set `out` must be kAggregates, and the plan also returns
+/// COUNT over the column projected through the whole candidate list: over
+/// a merged compressed image that projection passes the encoded image
+/// through, so the recycler caches the image itself. The plan runs twice;
+/// the second run, answered from the cache (CachedVal restores the image,
+/// range selects subsume from cached wider ones), also counts the rows of
+/// the cached projection the predicate selects — an instruction the first
+/// run never computed, so it selects from the restored image. The second
+/// run's bytes are returned.
 std::string RunRoute(Catalog* catalog, const RouteQuery& q,
                      const parallel::ExecContext& ctx,
-                     RouteOut out = RouteOut::kPayload) {
-  mal::Program p;
-  const int col = p.Bind("routes", q.column);
-  const int cands = p.BindCandidates("routes");
-  const int sel = q.range ? p.RangeSelect(col, cands, q.lo, q.hi, q.anti)
-                          : p.ThetaSelect(col, cands, q.v, q.op);
-  const int payload_col = p.Project(sel, p.Bind("routes", "rand64"));
-  if (out == RouteOut::kAggregates) {
-    p.Result(p.Aggr(mal::OpCode::kAggrCount, sel), "count");
-    p.Result(p.Aggr(mal::OpCode::kAggrSum, payload_col), "sum_rand64");
-    if (q.column != "tag") {
-      p.Result(p.Aggr(mal::OpCode::kAggrSum, p.Project(sel, col)), "sum");
+                     RouteOut out = RouteOut::kPayload,
+                     recycle::Recycler* recycler = nullptr) {
+  auto plan = [&](bool reread) {
+    mal::Program p;
+    const int col = p.Bind("routes", q.column);
+    const int cands = p.BindCandidates("routes");
+    const int sel = q.range ? p.RangeSelect(col, cands, q.lo, q.hi, q.anti)
+                            : p.ThetaSelect(col, cands, q.v, q.op);
+    const int payload_col = p.Project(sel, p.Bind("routes", "rand64"));
+    if (out == RouteOut::kAggregates) {
+      p.Result(p.Aggr(mal::OpCode::kAggrCount, sel), "count");
+      p.Result(p.Aggr(mal::OpCode::kAggrSum, payload_col), "sum_rand64");
+      if (q.column != "tag") {
+        p.Result(p.Aggr(mal::OpCode::kAggrSum, p.Project(sel, col)), "sum");
+      }
+    } else {
+      p.Result(payload_col, "rand64");
+      if (out == RouteOut::kWithSelected) {
+        p.Result(p.Project(sel, col), q.column);
+      }
     }
-  } else {
-    p.Result(payload_col, "rand64");
-    if (out == RouteOut::kWithSelected) {
-      p.Result(p.Project(sel, col), q.column);
+    if (recycler != nullptr) {
+      EXPECT_EQ(out, RouteOut::kAggregates);
+      const int whole = p.Project(cands, col);
+      p.Result(p.Aggr(mal::OpCode::kAggrCount, whole), "count_all");
+      if (reread) {
+        const int again =
+            q.range ? p.RangeSelect(whole, -1, q.lo, q.hi, q.anti)
+                    : p.ThetaSelect(whole, -1, q.v, q.op);
+        p.Result(p.Aggr(mal::OpCode::kAggrCount, again), "reread");
+      }
     }
-  }
-  mal::Interpreter interp(catalog, nullptr, ctx);
-  auto r = interp.Run(p);
-  EXPECT_TRUE(r.ok()) << q.what << ": " << r.status().ToString();
-  if (!r.ok()) return "";
-  auto payload = EncodeResult(*r);
-  EXPECT_TRUE(payload.ok()) << q.what;
-  return payload.ok() ? *payload : "";
+    return p;
+  };
+  auto run = [&](const mal::Program& p, mal::RunStats* stats) {
+    mal::Interpreter interp(catalog, recycler, ctx);
+    auto r = interp.Run(p, stats);
+    EXPECT_TRUE(r.ok()) << q.what << ": " << r.status().ToString();
+    if (!r.ok()) return std::string();
+    auto payload = EncodeResult(*r);
+    EXPECT_TRUE(payload.ok()) << q.what;
+    return payload.ok() ? *payload : "";
+  };
+  if (recycler == nullptr) return run(plan(false), nullptr);
+  run(plan(false), nullptr);
+  mal::RunStats stats;
+  const std::string second = run(plan(true), &stats);
+  EXPECT_GT(stats.recycled, 0u) << q.what;
+  return second;
 }
 
 /// `n` random route-table rows as one INSERT statement, drawn from the
@@ -1129,6 +1117,18 @@ TEST(CompressedKernelTest, SeededSelectRoutesAgreeAcrossEngines) {
     ASSERT_TRUE(comp.catalog()->Register(RouteTable(seed)).ok());
     ASSERT_TRUE(comp.Execute("ALTER TABLE routes COMPRESS").ok());
     std::vector<RouteQuery> queries = RandomRouteQueries(seed, 40);
+    // The recycler arm: each engine answers every query twice through its
+    // own recycler, which keys on the visible state, so one serves every
+    // phase.
+    recycle::Recycler oracle_rec(size_t{64} << 20);
+    recycle::Recycler comp_rec(size_t{64} << 20);
+    auto check_recycled = [&](const RouteQuery& q, const std::string& phase) {
+      EXPECT_EQ(RunRoute(comp.catalog(), q, parallel::ExecContext::Serial(),
+                         RouteOut::kAggregates, &comp_rec),
+                RunRoute(oracle.catalog(), q, parallel::ExecContext::Serial(),
+                         RouteOut::kAggregates, &oracle_rec))
+          << q.what << " (" << phase << ", recycled)";
+    };
 
     for (const RouteQuery& q : queries) {
       const std::string want =
@@ -1146,7 +1146,10 @@ TEST(CompressedKernelTest, SeededSelectRoutesAgreeAcrossEngines) {
         EXPECT_EQ(KernelStatsSince(before), serial_stats)
             << q.what << " pool " << pool->threads();
       }
+      check_recycled(q, "merged");
     }
+    // Merged images went into the cache encoded.
+    EXPECT_GT(comp_rec.stats().compressed_bytes, 0u);
 
     // --- Pending arm ------------------------------------------------------
     // The first pending phase runs the whole random mix; the later two run
@@ -1214,6 +1217,7 @@ TEST(CompressedKernelTest, SeededSelectRoutesAgreeAcrossEngines) {
                            RouteOut::kAggregates),
                   want_aggr)
             << q.what << " (" << phase << ", aggregates)";
+        check_recycled(q, phase);
         for (parallel::TaskPool* pool : {&pool1, &pool4}) {
           const parallel::ExecContext ctx(pool);
           EXPECT_EQ(RunRoute(comp.catalog(), q, ctx, out), want)
@@ -1429,7 +1433,7 @@ TEST(CompressedKernelTest, RecyclerChargesCompressedFootprint) {
 
   recycle::Recycler rec(size_t{1} << 20);
   std::vector<recycle::CachedVal> outs;
-  outs.push_back({nullptr, comp, nullptr, Value()});
+  outs.push_back({{.comp = comp}, Value()});
   rec.Insert(42, std::move(outs), 0.01);
 
   auto st = rec.stats();
@@ -1443,8 +1447,8 @@ TEST(CompressedKernelTest, RecyclerChargesCompressedFootprint) {
   std::vector<recycle::CachedVal> got;
   ASSERT_TRUE(rec.Lookup(42, &got));
   ASSERT_EQ(got.size(), 1u);
-  EXPECT_EQ(got[0].cbat.get(), comp.get());
-  EXPECT_EQ(got[0].bat, nullptr);
+  EXPECT_EQ(got[0].image.comp.get(), comp.get());
+  EXPECT_EQ(got[0].image.bat, nullptr);
 
   rec.Clear();
   EXPECT_EQ(rec.stats().compressed_bytes, 0u);
@@ -1496,7 +1500,7 @@ TEST_F(CompressedPersistTest, StringDictSurvivesSaveLoadRoundTrip) {
   ASSERT_TRUE(engine.Execute("ALTER TABLE logs COMPRESS").ok());
   auto t = engine.catalog()->Get("logs");
   ASSERT_TRUE(t.ok());
-  ASSERT_NE((*t)->StringDictColumn(3), nullptr);
+  ASSERT_NE((*t)->MainImage(3).sdict, nullptr);
 
   ASSERT_TRUE(SaveCatalog(*engine.catalog(), dir_).ok());
   // The manifest persists the dictionary image, not a plain string BAT.
@@ -1508,7 +1512,7 @@ TEST_F(CompressedPersistTest, StringDictSurvivesSaveLoadRoundTrip) {
   ASSERT_TRUE(wal::CompareCatalogs(*engine.catalog(), **loaded).ok());
   auto lt = (*loaded)->Get("logs");
   ASSERT_TRUE(lt.ok());
-  EXPECT_NE((*lt)->StringDictColumn(3), nullptr);
+  EXPECT_NE((*lt)->MainImage(3).sdict, nullptr);
 
   // Queries over the reloaded catalog stay bit-identical.
   sql::Engine reloaded;
@@ -1553,7 +1557,7 @@ TEST_F(CompressedPersistTest, StringDictSurvivesCheckpointKillRecover) {
     // The checkpoint merged deltas and encoded the dictionary.
     auto t = engine.catalog()->Get("logs");
     ASSERT_TRUE(t.ok());
-    EXPECT_NE((*t)->StringDictColumn(1), nullptr);
+    EXPECT_NE((*t)->MainImage(1).sdict, nullptr);
 
     // Post-checkpoint tail, replayed from the log on recovery.
     ASSERT_TRUE(
@@ -1575,7 +1579,7 @@ TEST_F(CompressedPersistTest, StringDictSurvivesCheckpointKillRecover) {
   auto t = recovered.catalog()->Get("logs");
   ASSERT_TRUE(t.ok());
   // The dictionary came back from the snapshot's .sdict image.
-  EXPECT_NE((*t)->StringDictColumn(1), nullptr);
+  EXPECT_NE((*t)->MainImage(1).sdict, nullptr);
 
   auto r = recovered.Execute(probe, parallel::ExecContext::Serial());
   ASSERT_TRUE(r.ok()) << r.status().ToString();

@@ -136,6 +136,56 @@ TEST(CompressedQueryTest, AlterCompressBitIdenticalDirect) {
   EXPECT_EQ(*payload, expected[0]);
 }
 
+/// A column no codec shrinks stays plain under the compression policy: a
+/// uniform-random int32 column costs PFOR more bytes than its raw tail, so
+/// CompressBest refuses it (an explicit PFOR encode still works), the
+/// table counts only its run column as compressed, and queries over both
+/// columns answer byte for byte as on the plain table.
+TEST(CompressedQueryTest, ColumnNoCodecShrinksStaysPlain) {
+  auto make = [] {
+    BatPtr rnd = Bat::New(PhysType::kInt32);
+    BatPtr run = Bat::New(PhysType::kInt32);
+    Rng rng(4242);
+    for (size_t i = 0; i < kRows; ++i) {
+      rnd->Append<int32_t>(static_cast<int32_t>(rng.Next()));
+      run->Append<int32_t>(static_cast<int32_t>(i / 1000));
+    }
+    auto t = Table::FromColumns(
+        "r", {{"rnd", PhysType::kInt32}, {"run", PhysType::kInt32}},
+        {rnd, run});
+    EXPECT_TRUE(t.ok()) << t.status().ToString();
+    return *t;
+  };
+  const TablePtr plain_t = make();
+  auto best = compress::CompressedBat::CompressBest(plain_t->MainColumn(0));
+  EXPECT_EQ(best.status().code(), StatusCode::kInvalidArgument);
+  auto pfor = compress::CompressedBat::Compress(plain_t->MainColumn(0),
+                                                compress::Codec::kPfor);
+  ASSERT_TRUE(pfor.ok());
+  EXPECT_GE(pfor->CompressedBytes(), pfor->LogicalBytes());
+
+  sql::Engine plain, comp;
+  ASSERT_TRUE(plain.catalog()->Register(plain_t).ok());
+  ASSERT_TRUE(comp.catalog()->Register(make()).ok());
+  ASSERT_TRUE(comp.Execute("ALTER TABLE r COMPRESS").ok());
+  auto t = comp.catalog()->Get("r");
+  ASSERT_TRUE(t.ok());
+  EXPECT_EQ((*t)->MainImage(0).comp, nullptr);
+  EXPECT_NE((*t)->MainImage(1).comp, nullptr);
+  EXPECT_EQ((*t)->CompressedColumnCount(), 1u);
+  EXPECT_EQ(comp.compression_stats().compressed_columns, 1u);
+  for (const std::string q :
+       {"SELECT COUNT(*), SUM(rnd) FROM r WHERE run >= 10 AND run <= 40",
+        "SELECT rnd, run FROM r WHERE rnd >= 0 AND rnd <= 100000000",
+        "SELECT run FROM r WHERE rnd >= 2140000000",
+        "SELECT MIN(rnd), MAX(rnd), SUM(run) FROM r"}) {
+    auto want = plain.Execute(q, parallel::ExecContext::Serial());
+    auto got = comp.Execute(q, parallel::ExecContext::Serial());
+    ASSERT_TRUE(want.ok() && got.ok()) << q;
+    EXPECT_EQ(*EncodeResult(*got), *EncodeResult(*want)) << q;
+  }
+}
+
 TEST(CompressedQueryTest, CreateCompressedTableDmlAndSelect) {
   // The DDL path: CREATE ... COMPRESSED, then INSERT (delta on top of
   // compressed mains) and DELETE, checked against a plain twin.
@@ -194,8 +244,8 @@ TEST(CompressedQueryTest, UpdateFetchesOnlyTargetRows) {
   ASSERT_TRUE(comp.Execute("ALTER TABLE u COMPRESS").ok());
   auto table = comp.catalog()->Get("u");
   ASSERT_TRUE(table.ok());
-  ASSERT_NE((*table)->CompressedColumn(0), nullptr);
-  ASSERT_NE((*table)->CompressedColumn(1), nullptr);
+  ASSERT_NE((*table)->MainImage(0).comp, nullptr);
+  ASSERT_NE((*table)->MainImage(1).comp, nullptr);
   for (sql::Engine* e : {&plain, &comp}) {
     for (const std::string& p : pending) ASSERT_TRUE(e->Execute(p).ok());
   }
@@ -286,13 +336,13 @@ TEST(CompressedQueryTest, CandidateSelectsGatherInsteadOfDecoding) {
           std::string(compress::CodecName(shape.codec)) + ": " + mutation;
       sql::Engine plain, coded;
       auto plain_t = Table::FromColumns("t", schema, {k, x});
-      auto coded_t = Table::FromStorage("t", schema, {k, nullptr},
-                                        {nullptr, comp}, {nullptr, nullptr},
+      auto coded_t = Table::FromStorage("t", schema,
+                                        {{.bat = k}, {.comp = comp}},
                                         /*policy=*/false);
       ASSERT_TRUE(plain_t.ok() && coded_t.ok()) << what;
       ASSERT_TRUE(plain.catalog()->Register(*plain_t).ok());
       ASSERT_TRUE(coded.catalog()->Register(*coded_t).ok());
-      ASSERT_EQ((*coded_t)->CompressedColumn(1), comp) << what;
+      ASSERT_EQ((*coded_t)->MainImage(1).comp, comp) << what;
       ASSERT_TRUE(plain.Execute(mutation).ok()) << what;
       ASSERT_TRUE(coded.Execute(mutation).ok()) << what;
 
@@ -391,7 +441,7 @@ TEST(CompressedQueryTest, DictionaryOnlyTextColumnColdPaths) {
   auto dict_only = [&](const std::string& phase) {
     auto t = comp->catalog()->Get("d");
     ASSERT_TRUE(t.ok()) << phase;
-    const auto& dict = (*t)->StringDictColumn(1);
+    const auto& dict = (*t)->MainImage(1).sdict;
     ASSERT_NE(dict, nullptr) << phase;
     EXPECT_EQ((*t)->MainColumn(1)->Count(), 0u) << phase;
     size_t word_bytes = 0;
@@ -464,7 +514,7 @@ TEST(CompressedQueryTest, DictionaryOnlyTextColumnColdPaths) {
   {
     auto t = comp->catalog()->Get("d");
     ASSERT_TRUE(t.ok());
-    EXPECT_EQ((*t)->StringDictColumn(1), nullptr);
+    EXPECT_EQ((*t)->MainImage(1).sdict, nullptr);
     EXPECT_EQ((*t)->MainColumn(1)->Count(), (*t)->VisibleRowCount());
   }
   for (const auto* qs : {&DictCodeSpaceQueries(), &DictColdQueries()}) {
@@ -491,7 +541,7 @@ TEST(CompressedQueryTest, DictionaryOnlyTextColumnColdPaths) {
   ASSERT_TRUE(plain_wide.catalog()->Register((*wide)->Snapshot()).ok());
   ASSERT_TRUE(comp_wide.catalog()->Register(*wide).ok());
   ASSERT_TRUE(comp_wide.Execute("ALTER TABLE wide COMPRESS").ok());
-  EXPECT_EQ((*wide)->StringDictColumn(1), nullptr);
+  EXPECT_EQ((*wide)->MainImage(1).sdict, nullptr);
   EXPECT_EQ((*wide)->MainColumn(1)->Count(), distinct);
   for (const std::string q :
        {"SELECT k FROM wide WHERE s = 'u65536'",

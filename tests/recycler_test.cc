@@ -23,8 +23,8 @@ using mal::Program;
 
 CachedVal MakeVal(size_t n) {
   CachedVal v;
-  v.bat = Bat::New(PhysType::kInt32);
-  v.bat->Resize(n);
+  v.image.bat = Bat::New(PhysType::kInt32);
+  v.image.bat->Resize(n);
   return v;
 }
 
@@ -35,7 +35,7 @@ TEST(RecyclerTest, ExactHitAfterInsert) {
   rec.Insert(42, {MakeVal(10)}, 0.001);
   ASSERT_TRUE(rec.Lookup(42, &outs));
   ASSERT_EQ(outs.size(), 1u);
-  EXPECT_EQ(outs[0].bat->Count(), 10u);
+  EXPECT_EQ(outs[0].image.bat->Count(), 10u);
   EXPECT_EQ(rec.stats().hits, 1u);
   EXPECT_EQ(rec.stats().misses, 1u);
 }
@@ -87,7 +87,7 @@ TEST(RecyclerTest, RangeSubsumption) {
   rec.RegisterRange(/*base_sig=*/7, 0.0, 100.0, /*sig=*/99);
   BatPtr cands;
   EXPECT_TRUE(rec.LookupRangeSuperset(7, 10.0, 50.0, &cands));
-  EXPECT_EQ(cands.get(), wide.bat.get());
+  EXPECT_EQ(cands.get(), wide.image.bat.get());
   // Not covered: outside or different base.
   EXPECT_FALSE(rec.LookupRangeSuperset(7, -5.0, 50.0, &cands));
   EXPECT_FALSE(rec.LookupRangeSuperset(8, 10.0, 50.0, &cands));
@@ -104,7 +104,7 @@ TEST(RecyclerTest, TightestSupersetPreferred) {
   rec.RegisterRange(7, 0.0, 100.0, 2);
   BatPtr cands;
   ASSERT_TRUE(rec.LookupRangeSuperset(7, 10.0, 50.0, &cands));
-  EXPECT_EQ(cands.get(), narrow.bat.get());
+  EXPECT_EQ(cands.get(), narrow.image.bat.get());
 }
 
 TEST(RecyclerTest, ClearDropsEverything) {
@@ -193,7 +193,7 @@ TEST(RecyclerIntegrationTest, SubsumedRangeOverCompressedCountsFallback) {
   auto t = catalog->Get("facts");
   ASSERT_TRUE(t.ok());
   ASSERT_TRUE((*t)->SetCompression(true).ok());
-  ASSERT_NE((*t)->CompressedColumn(0), nullptr);
+  ASSERT_NE((*t)->MainImage(0).comp, nullptr);
   Recycler rec(64 << 20);
   Interpreter interp(catalog.get(), &rec);
 

@@ -136,11 +136,9 @@ void ExerciseLoaded(const compress::CompressedBat& cb, Rng* rng) {
     }
   }
   const Value v = Value::Int(static_cast<int64_t>(rng->Uniform(64)));
-  ExpectTyped(
-      compress::CompressedThetaSelectRange(cb, v, CmpOp::kGe, 0, n, 0)
-          .status());
-  ExpectTyped(compress::CompressedRangeSelectRange(
-                  cb, Value::Int(-5), v, true, false, false, 0, n, 0)
+  ExpectTyped(compress::CompressedThetaSelect(cb, v, CmpOp::kGe, 0).status());
+  ExpectTyped(compress::CompressedRangeSelect(cb, Value::Int(-5), v, true,
+                                              false, false, 0)
                   .status());
   auto sum = compress::CompressedAggrSum(cb);
   ExpectTyped(sum.status());

@@ -458,7 +458,7 @@ TEST(TxnConcurrencyTest, DeltaAwareReadsUnderConcurrentInserts) {
   ASSERT_TRUE(engine.Execute("ALTER TABLE f COMPRESS").ok());
   auto table = engine.catalog()->Get("f");
   ASSERT_TRUE(table.ok());
-  ASSERT_NE((*table)->CompressedColumn(1), nullptr);
+  ASSERT_NE((*table)->MainImage(1).comp, nullptr);
 
   // (count, sum) of writer rows matches prefixes (a, b) of the writers.
   std::vector<std::vector<int64_t>> prefix_sum(
@@ -593,7 +593,7 @@ TEST(TxnConcurrencyTest, DeltaAwareDictTextReadsUnderConcurrentInserts) {
   ASSERT_TRUE(engine.Execute("ALTER TABLE f COMPRESS").ok());
   auto table = engine.catalog()->Get("f");
   ASSERT_TRUE(table.ok());
-  ASSERT_NE((*table)->StringDictColumn(1), nullptr);
+  ASSERT_NE((*table)->MainImage(1).sdict, nullptr);
   ASSERT_EQ((*table)->MainColumn(1)->Count(), 0u);
 
   auto scalar = [&](const SessionPtr& s, const std::string& sql,
